@@ -30,17 +30,11 @@ from .displacement import (
 )
 from .fock import (
     annihilation_operator,
-    apply,
     basis_state,
     commutator,
     creation_operator,
     fidelity,
     hp_generators,
-    inner,
-    is_normalized,
-    is_unitary,
-    matrix_exp,
-    norm,
     normalize_state,
     number_operator,
 )
@@ -54,7 +48,7 @@ from .solver import (
     build_operator,
     coefficient_triple,
     constraint_roots,
-    degenerate_eigenstates,
+    eigenstate,
     eigenstate_exponential,
     eigenstate_sum,
     solve,
@@ -74,7 +68,6 @@ __all__ = [
     "SolutionKind",
     "SpectrumReport",
     "annihilation_operator",
-    "apply",
     "basis_state",
     "binomial_amplitudes",
     "binomial_displacement_form",
@@ -87,21 +80,16 @@ __all__ = [
     "conjugated_generators",
     "constraint_roots",
     "creation_operator",
-    "degenerate_eigenstates",
     "delta_to_zeta",
     "dense_spectrum",
     "disentangled_displacement",
     "displacement",
+    "eigenstate",
     "eigenstate_exponential",
     "eigenstate_sum",
     "fidelity",
     "hp_generators",
-    "inner",
-    "is_normalized",
-    "is_unitary",
     "ladder_residual",
-    "matrix_exp",
-    "norm",
     "normalize_state",
     "null_eigenvector",
     "number_limit_scan",

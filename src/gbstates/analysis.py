@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import annihilation_operator, basis_state, fidelity, hp_generators, matrix_exp
-from .solver import GBSParams, solve
+from .displacement import delta_to_zeta, displacement
+from .fock import annihilation_operator, basis_state, fidelity
+from .solver import GBSParams, eigenstate
 
 K_RULE_MODES = ("center", "top-offset", "bottom")
 
@@ -174,16 +175,11 @@ def number_limit_scan(
     mu: complex, nu: complex, m: int, k: int, eta_schedule
 ) -> list[tuple[float, float]]:
     """Fidelity of the k-th eigenstate against |k> along an eta -> 1 schedule."""
-    if not 0 <= k <= m:
-        raise ValueError(f"eigenstate index {k} outside 0..{m}")
-    rows = []
-    for eta in eta_schedule:
-        if not 0.0 < eta < 1.0:
-            raise ValueError(f"schedule eta {eta} outside (0, 1)")
-        sol = solve(GBSParams(mu=mu, nu=nu, eta=eta, m=m))
-        fid = fidelity(sol.eigenstates[k], basis_state(k, m + 1))
-        rows.append((float(eta), fid))
-    return rows
+    target = basis_state(k, m + 1)
+    return [
+        (float(eta), fidelity(eigenstate(GBSParams(mu=mu, nu=nu, eta=eta, m=m), k), target))
+        for eta in eta_schedule
+    ]
 
 
 def _limit_target(mu: complex, nu: complex, alpha: float, rule: KRule) -> complex:
@@ -221,7 +217,7 @@ def squeezed_limit_scan(
     rows = []
     for m in schedule.m_values:
         p = GBSParams(mu=mu, nu=nu, eta=schedule.eta(m), m=m)
-        state = solve(p).eigenstates[schedule.k_rule.index(m)]
+        state = eigenstate(p, schedule.k_rule.index(m))
         dim = max(m + 1, len(reference))
         v = embed(state, dim)
         ref = embed(reference, dim)
@@ -240,12 +236,10 @@ def su2_coherent_form(eta: float, phi: float, m: int) -> np.ndarray:
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie strictly inside (0, 1), got {eta}")
-    if m < 0:
-        raise ValueError(f"photon cap must be >= 0, got {m}")
-    xi = -math.atan(math.sqrt(eta / (1.0 - eta))) * complex(math.cos(phi), math.sin(phi))
-    _, jp, jm = hp_generators(m)
-    d = matrix_exp(xi * jp - np.conj(xi) * jm)
-    return d @ basis_state(0, m + 1)
+    # xi = r e^{i(phi + pi)} with tan r = sqrt(eta/(1-eta)), i.e. the rotation
+    # encoded by delta = e^{-i(phi + pi)} tan r
+    delta = -math.sqrt(eta / (1.0 - eta)) * complex(math.cos(phi), -math.sin(phi))
+    return displacement(delta_to_zeta(delta, m)) @ basis_state(0, m + 1)
 
 
 def coherent_amplitude_discrepancy(
@@ -263,7 +257,7 @@ def coherent_amplitude_discrepancy(
     for m in m_values:
         eta = alpha ** 2 / m
         p = GBSParams(mu=mu, nu=0.0, eta=eta, m=m)
-        state = solve(p).eigenstates[m // 2]
+        state = eigenstate(p, m // 2)
         for target, out in ((alpha / 2.0, half), (alpha / math.sqrt(2.0), root2)):
             ref = coherent_state(target * mu.conjugate())
             dim = max(len(state), len(ref))

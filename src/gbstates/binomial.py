@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import basis_state, hp_generators, matrix_exp, number_operator
+from .displacement import DisplacementParams, displacement
+from .fock import basis_state, hp_generators, number_operator
 
 # math.comb is exact and C(m, m/2) stays inside double range this far;
 # beyond it the log-gamma route avoids overflow at some cost in ulps.
@@ -74,6 +75,4 @@ def binomial_displacement_form(p: BinomialParams) -> np.ndarray:
     if not 0.0 < p.eta < 1.0:
         raise ValueError(f"displacement form needs 0 < eta < 1, got {p.eta}")
     r = math.asin(math.sqrt(p.eta))
-    _, jp, jm = hp_generators(p.m)
-    d = matrix_exp(-r * (jp - jm))
-    return d @ basis_state(0, p.m + 1)
+    return displacement(DisplacementParams(r=r, theta=math.pi, m=p.m)) @ basis_state(0, p.m + 1)

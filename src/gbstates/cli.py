@@ -2,8 +2,9 @@
 
 Single solves emit JSON run records, scans emit CSV (one row per schedule
 point), and `verify` runs the whole property battery.  Exit codes: 0 success,
-2 invalid input, 3 a verification check failed.  Complex numbers are encoded
-as [re, im] pairs; output is deterministic for identical inputs.
+2 invalid input, 3 a verification check failed or the oracle did not
+converge.  Complex numbers are encoded as [re, im] pairs; output is
+deterministic for identical inputs.
 """
 
 import argparse
@@ -17,16 +18,15 @@ from . import __version__
 from .analysis import (
     KRule,
     LimitSchedule,
-    number_limit_scan,
     photon_statistics,
     squeezed_limit_scan,
     time_evolve,
 )
 from .binomial import BinomialParams, binomial_amplitudes, ladder_residual
-from .fock import fidelity, number_operator
-from .oracle import compare
-from .solver import GBSParams, build_operator, constraint_roots, eigenstate_sum, solve
-from .verification import run_all, tolerance_override
+from .fock import basis_state, fidelity
+from .oracle import NonConvergenceError, compare
+from .solver import GBSParams, constraint_roots, eigenstate, eigenstate_sum, solve
+from .verification import oracle_bounds, run_all, tolerance_override
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -113,8 +113,7 @@ def cmd_gbs(args) -> int:
     sol = solve(p, root_policy=args.root)
     report = compare(p, sol)
     scale = tolerance_override()
-    pair_bound = 1e-9 * (1.0 + float(np.abs(sol.eigenvalues).max())) * scale
-    residual_bound = 1e-10 * float(np.linalg.norm(build_operator(p))) * scale
+    pair_bound, residual_bound = oracle_bounds(p, sol, scale)
     ok = report.max_residual <= residual_bound
     if not report.multiplicity_collapse:
         ok = ok and report.max_pair_error <= pair_bound
@@ -184,13 +183,13 @@ def cmd_limit(args) -> int:
         etas = _parse_floats(args.etas)
         mu = complex(args.mu_re, args.mu_im)
         nu = complex(args.nu_re, args.nu_im)
-        scan = number_limit_scan(mu, nu, args.m, args.k, etas)
-        n_op = number_operator(args.m)
+        target = basis_state(args.k, args.m + 1)
         rows = []
-        for eta, fid in scan:
-            state = solve(GBSParams(mu=mu, nu=nu, eta=eta, m=args.m)).eigenstates[args.k]
-            residual = float(np.linalg.norm(n_op @ state - args.k * state))
-            rows.append((eta, fid, residual))
+        for eta in etas:
+            state = eigenstate(GBSParams(mu=mu, nu=nu, eta=eta, m=args.m), args.k)
+            # |(N - k) v|, N diagonal
+            residual = float(np.linalg.norm((np.arange(args.m + 1) - args.k) * state))
+            rows.append((eta, fidelity(state, target), residual))
         params = {
             "mode": "number",
             "mu": _cnum(mu),
@@ -199,43 +198,30 @@ def cmd_limit(args) -> int:
             "k": args.k,
             "etas": etas,
         }
-    elif args.mode == "squeezed":
+    else:
         if args.alpha is None or args.m_values is None:
-            raise ValueError("squeezed mode needs --alpha and --m-values")
-        mu = complex(args.mu_re, args.mu_im)
-        nu = complex(args.nu_re, args.nu_im)
+            raise ValueError(f"{args.mode} mode needs --alpha and --m-values")
+        if args.mode == "coherent":  # the nu = 0, mu = e^{i phi} top-offset family
+            mu, nu, rule = complex(math.cos(args.phi), math.sin(args.phi)), 0j, "top-offset"
+        else:
+            mu, nu, rule = complex(args.mu_re, args.mu_im), complex(args.nu_re, args.nu_im), args.rule
         schedule = LimitSchedule(
             alpha=args.alpha,
             m_values=tuple(_parse_ints(args.m_values)),
-            k_rule=KRule(args.rule, args.offset),
+            k_rule=KRule(rule, args.offset),
         )
         rows = [(float(m), fid, res) for m, res, fid in squeezed_limit_scan(mu, nu, schedule)]
         params = {
-            "mode": "squeezed",
+            "mode": args.mode,
             "mu": _cnum(mu),
             "nu": _cnum(nu),
             "alpha": args.alpha,
             "m_values": list(schedule.m_values),
-            "rule": args.rule,
+            "rule": rule,
             "offset": args.offset,
         }
-    else:  # coherent: the nu = 0 top-offset family
-        if args.alpha is None or args.m_values is None:
-            raise ValueError("coherent mode needs --alpha and --m-values")
-        mu = complex(math.cos(args.phi), math.sin(args.phi))
-        schedule = LimitSchedule(
-            alpha=args.alpha,
-            m_values=tuple(_parse_ints(args.m_values)),
-            k_rule=KRule("top-offset", args.offset),
-        )
-        rows = [(float(m), fid, res) for m, res, fid in squeezed_limit_scan(mu, 0.0, schedule)]
-        params = {
-            "mode": "coherent",
-            "phi": args.phi,
-            "alpha": args.alpha,
-            "m_values": list(schedule.m_values),
-            "offset": args.offset,
-        }
+        if args.mode == "coherent":
+            params["phi"] = args.phi
     if args.format == "csv":
         _write(_csv(rows), args.out)
     else:
@@ -402,6 +388,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except NonConvergenceError as exc:
+        print(f"error: oracle did not converge: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

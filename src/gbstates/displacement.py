@@ -66,25 +66,34 @@ def displacement(p: DisplacementParams) -> np.ndarray:
     return matrix_exp(z * jp - np.conj(z) * jm)
 
 
-def conjugated_generators(
-    p: DisplacementParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed forms of D^-1 J+ D, D^-1 J- D, D^-1 J0 D.
+def adjoint_weights(p: DisplacementParams) -> tuple[tuple[complex, ...], ...]:
+    """Rows w with D^-1 G_i D = sum_j w[i][j] G_j for G = (J+, J-, J0).
 
     The adjoint action of the rotation mixes the generators with sin/cos
-    weights of 2r and phases e^{+-i theta}; assembling the right-hand sides
-    from the bare generators avoids any matrix exponential.
+    weights of r and 2r and phases e^{+-i theta}.
     """
-    j0, jp, jm = hp_generators(p.m)
     c2 = math.cos(p.r) ** 2
     s2 = math.sin(p.r) ** 2
     s2r = math.sin(2 * p.r)
     eip = complex(math.cos(p.theta), math.sin(p.theta))
     eim = eip.conjugate()
-    jp_rot = jp * c2 - jm * s2 * eim * eim - j0 * s2r * eim
-    jm_rot = jm * c2 - jp * s2 * eip * eip - j0 * s2r * eip
-    j0_rot = 0.5 * (jp * eip + jm * eim) * s2r + j0 * math.cos(2 * p.r)
-    return jp_rot, jm_rot, j0_rot
+    return (
+        (c2, -s2 * eim * eim, -s2r * eim),
+        (-s2 * eip * eip, c2, -s2r * eip),
+        (0.5 * s2r * eip, 0.5 * s2r * eim, math.cos(2 * p.r)),
+    )
+
+
+def conjugated_generators(
+    p: DisplacementParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed forms of D^-1 J+ D, D^-1 J- D, D^-1 J0 D.
+
+    Assembled from the bare generators with the adjoint weights, without any
+    matrix exponential.
+    """
+    j0, jp, jm = hp_generators(p.m)
+    return tuple(w_p * jp + w_m * jm + w_0 * j0 for w_p, w_m, w_0 in adjoint_weights(p))
 
 
 def disentangled_displacement(xi: complex, m: int) -> np.ndarray:

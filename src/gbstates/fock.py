@@ -1,4 +1,4 @@
-"""Truncated Fock-space kernel: dense operators, matrix functions, inner products.
+"""Truncated Fock-space kernel: dense operators, the matrix exponential, fidelity.
 
 Everything lives on the (M+1)-dimensional space spanned by the number states
 |0>, ..., |M>.  States are complex 1-d numpy arrays, operators are dense
@@ -17,9 +17,6 @@ this package stay in the hundreds, so no sparse path is provided.
 import math
 
 import numpy as np
-
-NORMALIZED_TOL = 1e-12
-UNITARY_TOL = 1e-11
 
 
 def annihilation_operator(m: int) -> np.ndarray:
@@ -92,19 +89,6 @@ def matrix_exp(a: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     return result
 
 
-def inner(u: np.ndarray, v: np.ndarray) -> complex:
-    """<u|v>, conjugate-linear in the first slot."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return complex(np.vdot(u, v))
-
-
-def norm(u: np.ndarray) -> float:
-    return float(np.linalg.norm(u))
-
-
 def fidelity(u: np.ndarray, v: np.ndarray) -> float:
     """|<u|v>|^2 / (|u|^2 |v|^2); symmetric and phase-invariant, in [0, 1]."""
     u = np.asarray(u)
@@ -127,14 +111,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def apply(a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    u = np.asarray(u)
-    if a.shape[1] != u.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {u.shape}")
-    return a @ u
-
-
 def basis_state(n: int, dim: int) -> np.ndarray:
     """Number state |n> as a dim-long amplitude vector."""
     if not 0 <= n < dim:
@@ -151,25 +127,17 @@ def normalize_state(v: np.ndarray) -> np.ndarray:
     so states coming from different construction routes compare termwise.
     """
     v = np.asarray(v, dtype=complex)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
+    mags = np.abs(v)
+    big = mags.max()
+    if big == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    u = v / nv
-    mags = np.abs(u)
-    lead = int(np.nonzero(mags > 1e-12 * mags.max())[0][0])
+    # scale by the largest magnitude first: the squared norm of a vector with
+    # entries above ~1e154 would overflow
+    u = v / big
+    u = u / np.linalg.norm(u)
+    lead = int(np.nonzero(mags > 1e-12 * big)[0][0])
     phase = u[lead] / abs(u[lead])
     u = u / phase
     u[lead] = abs(u[lead])  # drop the ~1 ulp residual imaginary part
     return u
 
-
-def is_normalized(v: np.ndarray, tol: float = NORMALIZED_TOL) -> bool:
-    return abs(np.linalg.norm(v) - 1.0) <= tol
-
-
-def is_unitary(u: np.ndarray, tol_per_dim: float = UNITARY_TOL) -> bool:
-    """Frobenius check |U^dag U - I| <= tol_per_dim * dim."""
-    u = np.asarray(u)
-    d = u.shape[0]
-    defect = np.linalg.norm(u.conj().T @ u - np.eye(d))
-    return bool(defect <= tol_per_dim * d)

@@ -7,24 +7,33 @@ operator A+ J+ - A0 J0 is then solved exactly by a terminating two-term
 recursion.  The spectrum is A0 (2k - m)/2 for k = 0..m and the eigenstates
 are rotated images of states supported on |0>..|k>.
 
+Every entry point derives the constraint root, the rotation, the coefficient
+triple and the branch of a point once, as one rotated frame, and builds the
+eigenstates it returns from that frame and one D(zeta).
+
 Branches:
-  * generic          -- A+ away from zero; full closed-form eigenbasis.
+  * generic          -- A+ away from zero; full closed-form eigenbasis
+                        D(zeta) core_k.
   * degenerate A+ =0 -- happens when mu = nu* (L Hermitian) or eta -> 1;
-                        the eigenstates collapse to displaced number states.
+                        the eigenstates collapse to displaced number states
+                        D(zeta)|k>.
   * defective A0 = 0 -- the rotated operator is nilpotent; the m+1
                         eigenvalues all vanish and only a single genuine
-                        eigenvector exists.  Reported, never patched over.
+                        eigenvector D(zeta)|0> exists.  Reported, never
+                        patched over.
 """
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .displacement import DisplacementParams, delta_to_zeta, displacement
-from .fock import basis_state, hp_generators, normalize_state
+from .displacement import DisplacementParams, adjoint_weights, delta_to_zeta, displacement
+from .fock import hp_generators, normalize_state
 
 ROOT_POLICIES = ("principal", "secondary")
 
@@ -42,7 +51,8 @@ class SolutionKind(Enum):
 
 @dataclass(frozen=True)
 class GBSParams:
-    """Operator parameters {mu, nu, eta, m}; mu != 0 and 0 < eta < 1."""
+    """Operator parameters {mu, nu, eta, m}: finite mu != 0 and nu, 0 < eta < 1,
+    integer m >= 0."""
 
     mu: complex
     nu: complex
@@ -50,10 +60,15 @@ class GBSParams:
     m: int
 
     def __post_init__(self):
+        for name in ("mu", "nu"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mu == 0:
             raise ValueError("mu must be nonzero")
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must lie strictly inside (0, 1), got {self.eta}")
+        if not isinstance(self.m, numbers.Integral):
+            raise ValueError(f"photon cap must be an integer, got {self.m!r}")
         if self.m < 0:
             raise ValueError(f"photon cap must be >= 0, got {self.m}")
 
@@ -137,20 +152,12 @@ def select_root(p: GBSParams, root_policy: str = "principal") -> complex:
 
 def coefficient_triple(p: GBSParams, delta: complex) -> CoefficientTriple:
     """Rotated-frame coefficients for the rotation encoded by delta."""
-    zeta = delta_to_zeta(delta, p.m)
-    r, theta = zeta.r, zeta.theta
+    w = adjoint_weights(delta_to_zeta(delta, p.m))
     sq = math.sqrt(1.0 - p.eta)
-    se = math.sqrt(p.eta)
-    c2 = math.cos(r) ** 2
-    s2 = math.sin(r) ** 2
-    s2r = math.sin(2.0 * r)
-    c2r = math.cos(2.0 * r)
-    eip = complex(math.cos(theta), math.sin(theta))
-    eim = eip.conjugate()
-    a_plus = sq * (p.mu * c2 - p.nu * s2 * eip * eip) - 0.5 * se * eip * s2r
-    a_minus = sq * (p.nu * c2 - p.mu * s2 * eim * eim) - 0.5 * se * eim * s2r
-    a_zero = sq * (p.mu * eim + p.nu * eip) * s2r + se * c2r
-    return CoefficientTriple(a_plus=a_plus, a_minus=a_minus, a_zero=a_zero)
+    # L = sum_i c_i G_i with G = (J+, J-, J0), so D^-1 L D = sum_j (sum_i c_i w[i][j]) G_j
+    c = (sq * p.mu, sq * p.nu, -math.sqrt(p.eta))
+    a_plus, a_minus, j0_coeff = (sum(c[i] * w[i][j] for i in range(3)) for j in range(3))
+    return CoefficientTriple(a_plus=a_plus, a_minus=a_minus, a_zero=-j0_coeff)
 
 
 def branch_kind(p: GBSParams, triple: CoefficientTriple) -> SolutionKind:
@@ -161,11 +168,44 @@ def branch_kind(p: GBSParams, triple: CoefficientTriple) -> SolutionKind:
     return SolutionKind.GENERIC
 
 
+class _Frame(NamedTuple):
+    """The rotated frame of a point: constraint root, rotation, triple, branch."""
+
+    delta: complex
+    zeta: DisplacementParams
+    triple: CoefficientTriple
+    kind: SolutionKind
+
+
+def _frame(p: GBSParams, root_policy: str) -> _Frame:
+    delta = select_root(p, root_policy)
+    triple = coefficient_triple(p, delta)
+    return _Frame(delta, delta_to_zeta(delta, p.m), triple, branch_kind(p, triple))
+
+
+def _check_index(p: GBSParams, k: int) -> None:
+    if not 0 <= k <= p.m:
+        raise ValueError(f"eigenstate index {k} outside 0..{p.m}")
+
+
+def _generic_frame(p: GBSParams, root_policy: str, k: int | None = None) -> _Frame:
+    """The frame of a point whose closed forms exist; k, if given, is checked."""
+    if k is not None:
+        _check_index(p, k)
+    frame = _frame(p, root_policy)
+    if frame.kind is not SolutionKind.GENERIC:
+        raise ValueError(f"the closed forms need the generic branch, got {frame.kind.value}")
+    return frame
+
+
+def _ladder(a_zero: complex, m: int) -> np.ndarray:
+    k = np.arange(m + 1)
+    return a_zero * (2 * k - m) / 2.0
+
+
 def spectrum(p: GBSParams, root_policy: str = "principal") -> np.ndarray:
     """All m+1 eigenvalues A0 (2k - m)/2, k ascending 0..m."""
-    triple = coefficient_triple(p, select_root(p, root_policy))
-    k = np.arange(p.m + 1)
-    return triple.a_zero * (2 * k - p.m) / 2.0
+    return _ladder(_frame(p, root_policy).triple.a_zero, p.m)
 
 
 def _sum_form_core(triple: CoefficientTriple, k: int, m: int) -> np.ndarray:
@@ -189,24 +229,41 @@ def _sum_form_core(triple: CoefficientTriple, k: int, m: int) -> np.ndarray:
     return normalize_state(c)
 
 
+def _eigenstate(p: GBSParams, frame: _Frame, d: np.ndarray, k: int) -> np.ndarray:
+    """The k-th eigenstate on the frame's branch, given d = D(zeta)."""
+    if frame.kind is SolutionKind.GENERIC:
+        return normalize_state(d @ _sum_form_core(frame.triple, k, p.m))
+    if frame.kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO and k != 0:
+        raise ValueError(
+            f"the {frame.kind.value} branch carries only the eigenstate k = 0; "
+            f"k = {k} unavailable"
+        )
+    # A+ = 0 leaves the diagonal -A0 J0, A0 = 0 the nilpotent A+ J+ (a single
+    # Jordan chain headed by |0>); either way the eigenvector is |k> and the
+    # eigenstate is column k of D
+    return normalize_state(d[:, k])
+
+
+def eigenstate(p: GBSParams, k: int, root_policy: str = "principal") -> np.ndarray:
+    """solve(p, root_policy).eigenstates[k], without building the other states.
+
+    Raises ValueError for a k the branch does not carry: outside 0..m, or
+    k > 0 on the defective branch.
+    """
+    _check_index(p, k)
+    frame = _frame(p, root_policy)
+    return _eigenstate(p, frame, displacement(frame.zeta), k)
+
+
 def undisplaced_eigenstate(p: GBSParams, k: int, root_policy: str = "principal") -> np.ndarray:
     """Eigenstate of the rotated operator A+ J+ - A0 J0, before displacing back."""
-    if not 0 <= k <= p.m:
-        raise ValueError(f"eigenstate index {k} outside 0..{p.m}")
-    triple = coefficient_triple(p, select_root(p, root_policy))
-    kind = branch_kind(p, triple)
-    if kind is not SolutionKind.GENERIC:
-        raise ValueError(
-            f"closed-form eigenstates need the generic branch, got {kind.value}"
-        )
-    return _sum_form_core(triple, k, p.m)
+    return _sum_form_core(_generic_frame(p, root_policy, k).triple, k, p.m)
 
 
 def eigenstate_sum(p: GBSParams, k: int, root_policy: str = "principal") -> np.ndarray:
     """Eigenstate via the finite-sum form, displaced back to the original frame."""
-    core = undisplaced_eigenstate(p, k, root_policy)
-    zeta = delta_to_zeta(select_root(p, root_policy), p.m)
-    return normalize_state(displacement(zeta) @ core)
+    frame = _generic_frame(p, root_policy, k)
+    return _eigenstate(p, frame, displacement(frame.zeta), k)
 
 
 def _exponential_form_core(triple: CoefficientTriple, k: int, m: int) -> np.ndarray:
@@ -239,63 +296,24 @@ def _exponential_form_core(triple: CoefficientTriple, k: int, m: int) -> np.ndar
 
 def eigenstate_exponential(p: GBSParams, k: int, root_policy: str = "principal") -> np.ndarray:
     """Eigenstate via the exponential form; equal to eigenstate_sum."""
-    if not 0 <= k <= p.m:
-        raise ValueError(f"eigenstate index {k} outside 0..{p.m}")
-    triple = coefficient_triple(p, select_root(p, root_policy))
-    kind = branch_kind(p, triple)
-    if kind is not SolutionKind.GENERIC:
-        raise ValueError(
-            f"closed-form eigenstates need the generic branch, got {kind.value}"
-        )
-    core = _exponential_form_core(triple, k, p.m)
-    zeta = delta_to_zeta(select_root(p, root_policy), p.m)
-    return normalize_state(displacement(zeta) @ core)
-
-
-def degenerate_eigenstates(p: GBSParams, root_policy: str = "principal") -> list[np.ndarray]:
-    """Orthonormal eigenbasis D(zeta)|k> for the A+ = 0 branch.
-
-    The rotation that kills A- also kills A+ exactly when mu = nu* (Hermitian
-    operator) or in the eta -> 1 limit; the rotated operator is then -A0 J0,
-    already diagonal, and the eigenstates are the displaced number states.
-    """
-    delta = select_root(p, root_policy)
-    triple = coefficient_triple(p, delta)
-    if branch_kind(p, triple) is not SolutionKind.DEGENERATE_A_PLUS_ZERO:
-        raise ValueError("degenerate_eigenstates needs the A+ = 0 branch")
-    d = displacement(delta_to_zeta(delta, p.m))
-    return [normalize_state(d[:, k]) for k in range(p.m + 1)]
+    frame = _generic_frame(p, root_policy, k)
+    core = _exponential_form_core(frame.triple, k, p.m)
+    return normalize_state(displacement(frame.zeta) @ core)
 
 
 def solve(p: GBSParams, root_policy: str = "principal") -> GBSSolution:
     """Full closed-form solution: root, rotation, coefficients, spectrum, states."""
-    delta = select_root(p, root_policy)
-    zeta = delta_to_zeta(delta, p.m)
-    triple = coefficient_triple(p, delta)
-    kind = branch_kind(p, triple)
-    k = np.arange(p.m + 1)
-    eigenvalues = triple.a_zero * (2 * k - p.m) / 2.0
-
-    if kind is SolutionKind.DEGENERATE_A_PLUS_ZERO:
-        d = displacement(zeta)
-        eigenstates = [normalize_state(d[:, kk]) for kk in range(p.m + 1)]
-    elif kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO:
-        # nilpotent rotated operator: a single Jordan chain headed by the
-        # rotated vacuum is all there is
-        eigenstates = [normalize_state(displacement(zeta) @ basis_state(0, p.m + 1))]
-    else:
-        d = displacement(zeta)
-        eigenstates = [
-            normalize_state(d @ _sum_form_core(triple, kk, p.m)) for kk in range(p.m + 1)
-        ]
+    frame = _frame(p, root_policy)
+    d = displacement(frame.zeta)
+    count = 1 if frame.kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO else p.m + 1
     return GBSSolution(
         params=p,
-        delta_root=delta,
-        zeta=zeta,
-        triple=triple,
-        eigenvalues=eigenvalues,
-        eigenstates=eigenstates,
-        kind=kind,
+        delta_root=frame.delta,
+        zeta=frame.zeta,
+        triple=frame.triple,
+        eigenvalues=_ladder(frame.triple.a_zero, p.m),
+        eigenstates=[_eigenstate(p, frame, d, k) for k in range(count)],
+        kind=frame.kind,
     )
 
 
@@ -308,9 +326,7 @@ def binomial_phase_parameters(
     probability eta' = |A0|^2 / (|A0|^2 + |A+|^2) and phases e^{i n (theta0
     - theta+)}, where theta0 and theta+ are the arguments of A0 and A+.
     """
-    triple = coefficient_triple(p, select_root(p, root_policy))
-    if branch_kind(p, triple) is not SolutionKind.GENERIC:
-        raise ValueError("binomial phase parameters need the generic branch")
+    triple = _generic_frame(p, root_policy).triple
     a0 = abs(triple.a_zero)
     ap = abs(triple.a_plus)
     eta_prime = a0 * a0 / (a0 * a0 + ap * ap)

@@ -30,8 +30,10 @@ from .fock import commutator, fidelity, hp_generators, matrix_exp
 from .oracle import compare
 from .solver import (
     GBSParams,
+    GBSSolution,
     SolutionKind,
     build_operator,
+    eigenstate,
     eigenstate_exponential,
     eigenstate_sum,
     solve,
@@ -74,6 +76,14 @@ def _result(name, observed, threshold, detail="", extra_ok=True):
         threshold=float(threshold),
         detail=detail,
     )
+
+
+def oracle_bounds(p: GBSParams, sol: GBSSolution, tol_scale: float = 1.0) -> tuple[float, float]:
+    """(pair-error bound, residual bound) a compare() report of sol must meet:
+    1e-9 (1 + max|eigenvalue|) and 1e-10 |L|_F, both times tol_scale."""
+    pair_bound = 1e-9 * (1.0 + float(np.abs(sol.eigenvalues).max())) * tol_scale
+    residual_bound = 1e-10 * float(np.linalg.norm(build_operator(p))) * tol_scale
+    return pair_bound, residual_bound
 
 
 def random_parameter_draws(count: int, seed: int, hermitian: bool = False):
@@ -135,17 +145,14 @@ def check_spectrum_oracle(
         report = compare(p, sol)
         if report.multiplicity_collapse:
             continue  # defective draws are flagged, not paired
-        bound = 1e-9 * (1.0 + float(np.abs(sol.eigenvalues).max())) * tol_scale
+        bound, residual_bound = oracle_bounds(p, sol, tol_scale)
         ratio = report.max_pair_error / bound
         if ratio > worst_pair_ratio:
             worst_pair_ratio = ratio
             worst_pair_detail = (
                 f"worst pair error {report.max_pair_error:.3e} vs bound {bound:.3e} (draw {i})"
             )
-        op_norm = float(np.linalg.norm(build_operator(p)))
-        worst_resid_ratio = max(
-            worst_resid_ratio, report.max_residual / (1e-10 * op_norm * tol_scale)
-        )
+        worst_resid_ratio = max(worst_resid_ratio, report.max_residual / residual_bound)
     return [
         _result("spectrum-oracle-pairing", worst_pair_ratio, 1.0, worst_pair_detail),
         _result(
@@ -238,7 +245,7 @@ def check_coherent_limit(tol_scale: float = 1.0) -> list[CheckResult]:
     fids = []
     for m in (50, 100, 200, 400):
         p = GBSParams(mu=1.0, nu=0.0, eta=alpha**2 / m, m=m)
-        state = solve(p).eigenstates[m]
+        state = eigenstate(p, m)
         ref = coherent_state(alpha)
         dim = max(len(state), len(ref))
         fids.append(fidelity(embed(state, dim), embed(ref, dim)))

@@ -134,6 +134,18 @@ def test_number_limit_scan_validation():
         number_limit_scan(1.0, 0.0, 6, 9, [0.5])
     with pytest.raises(ValueError):
         number_limit_scan(1.0, 0.0, 6, 2, [1.5])
+    # the defective branch (eta + 4 (1 - eta) mu nu = 0) carries only k = 0
+    with pytest.raises(ValueError, match="defective"):
+        number_limit_scan(1.0, -0.25, 4, 2, [0.5])
+    assert number_limit_scan(1.0, -0.25, 4, 0, [0.5])[0][1] > 0.0
+
+
+def test_number_limit_scan_large_m_near_eta_one():
+    # these cores used to overflow (IndexError) at m = 200 and eta >= 0.99
+    for k in (50, 100, 150):
+        rows = number_limit_scan(1.0, 0.0, 200, k, [0.99, 0.9999])
+        fids = [f for _, f in rows]
+        assert 0.0 < fids[0] < fids[1] <= 1.0
 
 
 def test_k_rule_indexing_and_validation():

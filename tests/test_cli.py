@@ -126,6 +126,57 @@ def test_limit_number_csv_monotone(capsys):
     assert residuals[0] > residuals[1] > residuals[2]
 
 
+def test_gbs_near_number_limit_at_m100_exits_0(capsys):
+    # the eigenstate cores here used to overflow into an IndexError, exit 1
+    doc = run_json(capsys, ["gbs", "--mu-re", "1", "--nu-re", "0", "--eta", "0.9999", "--m", "100"])
+    assert doc["results"]["kind"] == "generic"
+    oracle = doc["diagnostics"]["oracle"]
+    assert oracle["max_residual"] <= oracle["residual_bound"]
+
+
+@pytest.mark.parametrize(
+    "flags, bound",
+    [
+        (["--mu-re", "nan"], "mu must be finite"),
+        (["--nu-im", "inf"], "nu must be finite"),
+        (["--eta", "nan"], "eta must lie strictly inside"),
+    ],
+)
+def test_gbs_non_finite_input_exits_2(capsys, flags, bound):
+    argv = ["gbs", "--eta", "0.4", "--m", "5"] + flags
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert bound in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_gbs_oracle_non_convergence_exits_3(capsys, monkeypatch):
+    from gbstates import cli
+    from gbstates.oracle import NonConvergenceError
+
+    def stalled(p, sol):
+        raise NonConvergenceError("QR iteration exceeded 100 sweeps on a 6x6 matrix")
+
+    monkeypatch.setattr(cli, "compare", stalled)
+    code, out, err = run_cli(capsys, ["gbs", "--mu-re", "1", "--eta", "0.4", "--m", "5"])
+    assert code == 3
+    assert out == ""
+    assert err.strip().splitlines() == [
+        "error: oracle did not converge: QR iteration exceeded 100 sweeps on a 6x6 matrix"
+    ]
+
+
+def test_limit_number_defective_k_exits_2(capsys):
+    # mu = 1, nu = -1/4, eta = 1/2 is defective: only k = 0 exists
+    argv = ["limit", "--mode", "number", "--mu-re", "1", "--nu-re", "-0.25",
+            "--m", "4", "--k", "2", "--etas", "0.5"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "defective" in err
+
+
 def test_limit_number_missing_args(capsys):
     code, _, err = run_cli(capsys, ["limit", "--mode", "number", "--m", "6"])
     assert code == 2

@@ -5,15 +5,12 @@ import pytest
 
 from gbstates.fock import (
     annihilation_operator,
-    apply,
     basis_state,
     commutator,
     creation_operator,
     fidelity,
     hp_generators,
-    inner,
     matrix_exp,
-    norm,
     normalize_state,
     number_operator,
 )
@@ -119,17 +116,10 @@ def test_matrix_exp_inverse_pairing_large_norm():
     assert np.linalg.norm(prod - np.eye(2)) <= 1e-11
 
 
-def test_inner_is_conjugate_linear_in_first_slot():
-    u = np.array([1.0 + 2.0j, 0.5])
-    v = np.array([0.3, -1.0j])
-    assert inner(1j * u, v) == pytest.approx(-1j * inner(u, v))
-    assert inner(u, 1j * v) == pytest.approx(1j * inner(u, v))
-
-
 def test_norm_and_fidelity_basics():
     e0 = basis_state(0, 4)
     e1 = basis_state(1, 4)
-    assert norm(e0) == 1.0
+    assert np.linalg.norm(normalize_state(e0 + e1)) == pytest.approx(1.0, abs=1e-15)
     assert fidelity(e0, e0) == pytest.approx(1.0)
     assert fidelity(e0, e1) == pytest.approx(0.0)
     # phase invariance
@@ -142,11 +132,9 @@ def test_fidelity_errors():
         fidelity(np.ones(3), np.ones(4))
     with pytest.raises(ValueError):
         fidelity(np.zeros(3), np.ones(3))
-    with pytest.raises(ValueError):
-        inner(np.ones(2), np.ones(3))
 
 
-def test_commutator_and_apply():
+def test_commutator_truncation_defect():
     m = 4
     n_op = number_operator(m)
     assert np.abs(commutator(n_op, n_op)).max() == 0.0
@@ -155,9 +143,6 @@ def test_commutator_and_apply():
     defect = np.eye(m + 1, dtype=complex)
     defect[m, m] = -(m + 1) + 1
     np.testing.assert_allclose(commutator(a, a.conj().T), defect, atol=1e-13)
-    np.testing.assert_allclose(apply(n_op, basis_state(2, m + 1)), 2 * basis_state(2, m + 1))
-    with pytest.raises(ValueError):
-        apply(n_op, np.ones(2))
     with pytest.raises(ValueError):
         commutator(n_op, np.eye(2))
 
@@ -166,9 +151,16 @@ def test_normalize_state_phase_convention():
     v = np.array([0.0, -2.0j, 1.0])
     u = normalize_state(v)
     assert u[1].imag == 0.0 and u[1].real > 0.0
-    assert norm(u) == pytest.approx(1.0, abs=1e-15)
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         normalize_state(np.zeros(3))
+
+
+def test_normalize_state_survives_entries_beyond_square_overflow():
+    # the squared norm of 1e200 overflows; scaling by the largest entry first
+    # must still give the exact direction
+    u = normalize_state(np.array([1e-300, 3e200j, -4e200]))
+    np.testing.assert_allclose(u, [0.0, 0.6, 0.8j], atol=1e-16)
 
 
 def test_basis_state_bounds():

@@ -15,7 +15,7 @@ from gbstates.solver import (
     build_operator,
     coefficient_triple,
     constraint_roots,
-    degenerate_eigenstates,
+    eigenstate,
     eigenstate_exponential,
     eigenstate_sum,
     select_root,
@@ -41,6 +41,27 @@ def test_params_validation():
         GBSParams(mu=1.0, nu=0.0, eta=1.0, m=2)
     with pytest.raises(ValueError):
         GBSParams(mu=1.0, nu=0.0, eta=0.5, m=-1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, bound",
+    [
+        (dict(mu=math.nan, nu=0.0, eta=0.4, m=5), "mu must be finite"),
+        (dict(mu=complex(1.0, math.inf), nu=0.0, eta=0.4, m=5), "mu must be finite"),
+        (dict(mu=1.0, nu=math.inf, eta=0.4, m=5), "nu must be finite"),
+        (dict(mu=1.0, nu=complex(0.0, math.nan), eta=0.4, m=5), "nu must be finite"),
+        (dict(mu=1.0, nu=0.0, eta=math.nan, m=5), r"eta must lie strictly inside \(0, 1\)"),
+        (dict(mu=1.0, nu=0.0, eta=math.inf, m=5), r"eta must lie strictly inside \(0, 1\)"),
+        (dict(mu=1.0, nu=0.0, eta=0.4, m=5.0), "photon cap must be an integer"),
+    ],
+)
+def test_params_reject_non_finite_and_non_integer(kwargs, bound):
+    with pytest.raises(ValueError, match=bound):
+        GBSParams(**kwargs)
+
+
+def test_params_accept_numpy_integer_cap():
+    assert GBSParams(mu=1.0, nu=0.0, eta=0.4, m=np.int64(5)).m == 5
 
 
 def test_build_operator_two_level_assembly():
@@ -268,7 +289,7 @@ def test_eigenstate_index_validation():
 
 def test_degenerate_branch_hermitian_case():
     p = GBSParams(1.0, 1.0, 0.5, 2)
-    states = degenerate_eigenstates(p)
+    states = solve(p).eigenstates
     assert len(states) == 3
     op = build_operator(p)
     lams = spectrum(p)
@@ -283,7 +304,7 @@ def test_degenerate_states_orthonormal_random_phase():
     for _ in range(6):
         mu = rng.uniform(0.2, 2.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
         p = GBSParams(complex(mu), complex(np.conj(mu)), float(rng.uniform(0.1, 0.9)), int(rng.integers(1, 11)))
-        states = degenerate_eigenstates(p)
+        states = solve(p).eigenstates
         basis = np.column_stack(states)
         off = basis.conj().T @ basis - np.eye(p.m + 1)
         assert np.abs(off).max() <= 1e-11
@@ -292,18 +313,71 @@ def test_degenerate_states_orthonormal_random_phase():
 def test_degenerate_states_approach_number_states_near_eta_one():
     # residual rotation shrinks like sqrt(1 - eta); fidelities rise toward 1
     p = GBSParams(1.0, 1.0, 0.999, 2)
-    for k, v in enumerate(degenerate_eigenstates(p)):
-        assert fidelity(v, basis_state(k, 3)) >= 0.99
+    for k in range(3):
+        assert fidelity(eigenstate(p, k), basis_state(k, 3)) >= 0.99
     closer = GBSParams(1.0, 1.0, 0.99999, 2)
-    for k, v in enumerate(degenerate_eigenstates(closer)):
-        assert fidelity(v, basis_state(k, 3)) >= 0.9999
+    for k in range(3):
+        assert fidelity(eigenstate(closer, k), basis_state(k, 3)) >= 0.9999
 
 
 def test_degenerate_requires_right_branch():
-    with pytest.raises(ValueError):
-        degenerate_eigenstates(GBSParams(1.0, 0.0, 0.5, 3))
-    with pytest.raises(ValueError):
-        eigenstate_sum(GBSParams(1.0, 1.0, 0.5, 3), 1)
+    # the closed forms exist only on the generic branch; eigenstate serves all
+    hermitian = GBSParams(1.0, 1.0, 0.5, 3)
+    for closed_form in (eigenstate_sum, eigenstate_exponential, undisplaced_eigenstate):
+        with pytest.raises(ValueError, match="generic branch"):
+            closed_form(hermitian, 1)
+    with pytest.raises(ValueError, match="generic branch"):
+        binomial_phase_parameters(hermitian)
+
+
+def test_eigenstate_is_the_solve_entry_on_every_branch():
+    points = (
+        GBSParams(1.2 * np.exp(0.3j), 0.5, 0.4, 9),  # generic
+        GBSParams(0.6 - 0.8j, 0.6 + 0.8j, 0.3, 7),  # Hermitian, A+ = 0
+        GBSParams(1.0, -1.0, 0.8, 5),  # defective, A0 = 0
+        GBSParams(1.0, 0.3j, 0.4, 6),
+    )
+    for p in points:
+        for policy in ("principal", "secondary"):
+            sol = solve(p, policy)
+            for k, v in enumerate(sol.eigenstates):
+                np.testing.assert_array_equal(eigenstate(p, k, policy), v)
+
+
+def test_eigenstate_rejects_indices_the_branch_lacks():
+    with pytest.raises(ValueError, match="outside 0..4"):
+        eigenstate(GBSParams(1.0, 0.0, 0.5, 4), 5)
+    with pytest.raises(ValueError, match="outside 0..4"):
+        eigenstate(GBSParams(1.0, 0.0, 0.5, 4), -1)
+    defective = GBSParams(1.0, -0.25, 0.5, 4)
+    assert solve(defective).kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO
+    with pytest.raises(ValueError, match="only the eigenstate k = 0"):
+        eigenstate(defective, 2)
+
+
+@pytest.mark.parametrize("m, k", [(700, 700), (1000, 900)])
+def test_cores_past_the_square_overflow(m, k):
+    # this core exceeds 1e154 before normalizing; its squared norm used to
+    # overflow inside normalize_state and raise IndexError
+    p = GBSParams(1.0, 0.3j, 0.4, m)
+    t = coefficient_triple(p, select_root(p))
+    core = undisplaced_eigenstate(p, k)
+    assert np.all(np.isfinite(core))
+    j0, jp, _ = hp_generators(m)
+    rotated = t.a_plus * jp - t.a_zero * j0
+    lam = t.a_zero * (2 * k - m) / 2
+    assert np.linalg.norm(rotated @ core - lam * core) <= 1e-10 * np.linalg.norm(rotated)
+
+
+def test_nu_zero_eigenstates_near_the_number_limit_at_m200():
+    # solve and the number-limit scans failed here on the same overflow
+    for eta in (0.99, 0.9999):
+        p = GBSParams(1.0, 0.0, eta, 200)
+        op = build_operator(p)
+        lams = spectrum(p)
+        for k in (50, 100, 150, 200):
+            v = eigenstate(p, k)
+            assert np.linalg.norm(op @ v - lams[k] * v) <= 1e-10 * np.linalg.norm(op)
 
 
 def test_solve_generic_frozen_spectrum():
