@@ -26,7 +26,7 @@ from .binomial import BinomialParams, binomial_amplitudes, ladder_residual
 from .fock import basis_state, fidelity
 from .oracle import NonConvergenceError, compare
 from .solver import GBSParams, constraint_roots, eigenstate, eigenstate_sum, solve
-from .verification import oracle_bounds, run_all, tolerance_override
+from .verification import oracle_bounds, run_all
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -112,8 +112,7 @@ def cmd_gbs(args) -> int:
         raise ValueError(f"eigenstate index {args.k} outside 0..{args.m}")
     sol = solve(p, root_policy=args.root)
     report = compare(p, sol)
-    scale = tolerance_override()
-    pair_bound, residual_bound = oracle_bounds(p, sol, scale)
+    pair_bound, residual_bound = oracle_bounds(p, sol)
     ok = report.max_residual <= residual_bound
     if not report.multiplicity_collapse:
         ok = ok and report.max_pair_error <= pair_bound
@@ -155,7 +154,6 @@ def cmd_gbs(args) -> int:
                 "pair_error_bound": pair_bound,
                 "residual_bound": residual_bound,
             },
-            "tolerance_scale": scale,
         },
     )
     _write(payload, args.out)
@@ -279,7 +277,6 @@ def cmd_verify(args) -> int:
                 "degenerate_draws": args.degenerate_draws,
                 "disentangle_draws": args.disentangle_draws,
                 "seed": args.seed,
-                "tolerance_scale": tolerance_override(),
             },
             {
                 "checks": [

@@ -1,8 +1,11 @@
 """SU(2) displacement operators D(zeta) = exp(zeta J+ - zeta* J-).
 
-Covers the displacement itself, its disentangled (normal-ordered) product
-form, and the closed-form adjoint action on the generators that the solver
-uses to rotate away the J- coefficient.
+D(zeta) is a spin-m/2 Wigner rotation: its generator is exp(-iH) with
+H = i(zeta J+ - zeta* J-) Hermitian and tridiagonal, so one Hermitian
+eigendecomposition of H gives D as an exactly unitary rotation.  The module
+also covers its disentangled (normal-ordered) product form, which serves as
+an independent multiprecision cross-check, and the closed-form adjoint action
+on the generators that the solver uses to rotate away the J- coefficient.
 """
 
 import math
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .fock import hp_generators, matrix_exp
+from .fock import hp_generators
 
 
 @dataclass(frozen=True)
@@ -58,12 +61,14 @@ def delta_to_zeta(delta: complex, m: int) -> DisplacementParams:
 
 
 def displacement(p: DisplacementParams) -> np.ndarray:
-    """Unitary D(zeta) on dim m+1, via the dense matrix exponential."""
+    """Unitary D(zeta) = exp(-iH) on dim m+1, from the eigenpairs of the
+    Hermitian generator H = i(zeta J+ - zeta* J-)."""
     if p.r == 0.0:
         return np.eye(p.m + 1, dtype=complex)
     _, jp, jm = hp_generators(p.m)
     z = p.zeta
-    return matrix_exp(z * jp - np.conj(z) * jm)
+    w, v = np.linalg.eigh(1j * (z * jp - np.conj(z) * jm))
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def adjoint_weights(p: DisplacementParams) -> tuple[tuple[complex, ...], ...]:

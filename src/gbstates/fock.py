@@ -1,4 +1,4 @@
-"""Truncated Fock-space kernel: dense operators, the matrix exponential, fidelity.
+"""Truncated Fock-space kernel: dense operators, su(2) generators, fidelity.
 
 Everything lives on the (M+1)-dimensional space spanned by the number states
 |0>, ..., |M>.  States are complex 1-d numpy arrays, operators are dense
@@ -58,35 +58,6 @@ def hp_generators(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for k in range(m):
         jp[k, k + 1] = math.sqrt((k + 1) * (m - k))
     return j0, jp, jp.conj().T
-
-
-def matrix_exp(a: np.ndarray, tol: float = 1e-14) -> np.ndarray:
-    """Matrix exponential by scaling and squaring of a truncated Taylor series.
-
-    The input is scaled by a power of two until its 1-norm is at most 0.5,
-    the series is summed until the next term is below tol times the running
-    result (in Frobenius norm), and the result is squared back up.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix_exp needs a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix_exp needs finite entries")
-    nrm = np.abs(a).sum(axis=0).max() if a.size else 0.0
-    squarings = 0 if nrm <= 0.5 else int(math.ceil(math.log2(nrm / 0.5)))
-    b = a / (2.0 ** squarings)
-    result = np.eye(a.shape[0], dtype=complex) + b
-    term = b.copy()
-    k = 2
-    while np.linalg.norm(term) > tol * np.linalg.norm(result):
-        term = term @ b / k
-        result = result + term
-        k += 1
-        if k > 300:  # unreachable with scaled norm <= 0.5; guards NaN loops
-            raise RuntimeError("matrix_exp series failed to converge")
-    for _ in range(squarings):
-        result = result @ result
-    return result
 
 
 def fidelity(u: np.ndarray, v: np.ndarray) -> float:

@@ -14,9 +14,10 @@ eigenstates it returns from that frame and one D(zeta).
 Branches:
   * generic          -- A+ away from zero; full closed-form eigenbasis
                         D(zeta) core_k.
-  * degenerate A+ =0 -- happens when mu = nu* (L Hermitian) or eta -> 1;
-                        the eigenstates collapse to displaced number states
-                        D(zeta)|k>.
+  * degenerate A+ =0 -- happens when mu = nu* (L Hermitian); taken only
+                        while the dropped A+ J+ term stays far inside the
+                        residual bound.  The eigenstates collapse to
+                        displaced number states D(zeta)|k>.
   * defective A0 = 0 -- the rotated operator is nilpotent; the m+1
                         eigenvalues all vanish and only a single genuine
                         eigenvector D(zeta)|0> exists.  Reported, never
@@ -37,7 +38,9 @@ from .fock import hp_generators, normalize_state
 
 ROOT_POLICIES = ("principal", "secondary")
 
-DEGENERATE_APLUS_TOL = 1e-10
+# fraction of |L|_F the dropped A+ J+ term may leave in a Hermitian-branch
+# residual: a hundredth of the 1e-10 |L|_F residual contract
+DEGENERATE_APLUS_TOL = 1e-12
 DEFECTIVE_AZERO_TOL = 1e-12
 
 _EPS = float(np.finfo(float).eps)
@@ -74,7 +77,7 @@ class GBSParams:
 
     @property
     def scale(self) -> float:
-        """Magnitude reference for the branch-detection thresholds."""
+        """Magnitude reference for the defective-branch threshold."""
         return abs(self.mu) + abs(self.nu) + 1.0
 
 
@@ -161,7 +164,12 @@ def coefficient_triple(p: GBSParams, delta: complex) -> CoefficientTriple:
 
 
 def branch_kind(p: GBSParams, triple: CoefficientTriple) -> SolutionKind:
-    if abs(triple.a_plus) <= DEGENERATE_APLUS_TOL * p.scale:
+    # dropping A+ J+ leaves D|k> a residual |A+| sqrt(k(m-k+1)) <= |A+| (m+1)/2;
+    # |L|_F^2 = m(m+1)(m+2)/6 ((1-eta)(|mu|^2 + |nu|^2) + eta/2)
+    m = p.m
+    sq_mod = (1.0 - p.eta) * (abs(p.mu) ** 2 + abs(p.nu) ** 2) + p.eta / 2
+    op_norm = math.sqrt(m * (m + 1) * (m + 2) / 6 * sq_mod)
+    if abs(triple.a_plus) * (m + 1) / 2 <= DEGENERATE_APLUS_TOL * op_norm:
         return SolutionKind.DEGENERATE_A_PLUS_ZERO
     if abs(triple.a_zero) <= DEFECTIVE_AZERO_TOL * p.scale:
         return SolutionKind.DEFECTIVE_A_ZERO_ZERO
@@ -275,17 +283,16 @@ def _exponential_form_core(triple: CoefficientTriple, k: int, m: int) -> np.ndar
     and it annihilates everything above, so the series applied to the vacuum
     terminates after k+1 terms.
     """
-    ratio = triple.a_zero / triple.a_plus
+    n = np.arange(k)
+    sub = triple.a_zero / triple.a_plus * (k - n) * np.sqrt((n + 1) / (m - n))
     v = np.zeros(m + 1, dtype=complex)
     term = np.zeros(m + 1, dtype=complex)
     v[0] = 1.0
     term[0] = 1.0
     for j in range(1, k + 1):
-        nxt = np.zeros(m + 1, dtype=complex)
-        for n in range(k):
-            if term[n] != 0:
-                nxt[n + 1] = term[n] * ratio * (k - n) * math.sqrt((n + 1) / (m - n))
-        term = nxt / j
+        # the exponent's sub-diagonal moves |n> to |n+1>
+        term[1 : k + 1] = term[:k] * sub / j
+        term[0] = 0.0
         v = v + term
         big = np.abs(term).max()
         if big > 1e200:

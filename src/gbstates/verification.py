@@ -4,12 +4,8 @@ Each check returns CheckResult records with an observed worst-case metric and
 the threshold it must stay under.  The CLI `verify` subcommand runs the whole
 battery and renders a table; the acceptance test suite asserts the same
 records one criterion at a time.
-
-Thresholds can be scaled (exploratory use only) through the
-GBS_TOLERANCE_OVERRIDE environment variable; the defaults are the contract.
 """
 
-import os
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -26,7 +22,7 @@ from .analysis import (
 )
 from .binomial import BinomialParams, binomial_amplitudes, binomial_displacement_form, ladder_residual
 from .displacement import DisplacementParams, disentangled_displacement, displacement
-from .fock import commutator, fidelity, hp_generators, matrix_exp
+from .fock import commutator, fidelity, hp_generators
 from .oracle import compare
 from .solver import (
     GBSParams,
@@ -57,17 +53,6 @@ class CheckResult:
     detail: str = ""
 
 
-def tolerance_override() -> float:
-    """Scale factor from GBS_TOLERANCE_OVERRIDE (default 1.0)."""
-    raw = os.environ.get("GBS_TOLERANCE_OVERRIDE", "")
-    if not raw:
-        return 1.0
-    factor = float(raw)
-    if factor <= 0:
-        raise ValueError(f"GBS_TOLERANCE_OVERRIDE must be positive, got {raw!r}")
-    return factor
-
-
 def _result(name, observed, threshold, detail="", extra_ok=True):
     return CheckResult(
         name=name,
@@ -78,11 +63,11 @@ def _result(name, observed, threshold, detail="", extra_ok=True):
     )
 
 
-def oracle_bounds(p: GBSParams, sol: GBSSolution, tol_scale: float = 1.0) -> tuple[float, float]:
+def oracle_bounds(p: GBSParams, sol: GBSSolution) -> tuple[float, float]:
     """(pair-error bound, residual bound) a compare() report of sol must meet:
-    1e-9 (1 + max|eigenvalue|) and 1e-10 |L|_F, both times tol_scale."""
-    pair_bound = 1e-9 * (1.0 + float(np.abs(sol.eigenvalues).max())) * tol_scale
-    residual_bound = 1e-10 * float(np.linalg.norm(build_operator(p))) * tol_scale
+    1e-9 (1 + max|eigenvalue|) and 1e-10 |L|_F."""
+    pair_bound = 1e-9 * (1.0 + float(np.abs(sol.eigenvalues).max()))
+    residual_bound = 1e-10 * float(np.linalg.norm(build_operator(p)))
     return pair_bound, residual_bound
 
 
@@ -103,7 +88,7 @@ def random_parameter_draws(count: int, seed: int, hermitian: bool = False):
     return draws
 
 
-def check_binomial_core(tol_scale: float = 1.0) -> list[CheckResult]:
+def check_binomial_core() -> list[CheckResult]:
     """Grid eta in {0.1..0.9} x m in {1..60}: distribution termwise against a
     high-precision evaluation, ladder residual, and displaced-vacuum form."""
     etas = [round(0.1 * k, 1) for k in range(1, 10)]
@@ -126,14 +111,14 @@ def check_binomial_core(tol_scale: float = 1.0) -> list[CheckResult]:
                 worst_infid, 1.0 - fidelity(binomial_displacement_form(p), amps)
             )
     return [
-        _result("binomial-distribution-termwise", worst_dist, 1e-14 * tol_scale),
-        _result("binomial-ladder-residual", worst_ladder, 1e-12 * tol_scale),
-        _result("binomial-displaced-form-infidelity", worst_infid, 1e-12 * tol_scale),
+        _result("binomial-distribution-termwise", worst_dist, 1e-14),
+        _result("binomial-ladder-residual", worst_ladder, 1e-12),
+        _result("binomial-displaced-form-infidelity", worst_infid, 1e-12),
     ]
 
 
 def check_spectrum_oracle(
-    tol_scale: float = 1.0, draws: int = DEFAULT_SPECTRUM_DRAWS, seed: int = DEFAULT_SEED
+    draws: int = DEFAULT_SPECTRUM_DRAWS, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
     """Closed-form eigenvalues multiset-match the independent QR spectrum and
     the eigenstates have small residuals, over random parameter draws."""
@@ -145,7 +130,7 @@ def check_spectrum_oracle(
         report = compare(p, sol)
         if report.multiplicity_collapse:
             continue  # defective draws are flagged, not paired
-        bound, residual_bound = oracle_bounds(p, sol, tol_scale)
+        bound, residual_bound = oracle_bounds(p, sol)
         ratio = report.max_pair_error / bound
         if ratio > worst_pair_ratio:
             worst_pair_ratio = ratio
@@ -165,7 +150,7 @@ def check_spectrum_oracle(
 
 
 def check_form_equivalence(
-    tol_scale: float = 1.0, draws: int = DEFAULT_SPECTRUM_DRAWS, seed: int = DEFAULT_SEED
+    draws: int = DEFAULT_SPECTRUM_DRAWS, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
     """Finite-sum and exponential eigenstate forms agree for every k."""
     worst = 0.0
@@ -175,11 +160,11 @@ def check_form_equivalence(
                 worst,
                 1.0 - fidelity(eigenstate_sum(p, k), eigenstate_exponential(p, k)),
             )
-    return [_result("sum-vs-exponential-form-infidelity", worst, 1e-11 * tol_scale)]
+    return [_result("sum-vs-exponential-form-infidelity", worst, 1e-11)]
 
 
 def check_degenerate_branch(
-    tol_scale: float = 1.0, draws: int = DEFAULT_DEGENERATE_DRAWS, seed: int = DEFAULT_SEED + 1
+    draws: int = DEFAULT_DEGENERATE_DRAWS, seed: int = DEFAULT_SEED + 1
 ) -> list[CheckResult]:
     """mu = nu* draws: Hermitian branch detection, real spectrum, orthonormal
     eigenbasis, small residuals."""
@@ -200,7 +185,7 @@ def check_degenerate_branch(
         op_norm = float(np.linalg.norm(op))
         for lam, v in zip(sol.eigenvalues, sol.eigenstates):
             resid = float(np.linalg.norm(op @ v - lam * v))
-            worst_resid_ratio = max(worst_resid_ratio, resid / (1e-10 * op_norm * tol_scale))
+            worst_resid_ratio = max(worst_resid_ratio, resid / (1e-10 * op_norm))
     return [
         _result(
             "degenerate-branch-detection",
@@ -209,13 +194,13 @@ def check_degenerate_branch(
             "every mu = nu* draw lands on the displaced-number-state branch",
             extra_ok=all_degenerate,
         ),
-        _result("degenerate-eigenvalue-imag-parts", worst_imag, 1e-10 * tol_scale),
-        _result("degenerate-orthonormality-defect", worst_gram, 1e-10 * tol_scale),
+        _result("degenerate-eigenvalue-imag-parts", worst_imag, 1e-10),
+        _result("degenerate-orthonormality-defect", worst_gram, 1e-10),
         _result("degenerate-eigenstate-residuals", worst_resid_ratio, 1.0),
     ]
 
 
-def check_number_state_limit(tol_scale: float = 1.0) -> list[CheckResult]:
+def check_number_state_limit() -> list[CheckResult]:
     """eta -> 1: every eigenstate approaches its number state, monotonically."""
     etas = [0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-6]
     m = 6
@@ -232,14 +217,14 @@ def check_number_state_limit(tol_scale: float = 1.0) -> list[CheckResult]:
         _result(
             "number-state-limit",
             worst_final_infid,
-            1e-4 * tol_scale,
+            1e-4,
             "fidelity with |k> monotone along eta, every k, nu in {0, 0.4}",
             extra_ok=monotone,
         )
     ]
 
 
-def check_coherent_limit(tol_scale: float = 1.0) -> list[CheckResult]:
+def check_coherent_limit() -> list[CheckResult]:
     """Top eigenstate of the nu = 0 family approaches the coherent state."""
     alpha = 1.0
     fids = []
@@ -254,14 +239,14 @@ def check_coherent_limit(tol_scale: float = 1.0) -> list[CheckResult]:
         _result(
             "coherent-limit",
             1.0 - fids[-1],
-            1e-3 * tol_scale,
+            1e-3,
             f"fidelities {['%.6f' % f for f in fids]} increasing along m",
             extra_ok=increasing,
         )
     ]
 
 
-def check_squeezed_limit(tol_scale: float = 1.0) -> list[CheckResult]:
+def check_squeezed_limit() -> list[CheckResult]:
     """Center-rule eigenstate approaches the squeezed eigenstate of eigenvalue
     alpha/2; also settles the alpha/2 vs alpha/sqrt(2) amplitude question."""
     schedule = LimitSchedule(alpha=1.0, m_values=(50, 100, 200), k_rule=KRule("center", 0))
@@ -280,7 +265,7 @@ def check_squeezed_limit(tol_scale: float = 1.0) -> list[CheckResult]:
         _result(
             "squeezed-limit",
             1.0 - fids[-1],
-            1e-2 * tol_scale,
+            1e-2,
             detail,
             extra_ok=strictly_decreasing,
         )
@@ -288,24 +273,22 @@ def check_squeezed_limit(tol_scale: float = 1.0) -> list[CheckResult]:
 
 
 def check_disentangling(
-    tol_scale: float = 1.0, draws: int = DEFAULT_DISENTANGLE_DRAWS, seed: int = DEFAULT_SEED + 2
+    draws: int = DEFAULT_DISENTANGLE_DRAWS, seed: int = DEFAULT_SEED + 2
 ) -> list[CheckResult]:
-    """Product form of the rotation equals the matrix exponential."""
+    """Multiprecision product form of the rotation equals displacement()."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(draws):
         m = int(rng.integers(1, 21))
         absxi = float(rng.uniform(0.0, 1.4))
         phase = float(rng.uniform(-np.pi, np.pi))
-        xi = absxi * np.exp(1j * phase)
-        _, jp, jm = hp_generators(m)
-        direct = matrix_exp(xi * jp - np.conj(xi) * jm)
-        product = disentangled_displacement(xi, m)
+        direct = displacement(DisplacementParams(r=absxi, theta=phase, m=m))
+        product = disentangled_displacement(absxi * np.exp(1j * phase), m)
         worst = max(worst, float(np.linalg.norm(direct - product)))
-    return [_result("disentangling-product-form", worst, 1e-10 * tol_scale)]
+    return [_result("disentangling-product-form", worst, 1e-10)]
 
 
-def check_time_evolution(tol_scale: float = 1.0, seed: int = DEFAULT_SEED + 3) -> list[CheckResult]:
+def check_time_evolution(seed: int = DEFAULT_SEED + 3) -> list[CheckResult]:
     """Free evolution of a nu = 0 eigenstate equals the state rebuilt with the
     shifted mu phase, up to a global phase."""
     from .analysis import time_evolve
@@ -321,12 +304,10 @@ def check_time_evolution(tol_scale: float = 1.0, seed: int = DEFAULT_SEED + 3) -
             evolved = time_evolve(eigenstate_sum(p0, k), omega=1.0, t=omega_t)
             p1 = GBSParams(mu=np.exp(1j * (phi + omega_t)), nu=0.0, eta=eta, m=m)
             worst = max(worst, 1.0 - fidelity(evolved, eigenstate_sum(p1, k)))
-    return [_result("time-evolution-phase-shift", worst, 1e-12 * tol_scale)]
+    return [_result("time-evolution-phase-shift", worst, 1e-12)]
 
 
-def check_su2_algebra_and_unitarity(
-    tol_scale: float = 1.0, seed: int = DEFAULT_SEED + 4
-) -> list[CheckResult]:
+def check_su2_algebra_and_unitarity(seed: int = DEFAULT_SEED + 4) -> list[CheckResult]:
     """su(2) commutators and displacement unitarity for every m <= 40."""
     rng = np.random.default_rng(seed)
     worst_comm = 0.0
@@ -347,12 +328,12 @@ def check_su2_algebra_and_unitarity(
                 worst_unit, float(np.linalg.norm(d.conj().T @ d - np.eye(m + 1)))
             )
     return [
-        _result("su2-commutators", worst_comm, 1e-12 * tol_scale),
-        _result("displacement-unitarity", worst_unit, 1e-11 * tol_scale),
+        _result("su2-commutators", worst_comm, 1e-12),
+        _result("displacement-unitarity", worst_unit, 1e-11),
     ]
 
 
-def check_modulus_absorption(tol_scale: float = 1.0) -> list[CheckResult]:
+def check_modulus_absorption() -> list[CheckResult]:
     """Which re-parameterization absorbs |mu| in the nu = 0 family.
 
     Candidate A: eta_bar = eta / (eta + |mu| (1 - eta));
@@ -378,29 +359,26 @@ def check_modulus_absorption(tol_scale: float = 1.0) -> list[CheckResult]:
         f"|mu|^2 formula reproduces the states (worst infidelity {worst_b:.3e}); "
         f"|mu| formula does not (best infidelity {best_a:.3e})"
     )
-    return [_result("modulus-absorption-verdict", worst_b, 1e-10 * tol_scale, detail)]
+    return [_result("modulus-absorption-verdict", worst_b, 1e-10, detail)]
 
 
 def run_all(
-    tol_scale: float | None = None,
     spectrum_draws: int = DEFAULT_SPECTRUM_DRAWS,
     degenerate_draws: int = DEFAULT_DEGENERATE_DRAWS,
     disentangle_draws: int = DEFAULT_DISENTANGLE_DRAWS,
     seed: int = DEFAULT_SEED,
 ) -> list[CheckResult]:
     """Run the full battery and return every CheckResult."""
-    if tol_scale is None:
-        tol_scale = tolerance_override()
     results: list[CheckResult] = []
-    results += check_binomial_core(tol_scale)
-    results += check_spectrum_oracle(tol_scale, spectrum_draws, seed)
-    results += check_form_equivalence(tol_scale, spectrum_draws, seed)
-    results += check_degenerate_branch(tol_scale, degenerate_draws, seed + 1)
-    results += check_number_state_limit(tol_scale)
-    results += check_coherent_limit(tol_scale)
-    results += check_squeezed_limit(tol_scale)
-    results += check_disentangling(tol_scale, disentangle_draws, seed + 2)
-    results += check_time_evolution(tol_scale, seed + 3)
-    results += check_su2_algebra_and_unitarity(tol_scale, seed + 4)
-    results += check_modulus_absorption(tol_scale)
+    results += check_binomial_core()
+    results += check_spectrum_oracle(spectrum_draws, seed)
+    results += check_form_equivalence(spectrum_draws, seed)
+    results += check_degenerate_branch(degenerate_draws, seed + 1)
+    results += check_number_state_limit()
+    results += check_coherent_limit()
+    results += check_squeezed_limit()
+    results += check_disentangling(disentangle_draws, seed + 2)
+    results += check_time_evolution(seed + 3)
+    results += check_su2_algebra_and_unitarity(seed + 4)
+    results += check_modulus_absorption()
     return results

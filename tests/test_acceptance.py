@@ -1,8 +1,7 @@
 """Acceptance suite: every release-gating property at its contractual tolerance.
 
 Each test runs one battery criterion, prints a PASS/FAIL line per check, and
-asserts the lot.  Tolerances are pinned here via the battery defaults
-(tol_scale = 1); the environment override is deliberately not consulted.
+asserts the lot.  Tolerances are the battery's own thresholds.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report lines.
@@ -25,65 +24,65 @@ def report_and_assert(results):
 def test_criterion_01_binomial_core():
     # eta grid x m <= 60: termwise distribution 1e-14, ladder residual 1e-12,
     # displaced-vacuum form infidelity 1e-12
-    report_and_assert(vf.check_binomial_core(tol_scale=1.0))
+    report_and_assert(vf.check_binomial_core())
 
 
 def test_criterion_02_spectrum_oracle_equivalence():
     # 200 random draws, m <= 12: pairing within 1e-9 (1 + max |eigenvalue|),
     # eigenstate residuals within 1e-10 |L|_F
-    report_and_assert(vf.check_spectrum_oracle(tol_scale=1.0, draws=200))
+    report_and_assert(vf.check_spectrum_oracle(draws=200))
 
 
 def test_criterion_03_form_equivalence():
     # finite-sum vs exponential eigenstates: infidelity <= 1e-11, same draws
-    report_and_assert(vf.check_form_equivalence(tol_scale=1.0, draws=200))
+    report_and_assert(vf.check_form_equivalence(draws=200))
 
 
 def test_criterion_04_degenerate_branch():
     # 50 mu = nu* draws: branch detection, |Im eigenvalue| <= 1e-10,
     # orthonormality defect <= 1e-10, residuals <= 1e-10 |L|_F
-    report_and_assert(vf.check_degenerate_branch(tol_scale=1.0, draws=50))
+    report_and_assert(vf.check_degenerate_branch(draws=50))
 
 
 def test_criterion_05_number_state_limit():
     # nu in {0, 0.4}, m = 6, every k: monotone fidelity along eta and
     # >= 0.9999 at eta = 1 - 1e-6
-    report_and_assert(vf.check_number_state_limit(tol_scale=1.0))
+    report_and_assert(vf.check_number_state_limit())
 
 
 def test_criterion_06_coherent_limit():
     # nu = 0, k = m, alpha = 1, m up to 400: fidelity with the coherent state
     # increasing and >= 0.999 at m = 400
-    report_and_assert(vf.check_coherent_limit(tol_scale=1.0))
+    report_and_assert(vf.check_coherent_limit())
 
 
 def test_criterion_07_squeezed_limit_and_amplitude_verdict():
     # mu = 1, nu = 0.3, center rule: strictly decreasing residual of
     # (mu a + nu a^dag - alpha/2), fidelity >= 0.99 at m = 200, and the
     # alpha/2 vs alpha/sqrt(2) verdict recorded in the report
-    results = report_and_assert(vf.check_squeezed_limit(tol_scale=1.0))
+    results = report_and_assert(vf.check_squeezed_limit())
     assert "verdict: alpha/2" in results[0].detail
 
 
 def test_criterion_08_disentangling_theorem():
-    # 50 random |xi| <= 1.4, m <= 20: product form equals the matrix
-    # exponential to 1e-10 Frobenius
-    report_and_assert(vf.check_disentangling(tol_scale=1.0, draws=50))
+    # 50 random |xi| <= 1.4, m <= 20: the mpmath product form equals
+    # displacement() to 1e-10 Frobenius
+    report_and_assert(vf.check_disentangling(draws=50))
 
 
 def test_criterion_09_time_evolution():
     # 20 random (phi, omega t) pairs at eta = 0.3, m = 8, k in {0, 4, 8}:
     # phase-shift identity infidelity <= 1e-12
-    report_and_assert(vf.check_time_evolution(tol_scale=1.0))
+    report_and_assert(vf.check_time_evolution())
 
 
 def test_criterion_10_su2_algebra_and_unitarity():
     # commutator identities to 1e-12 and displacement unitarity to 1e-11
     # for all m <= 40
-    report_and_assert(vf.check_su2_algebra_and_unitarity(tol_scale=1.0))
+    report_and_assert(vf.check_su2_algebra_and_unitarity())
 
 
 def test_open_question_modulus_absorption_verdict():
     # |mu| is absorbed by eta / (eta + |mu|^2 (1 - eta)), not the |mu| form
-    results = report_and_assert(vf.check_modulus_absorption(tol_scale=1.0))
+    results = report_and_assert(vf.check_modulus_absorption())
     assert "|mu|^2 formula reproduces" in results[0].detail

@@ -10,7 +10,7 @@ from gbstates.displacement import (
     disentangled_displacement,
     displacement,
 )
-from gbstates.fock import basis_state, hp_generators, matrix_exp
+from gbstates.fock import basis_state, hp_generators
 
 
 def test_delta_to_zeta_cases():
@@ -55,7 +55,7 @@ def test_displacement_identity_and_two_level_action():
 
 def test_displacement_unitary_and_inverse():
     rng = np.random.default_rng(3)
-    for m in (1, 7, 20, 40):
+    for m in (1, 7, 20, 40, 400):
         r = float(rng.uniform(0.0, math.pi / 2 * 0.99))
         theta = float(rng.uniform(-math.pi, math.pi))
         d = displacement(DisplacementParams(r, theta, m))
@@ -76,14 +76,15 @@ def test_disentangled_identity_cases():
             assert np.linalg.norm(got - np.eye(7)) <= 1e-12
 
 
-def test_disentangled_matches_matrix_exponential():
+def test_disentangled_matches_displacement():
+    # the mpmath normal-ordered product against the eigendecomposed rotation
     rng = np.random.default_rng(11)
     for _ in range(8):
         m = int(rng.integers(1, 21))
-        xi = rng.uniform(0.0, 1.4) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-        _, jp, jm = hp_generators(m)
-        direct = matrix_exp(xi * jp - np.conj(xi) * jm)
-        product = disentangled_displacement(xi, m)
+        r = float(rng.uniform(0.0, 1.4))
+        theta = float(rng.uniform(-np.pi, np.pi))
+        direct = displacement(DisplacementParams(r, theta, m))
+        product = disentangled_displacement(r * np.exp(1j * theta), m)
         assert np.linalg.norm(direct - product) <= 1e-10
 
 
@@ -104,7 +105,7 @@ def test_conjugated_generators_trivial_rotation():
 
 def test_conjugated_generators_against_numerical_conjugation():
     rng = np.random.default_rng(42)
-    for m in (1, 4, 12, 20):
+    for m in (1, 4, 12, 20, 400):
         r = float(rng.uniform(0.05, math.pi / 2 * 0.95))
         theta = float(rng.uniform(-math.pi, math.pi))
         p = DisplacementParams(r, theta, m)

@@ -10,7 +10,6 @@ from gbstates.fock import (
     creation_operator,
     fidelity,
     hp_generators,
-    matrix_exp,
     normalize_state,
     number_operator,
 )
@@ -73,47 +72,6 @@ def test_raising_operator_nilpotent_exactly():
         _, jp, _ = hp_generators(m)
         power = np.linalg.matrix_power(jp, m + 1)
         assert np.abs(power).max() == 0.0
-
-
-def test_matrix_exp_zero_and_diagonal():
-    np.testing.assert_array_equal(matrix_exp(np.zeros((3, 3))), np.eye(3))
-    got = matrix_exp(np.diag([1j * math.pi, 0.0]))
-    np.testing.assert_allclose(got, np.diag([-1.0 + 0j, 1.0 + 0j]), atol=1e-13)
-
-
-def test_matrix_exp_two_level_rotation():
-    # r (J- - J+) at m = 1 generates a plane rotation by angle r
-    r = math.pi / 4
-    _, jp, jm = hp_generators(1)
-    got = matrix_exp(r * (jm - jp))
-    expected = np.array(
-        [[math.cos(r), -math.sin(r)], [math.sin(r), math.cos(r)]], dtype=complex
-    )
-    np.testing.assert_allclose(got, expected, atol=1e-15)
-
-
-def test_matrix_exp_input_validation():
-    with pytest.raises(ValueError):
-        matrix_exp(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        matrix_exp(np.array([[np.nan, 0.0], [0.0, 0.0]]))
-
-
-def test_matrix_exp_inverse_pairing_large_norm():
-    # anti-Hermitian generators (the class exponentiated in this package)
-    # up to Frobenius norm 50
-    rng = np.random.default_rng(5)
-    for m, scale in [(6, 5.0), (10, 50.0)]:
-        _, jp, jm = hp_generators(m)
-        z = rng.uniform(0.3, 1.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-        a = z * jp - np.conj(z) * jm
-        a *= scale / np.linalg.norm(a)
-        prod = matrix_exp(a) @ matrix_exp(-a)
-        assert np.linalg.norm(prod - np.eye(m + 1)) <= 1e-11
-    # imaginary diagonal at norm 50 (exact phases, no cancellation)
-    d = np.diag(1j * np.array([30.0, -40.0]))
-    prod = matrix_exp(d) @ matrix_exp(-d)
-    assert np.linalg.norm(prod - np.eye(2)) <= 1e-11
 
 
 def test_norm_and_fidelity_basics():

@@ -12,6 +12,7 @@ from gbstates.solver import (
     GBSParams,
     SolutionKind,
     binomial_phase_parameters,
+    branch_kind,
     build_operator,
     coefficient_triple,
     constraint_roots,
@@ -396,6 +397,30 @@ def test_solve_hermitian_branch():
     assert sol.kind is SolutionKind.DEGENERATE_A_PLUS_ZERO
     assert len(sol.eigenstates) == 4
     assert np.abs(sol.eigenvalues.imag).max() <= 1e-10
+
+
+def test_near_hermitian_points_stay_within_the_residual_bound():
+    # |A+| ~ 1e-9 is too large to drop as on the Hermitian branch at small m
+    for m in (1, 2, 4):
+        p = GBSParams(3.0, 3.0 * (1 + 3.16e-10), 0.5, m)
+        sol = solve(p)
+        assert sol.kind is SolutionKind.GENERIC
+        op = build_operator(p)
+        for lam, v in zip(sol.eigenvalues, sol.eigenstates):
+            assert np.linalg.norm(op @ v - lam * v) <= 1e-10 * np.linalg.norm(op)
+
+
+def test_exact_hermitian_points_land_on_the_hermitian_branch():
+    # rounding-level A+ of mu = nu*, gauged as (mu g*, nu g), at every m
+    rng = np.random.default_rng(17)
+    for mu0, eta in ((1.0, 0.4), (0.9 + 0.4j, 0.55), (3.0, 0.5), (0.05, 0.95)):
+        for _ in range(20):
+            g = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            mu = mu0 * g.conjugate()
+            for m in (1, 2, 16, 120, 800):
+                p = GBSParams(mu, mu.conjugate(), eta, m)
+                kind = branch_kind(p, coefficient_triple(p, select_root(p)))
+                assert kind is SolutionKind.DEGENERATE_A_PLUS_ZERO
 
 
 def test_solve_single_level():
