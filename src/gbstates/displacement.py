@@ -146,11 +146,11 @@ def disentangled_displacement(xi: complex, m: int) -> np.ndarray:
                 lo[j][i] = (-tau_c) ** (j - i) * w
         lam = mp.log(1 + abs(tau) ** 2)
         diag = [mp.e ** (-lam * (mp.mpf(m) / 2 - n)) for n in range(d)]
+        lo_diag = [[lo[i][l] * diag[l] for l in range(i + 1)] for i in range(d)]
+        up_cols = [[up[l][j] for l in range(j + 1)] for j in range(d)]
         out = np.empty((d, d), dtype=complex)
         for i in range(d):
             for j in range(d):
-                acc = mp.mpc(0)
-                for l in range(min(i, j) + 1):
-                    acc += lo[i][l] * diag[l] * up[l][j]
-                out[i, j] = complex(acc)
+                terms = min(i, j) + 1
+                out[i, j] = complex(mp.fdot(lo_diag[i][:terms], up_cols[j][:terms]))
     return out

@@ -111,6 +111,18 @@ def build_operator(p: GBSParams) -> np.ndarray:
     return math.sqrt(1.0 - p.eta) * (p.mu * jp + p.nu * jm) - math.sqrt(p.eta) * j0
 
 
+def operator_norm(p: GBSParams) -> float:
+    """|L|_F in closed form, without building L.
+
+    J+, J- and J0 fill disjoint entries, |J+-|_F^2 = m(m+1)(m+2)/6 and
+    |J0|_F^2 = m(m+1)(m+2)/12, so
+    |L|_F^2 = m(m+1)(m+2)/6 ((1-eta)(|mu|^2 + |nu|^2) + eta/2).
+    """
+    m = p.m
+    sq_mod = (1.0 - p.eta) * (abs(p.mu) ** 2 + abs(p.nu) ** 2) + p.eta / 2
+    return math.sqrt(m * (m + 1) * (m + 2) / 6 * sq_mod)
+
+
 def constraint_roots(p: GBSParams) -> tuple[complex, complex]:
     """Both roots of mu sqrt(1-eta) D^2 + sqrt(eta) D - sqrt(1-eta) nu = 0.
 
@@ -164,12 +176,8 @@ def coefficient_triple(p: GBSParams, delta: complex) -> CoefficientTriple:
 
 
 def branch_kind(p: GBSParams, triple: CoefficientTriple) -> SolutionKind:
-    # dropping A+ J+ leaves D|k> a residual |A+| sqrt(k(m-k+1)) <= |A+| (m+1)/2;
-    # |L|_F^2 = m(m+1)(m+2)/6 ((1-eta)(|mu|^2 + |nu|^2) + eta/2)
-    m = p.m
-    sq_mod = (1.0 - p.eta) * (abs(p.mu) ** 2 + abs(p.nu) ** 2) + p.eta / 2
-    op_norm = math.sqrt(m * (m + 1) * (m + 2) / 6 * sq_mod)
-    if abs(triple.a_plus) * (m + 1) / 2 <= DEGENERATE_APLUS_TOL * op_norm:
+    # dropping A+ J+ leaves D|k> a residual |A+| sqrt(k(m-k+1)) <= |A+| (m+1)/2
+    if abs(triple.a_plus) * (p.m + 1) / 2 <= DEGENERATE_APLUS_TOL * operator_norm(p):
         return SolutionKind.DEGENERATE_A_PLUS_ZERO
     if abs(triple.a_zero) <= DEFECTIVE_AZERO_TOL * p.scale:
         return SolutionKind.DEFECTIVE_A_ZERO_ZERO

@@ -32,6 +32,7 @@ from .solver import (
     eigenstate,
     eigenstate_exponential,
     eigenstate_sum,
+    operator_norm,
     solve,
 )
 
@@ -67,7 +68,7 @@ def oracle_bounds(p: GBSParams, sol: GBSSolution) -> tuple[float, float]:
     """(pair-error bound, residual bound) a compare() report of sol must meet:
     1e-9 (1 + max|eigenvalue|) and 1e-10 |L|_F."""
     pair_bound = 1e-9 * (1.0 + float(np.abs(sol.eigenvalues).max()))
-    residual_bound = 1e-10 * float(np.linalg.norm(build_operator(p)))
+    residual_bound = 1e-10 * operator_norm(p)
     return pair_bound, residual_bound
 
 
@@ -182,7 +183,7 @@ def check_degenerate_branch(
         gram_defect = np.abs(basis.conj().T @ basis - np.eye(p.m + 1)).max()
         worst_gram = max(worst_gram, float(gram_defect))
         op = build_operator(p)
-        op_norm = float(np.linalg.norm(op))
+        op_norm = operator_norm(p)
         for lam, v in zip(sol.eigenvalues, sol.eigenstates):
             resid = float(np.linalg.norm(op @ v - lam * v))
             worst_resid_ratio = max(worst_resid_ratio, resid / (1e-10 * op_norm))

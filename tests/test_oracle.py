@@ -4,6 +4,8 @@ import pytest
 from gbstates.fock import fidelity, number_operator
 from gbstates.oracle import (
     NonConvergenceError,
+    _hessenberg,
+    _log_det_derivative,
     compare,
     dense_spectrum,
     null_eigenvector,
@@ -45,21 +47,58 @@ def test_characteristic_polynomial_invariants():
 
 def test_dimension_64_accuracy_contract():
     # closed-form ladder spectrum is exact; the oracle must land within
-    # 1e-10 |L|_F of it at the largest contractual dimension
+    # 1e-10 |L|_F of it at the largest contractual dimension and at the
+    # largest m the benchmark verifies
     from gbstates.solver import spectrum
 
-    p = GBSParams(0.8 * np.exp(0.9j), 1.2 * np.exp(-0.3j), 0.7, 63)
-    op = build_operator(p)
-    oracle_vals = sorted_c(dense_spectrum(op))
-    used = np.zeros(len(oracle_vals), dtype=bool)
-    worst = 0.0
-    for z in sorted_c(spectrum(p)):
-        d = np.abs(oracle_vals - z)
-        d[used] = np.inf
-        j = int(np.argmin(d))
-        used[j] = True
-        worst = max(worst, float(d[j]))
-    assert worst <= 1e-10 * np.linalg.norm(op)
+    for m in (63, 120):
+        p = GBSParams(0.8 * np.exp(0.9j), 1.2 * np.exp(-0.3j), 0.7, m)
+        op = build_operator(p)
+        oracle_vals = sorted_c(dense_spectrum(op))
+        used = np.zeros(len(oracle_vals), dtype=bool)
+        worst = 0.0
+        for z in sorted_c(spectrum(p)):
+            d = np.abs(oracle_vals - z)
+            d[used] = np.inf
+            j = int(np.argmin(d))
+            used[j] = True
+            worst = max(worst, float(d[j]))
+        assert worst <= 1e-10 * np.linalg.norm(op)
+
+
+@pytest.mark.parametrize("zero_subdiagonals", ["none", "one", "all"])
+@pytest.mark.parametrize("n", [1, 2, 7, 30])
+def test_log_det_derivative_matches_dense_trace(n, zero_subdiagonals):
+    # Hyman's back-substitution against -tr((H - z)^-1) from dense solves
+    rng = np.random.default_rng(1000 + n)
+    h = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), -1)
+    if zero_subdiagonals == "one" and n > 1:
+        h[n // 2, n // 2 - 1] = 0.0
+    elif zero_subdiagonals == "all":
+        h = np.triu(h)
+    eig = np.linalg.eigvals(h)
+    z = rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40)
+    z = z[np.abs(eig[:, None] - z[None, :]).min(axis=0) > 0.05]
+    assert len(z) >= 20
+    got = _log_det_derivative(h, z)
+    eye = np.eye(n)
+    for zi, gi in zip(z, got):
+        ref = -np.trace(np.linalg.solve(h - zi * eye, eye))
+        assert abs(gi - ref) <= 1e-10 * abs(ref)
+
+
+def test_hessenberg_keeps_tridiagonal_bit_for_bit():
+    op = build_operator(GBSParams(0.8 * np.exp(0.9j), 1.2 * np.exp(-0.3j), 0.7, 40))
+    assert np.array_equal(_hessenberg(op), op)
+
+
+def test_hessenberg_reduces_dense_matrix():
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    h = _hessenberg(a)
+    assert np.all(np.tril(h, -2) == 0)
+    np.testing.assert_allclose(np.linalg.norm(h), np.linalg.norm(a), rtol=1e-13)
+    np.testing.assert_allclose(np.trace(h), np.trace(a), atol=1e-12 * np.linalg.norm(a))
 
 
 def test_hermitian_spectrum_is_real():

@@ -19,6 +19,7 @@ from gbstates.solver import (
     eigenstate,
     eigenstate_exponential,
     eigenstate_sum,
+    operator_norm,
     select_root,
     solve,
     spectrum,
@@ -91,6 +92,17 @@ def test_build_operator_triangular_spectrum_nu_zero():
     op = build_operator(GBSParams(1.0, 0.0, 0.25, 2))
     assert np.abs(np.tril(op, -1)).max() == 0.0
     np.testing.assert_allclose(sorted(np.diag(op).real), [-0.5, 0.0, 0.5], atol=1e-15)
+
+
+def test_operator_norm_matches_dense_frobenius_norm():
+    rng = np.random.default_rng(400)
+    for m in (1, 2, 7, 60, 199, 400):
+        for _ in range(5):
+            p = random_params(rng)
+            p = GBSParams(p.mu, rng.choice([0.0, 1.0]) * p.nu, p.eta, m)
+            dense = np.linalg.norm(build_operator(p))
+            assert abs(operator_norm(p) - dense) <= 1e-13 * dense
+    assert operator_norm(GBSParams(1.0, 0.5, 0.5, 0)) == 0.0
 
 
 def test_constraint_roots_nu_zero():
