@@ -38,7 +38,7 @@ from .fock import (
     normalize_state,
     number_operator,
 )
-from .oracle import NonConvergenceError, SpectrumReport, compare, dense_spectrum, null_eigenvector
+from .oracle import NonConvergenceError, SpectrumReport, compare, dense_spectrum
 from .solver import (
     CoefficientTriple,
     GBSParams,
@@ -91,7 +91,6 @@ __all__ = [
     "hp_generators",
     "ladder_residual",
     "normalize_state",
-    "null_eigenvector",
     "number_limit_scan",
     "number_operator",
     "photon_statistics",

@@ -2,9 +2,9 @@
 
 Nothing here touches the solver's formulas: eigenvalues come from balancing,
 Householder reduction to Hessenberg form and shifted QR iteration with
-deflation, then two Newton steps on det(H - z) for the whole spectrum at once;
-eigenvectors come from shifted inverse iteration.  Self-contained on purpose,
-so agreement with the closed form is a genuine cross-check.
+deflation, then two Newton steps on det(H - z) for the whole spectrum at once.
+Self-contained on purpose, so agreement with the closed form is a genuine
+cross-check.
 
 Cost on an n x n matrix: each QR sweep applies its Givens rotations as one
 2x2 product per row pair and one per column pair, O(n) numpy calls per
@@ -19,11 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import normalize_state
-from .solver import GBSParams, GBSSolution, SolutionKind, build_operator
+from .solver import GBSParams, GBSSolution, SolutionKind, build_operator, operator_norm
 
 _EPS = float(np.finfo(float).eps)
-_INVERSE_ITERATION_SEED = 1905
 
 
 class NonConvergenceError(RuntimeError):
@@ -32,21 +30,36 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass
 class SpectrumReport:
-    """Oracle vs closed-form comparison for one parameter point.
+    """Oracle vs closed-form comparison for one parameter point, with its verdict.
 
     pairing maps closed-form indices to oracle indices (a bijection).  When
     the defective branch collapses all eigenvalues onto one point, pairing
     them is meaningless (a Jordan block scatters numerically at the
     eps^(1/(m+1)) scale); multiplicity_collapse is set instead and the pair
     error is left undefined.
+
+    The report carries the verdict too: pair_bound = 1e-9 (1 + max|closed-form
+    eigenvalue|) and residual_bound = 1e-10 |L|_F are the bounds the errors
+    must meet, and passed applies them.  Callers read these instead of
+    re-deriving them.
     """
 
     oracle_eigenvalues: np.ndarray
     closed_form_eigenvalues: np.ndarray
+    pair_bound: float
+    residual_bound: float
     pairing: list[tuple[int, int]] = field(default_factory=list)
     max_pair_error: float | None = None
     max_residual: float | None = None
     multiplicity_collapse: bool = False
+
+    @property
+    def passed(self) -> bool:
+        """Residual within its bound and, unless the multiplicity collapsed,
+        pair error within its bound."""
+        if not self.max_residual <= self.residual_bound:
+            return False
+        return self.multiplicity_collapse or self.max_pair_error <= self.pair_bound
 
 
 def _balance(a: np.ndarray, sweeps: int = 50) -> np.ndarray:
@@ -274,38 +287,6 @@ def dense_spectrum(op: np.ndarray, max_iters: int | None = None) -> np.ndarray:
     return _newton_polish(h, _qr_eigenvalues(h, max_iters))
 
 
-def null_eigenvector(op: np.ndarray, lam: complex) -> np.ndarray:
-    """Unit eigenvector for an (approximately known) eigenvalue lam.
-
-    Three rounds of shifted inverse iteration from a deterministic seeded
-    start; the shift is offset by 1e-12 * |op|_F so the solve never hits an
-    exactly singular matrix.  Raises if the residual floor 1e-9 * |op|_F is
-    not reached, which signals a shift too far from the spectrum.
-    """
-    op = np.asarray(op, dtype=complex)
-    n = op.shape[0]
-    scale = float(np.linalg.norm(op)) or 1.0
-    shift = lam + 1e-12 * scale
-    rng = np.random.default_rng(_INVERSE_ITERATION_SEED)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    shifted = op - shift * np.eye(n)
-    for _ in range(3):
-        try:
-            w = np.linalg.solve(shifted, v)
-        except np.linalg.LinAlgError:
-            shifted = op - (shift + 1e-10 * scale) * np.eye(n)
-            w = np.linalg.solve(shifted, v)
-        v = w / np.linalg.norm(w)
-    residual = float(np.linalg.norm(op @ v - lam * v))
-    if residual > 1e-9 * scale:
-        raise ValueError(
-            f"inverse iteration stalled: residual {residual:.3e} above "
-            f"{1e-9 * scale:.3e}; shift too far from the spectrum?"
-        )
-    return normalize_state(v)
-
-
 def _greedy_pairing(
     closed: np.ndarray, oracle: np.ndarray
 ) -> tuple[list[tuple[int, int]], float]:
@@ -330,8 +311,9 @@ def compare(p: GBSParams, solution: GBSSolution) -> SpectrumReport:
     """Check a closed-form solution against this module's eigensolver.
 
     Pairs the two eigenvalue lists and records the worst pair distance and
-    the worst eigenstate residual |L v - lambda v|.  A defective solution is
-    flagged as a multiplicity collapse instead of being force-paired.
+    the worst eigenstate residual |L v - lambda v|, with the bounds each must
+    meet.  A defective solution is flagged as a multiplicity collapse instead
+    of being force-paired.
     """
     if solution.params != p:
         raise ValueError("solution was produced from different parameters")
@@ -343,7 +325,10 @@ def compare(p: GBSParams, solution: GBSSolution) -> SpectrumReport:
             f"size mismatch: oracle {len(oracle_vals)} vs closed form {len(closed_vals)}"
         )
     report = SpectrumReport(
-        oracle_eigenvalues=oracle_vals, closed_form_eigenvalues=closed_vals
+        oracle_eigenvalues=oracle_vals,
+        closed_form_eigenvalues=closed_vals,
+        pair_bound=1e-9 * (1.0 + float(np.abs(closed_vals).max())),
+        residual_bound=1e-10 * operator_norm(p),
     )
     if solution.kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO:
         report.multiplicity_collapse = True

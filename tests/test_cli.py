@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -169,6 +170,29 @@ def test_gbs_oracle_non_convergence_exits_3(capsys, monkeypatch):
     ]
 
 
+def test_gbs_exits_3_on_the_reports_verdict(capsys, monkeypatch):
+    # the verdict and the bounds written out are the report's, not re-derived
+    from gbstates.oracle import compare
+
+    reports = []
+
+    def over_bound(p, sol):
+        reports.append(dataclasses.replace(compare(p, sol), max_residual=2e-3, residual_bound=1e-3))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "compare", over_bound)
+    code, out, err = run_cli(capsys, ["gbs", "--mu-re", "1", "--eta", "0.4", "--m", "5"])
+    assert code == 3
+    doc = json.loads(out)
+    assert len(doc["results"]["eigenvalues"]) == 6
+    oracle = doc["diagnostics"]["oracle"]
+    assert oracle["max_residual"] == 2e-3
+    assert oracle["residual_bound"] == 1e-3
+    assert oracle["pair_error_bound"] == reports[0].pair_bound
+    assert oracle["max_pair_error"] == reports[0].max_pair_error <= reports[0].pair_bound
+    assert err == "oracle comparison exceeded tolerance\n"
+
+
 def test_limit_number_defective_k_exits_2(capsys):
     # mu = 1, nu = -1/4, eta = 1/2 is defective: only k = 0 exists
     argv = ["limit", "--mode", "number", "--mu-re", "1", "--nu-re", "-0.25",
@@ -203,6 +227,16 @@ def test_limit_squeezed_validation(capsys):
     )
     assert code == 2
     assert "nu/mu" in err
+
+
+@pytest.mark.parametrize("m_values", ["50,inf", "nan", "50.6"])
+def test_limit_m_values_must_be_finite_integers(capsys, m_values):
+    argv = ["limit", "--mode", "coherent", "--alpha", "1", "--m-values", m_values]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --m-values must be finite integers")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_limit_json_format(capsys):
@@ -253,6 +287,17 @@ def test_evolve_full_period(capsys):
         ["evolve", "--eta", "0.3", "--m", "8", "--k", "0", "--omega", "1.0", "--t", str(2 * math.pi)],
     )
     assert doc["results"]["fidelity_vs_phase_shifted_rebuild"] >= 1 - 1e-12
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--omega", "inf"), ("--t", "nan"), ("--phi", "inf")]
+)
+def test_evolve_non_finite_input_exits_2(capsys, flag, value):
+    argv = ["evolve", "--eta", "0.3", "--m", "8", "--k", "4", "--omega", "1.0", "--t", "0.5"]
+    code, out, err = run_cli(capsys, argv + [flag, value])
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: {flag} must be finite, got {float(value)!r}"]
 
 
 def test_output_is_deterministic(capsys):

@@ -1,16 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from gbstates.fock import fidelity, number_operator
 from gbstates.oracle import (
     NonConvergenceError,
     _hessenberg,
     _log_det_derivative,
     compare,
     dense_spectrum,
-    null_eigenvector,
 )
-from gbstates.solver import GBSParams, SolutionKind, build_operator, eigenstate_sum, solve
+from gbstates.solver import GBSParams, SolutionKind, build_operator, solve
 
 
 def sorted_c(values):
@@ -123,32 +123,6 @@ def test_iteration_cap_is_loud():
         dense_spectrum(a, max_iters=1)
 
 
-def test_null_eigenvector_number_operator():
-    v = null_eigenvector(number_operator(3), 2.0)
-    assert abs(v[2]) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_null_eigenvector_matches_closed_form_state():
-    p = GBSParams(1.0, 0.0, 0.25, 2)
-    op = build_operator(p)
-    v = null_eigenvector(op, 0.5)  # top eigenvalue sqrt(eta) (2k-m)/2 at k = 2
-    assert fidelity(v, eigenstate_sum(p, 2)) >= 1 - 1e-9
-
-
-def test_null_eigenvector_hermitian_residuals():
-    rng = np.random.default_rng(21)
-    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    h = (a + a.conj().T) / 2
-    for lam in dense_spectrum(h):
-        v = null_eigenvector(h, lam)
-        assert np.linalg.norm(h @ v - lam * v) <= 1e-10 * np.linalg.norm(h)
-
-
-def test_null_eigenvector_rejects_far_shift():
-    with pytest.raises(ValueError):
-        null_eigenvector(number_operator(3), 100.0)
-
-
 def test_compare_nu_zero_is_tight():
     p = GBSParams(1.0, 0.0, 0.25, 2)
     report = compare(p, solve(p))
@@ -180,6 +154,37 @@ def test_compare_flags_defective_collapse():
     assert report.pairing == []
     assert report.max_pair_error is None
     assert report.max_residual <= 1e-10 * np.linalg.norm(build_operator(p))
+
+
+@pytest.mark.parametrize(
+    "p, kind",
+    [
+        (GBSParams(0.8 * np.exp(0.9j), 1.2 * np.exp(-0.3j), 0.7, 12), SolutionKind.GENERIC),
+        (GBSParams(0.8 + 0.3j, 0.8 - 0.3j, 0.45, 9), SolutionKind.DEGENERATE_A_PLUS_ZERO),
+        (GBSParams(1.0, -1.0, 0.8, 3), SolutionKind.DEFECTIVE_A_ZERO_ZERO),
+    ],
+)
+def test_compare_carries_its_verdict(p, kind):
+    sol = solve(p)
+    assert sol.kind is kind
+    report = compare(p, sol)
+    assert report.pair_bound == 1e-9 * (1.0 + float(np.abs(sol.eigenvalues).max()))
+    assert report.residual_bound == pytest.approx(
+        1e-10 * np.linalg.norm(build_operator(p)), rel=1e-13
+    )
+    assert report.passed
+    assert (report.max_pair_error is None) == (kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO)
+
+
+def test_report_passed_applies_both_bounds():
+    p = GBSParams(1.0, 0.0, 0.25, 2)
+    report = compare(p, solve(p))
+    assert report.passed
+    assert not dataclasses.replace(report, max_residual=2 * report.residual_bound).passed
+    over = dataclasses.replace(report, max_pair_error=2 * report.pair_bound)
+    assert not over.passed
+    # a collapsed multiplicity is judged on its residual alone
+    assert dataclasses.replace(over, multiplicity_collapse=True).passed
 
 
 def test_compare_rejects_foreign_solution():
