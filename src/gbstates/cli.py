@@ -53,15 +53,12 @@ def _f17(x: float) -> str:
 
 
 def _write(text: str, out: str) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _record(command: str, params: dict, results: dict, diagnostics: dict) -> str:
@@ -165,15 +162,15 @@ def cmd_gbs(args) -> int:
     return EXIT_OK
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_floats(text: str, flag: str) -> list[float]:
     try:
         return [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
-        raise ValueError(f"could not parse comma-separated numbers from {text!r}") from exc
+        raise ValueError(f"{flag} takes comma-separated numbers, got {text!r}") from exc
 
 
 def _parse_m_values(text: str) -> list[int]:
-    values = _parse_floats(text)
+    values = _parse_floats(text, "--m-values")
     for x in values:
         if not x.is_integer():  # also false for inf and nan
             raise ValueError(f"--m-values must be finite integers, got {x!r}")
@@ -181,10 +178,12 @@ def _parse_m_values(text: str) -> list[int]:
 
 
 def cmd_limit(args) -> int:
+    if not math.isfinite(args.phi):
+        raise ValueError(f"--phi must be finite, got {args.phi!r}")
     if args.mode == "number":
         if args.m is None or args.k is None or args.etas is None:
             raise ValueError("number mode needs --m, --k and --etas")
-        etas = _parse_floats(args.etas)
+        etas = _parse_floats(args.etas, "--etas")
         mu = complex(args.mu_re, args.mu_im)
         nu = complex(args.nu_re, args.nu_im)
         target = basis_state(args.k, args.m + 1)

@@ -1,8 +1,8 @@
 """SU(2) displacement operators D(zeta) = exp(zeta J+ - zeta* J-).
 
-D(zeta) is a spin-m/2 Wigner rotation: its generator is exp(-iH) with
-H = i(zeta J+ - zeta* J-) Hermitian and tridiagonal, so one Hermitian
-eigendecomposition of H gives D as an exactly unitary rotation.  The module
+D(zeta) = exp(-iH) is a spin-m/2 Wigner rotation; H = i(zeta J+ - zeta* J-)
+is r Q X Q^dag with Q a diagonal phase and X = J+ + J- real with eigenvalues
+2k - m, so one real eigendecomposition gives D exactly unitary.  The module
 also covers its disentangled (normal-ordered) product form, which serves as
 an independent multiprecision cross-check, and the closed-form adjoint action
 on the generators that the solver uses to rotate away the J- coefficient.
@@ -61,14 +61,26 @@ def delta_to_zeta(delta: complex, m: int) -> DisplacementParams:
 
 
 def displacement(p: DisplacementParams) -> np.ndarray:
-    """Unitary D(zeta) = exp(-iH) on dim m+1, from the eigenpairs of the
-    Hermitian generator H = i(zeta J+ - zeta* J-)."""
+    """Unitary D(zeta) = exp(-iH) on dim m+1, built from one real basis.
+
+    H = i(zeta J+ - zeta* J-) = r Q X Q^dag with Q = diag(e^{-i n (theta + pi/2)})
+    and X = J+ + J- real, symmetric, tridiagonal and a function of m alone.
+    With X = V diag(lambda) V^T and the exact eigenvalues lambda_k = 2k - m,
+    D = Q (V cos(r lambda) V^T - i V sin(r lambda) V^T) Q^dag.
+    """
     if p.r == 0.0:
         return np.eye(p.m + 1, dtype=complex)
-    _, jp, jm = hp_generators(p.m)
-    z = p.zeta
-    w, v = np.linalg.eigh(1j * (z * jp - np.conj(z) * jm))
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    n = np.arange(p.m + 1)
+    off = np.sqrt(n[1:] * (p.m + 1 - n[1:]), dtype=float)  # sqrt((n+1)(m-n)) on the integers
+    _, v = np.linalg.eigh(np.diag(off, -1))  # eigh reads only the lower triangle of X
+    angle = p.r * (2 * n - p.m)
+    d = np.empty((p.m + 1, p.m + 1), dtype=complex)
+    d.real = (v * np.cos(angle)) @ v.T
+    d.imag = (v * -np.sin(angle)) @ v.T
+    # phases reduced mod 2 pi before exp: as a power they cost a decade of unitarity
+    q = np.exp(-1j * ((n * (p.theta + math.pi / 2)) % (2 * math.pi)))
+    d *= np.outer(q, q.conj())
+    return d
 
 
 def adjoint_weights(p: DisplacementParams) -> tuple[tuple[complex, ...], ...]:

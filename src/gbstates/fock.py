@@ -11,7 +11,7 @@ satisfy their algebra exactly at every M, so nothing downstream relies on the
 bosonic commutator.
 
 Storage is dense double precision throughout; the dimensions used anywhere in
-this package stay in the hundreds, so no sparse path is provided.
+this package stay in the thousands, so no sparse path is provided.
 """
 
 import math

@@ -224,40 +224,39 @@ def spectrum(p: GBSParams, root_policy: str = "principal") -> np.ndarray:
     return _ladder(_frame(p, root_policy).triple.a_zero, p.m)
 
 
-def _sum_form_core(triple: CoefficientTriple, k: int, m: int) -> np.ndarray:
-    """Rotated-frame eigenstate for index k, supported on |0>..|k>.
+def _cores(triple: CoefficientTriple, ks, m: int) -> list[np.ndarray]:
+    """Rotated-frame eigenstates for the indices ks, each supported on |0>..|k>.
 
-    Runs the product form of the two-term recursion
-        c_{n+1} sqrt((n+1)(m-n)) A+ = c_n A0 (k - n),
-    which never divides by a previous coefficient and so survives A0 = 0 or
-    the factor (k - n) hitting zero.  Rescales on the fly to dodge overflow
-    when |A0/A+| is large.
+    Each step of the recursion c_{n+1} sqrt((n+1)(m-n)) A+ = c_n A0 (k - n)
+    carries the phase of x = A0/A+, so for n <= k, in closed form,
+        core_k(n) = e^{i n arg x} |x|^n C(k, n) / sqrt(C(m, n)).
+    The log magnitudes are one cumsum over n (-inf past k), max-shifted before exp.
     """
-    c = np.zeros(m + 1, dtype=complex)
-    c[0] = 1.0
-    for n in range(k):
-        c[n + 1] = c[n] * triple.a_zero * (k - n) / (
-            triple.a_plus * math.sqrt((n + 1) * (m - n))
-        )
-        big = abs(c[n + 1])
-        if big > 1e200:
-            c[: n + 2] /= big
-    return normalize_state(c)
+    x = triple.a_zero / triple.a_plus
+    n = np.arange(m + 1)
+    # log j at j = 0..m; the -inf at j = 0 ends each core after n = k
+    log_int = np.log(n, out=np.full(m + 1, -np.inf), where=n > 0)
+    steps = math.log(abs(x)) + log_int[np.maximum(np.asarray(ks)[:, None] - n[:-1], 0)]
+    steps -= 0.5 * (log_int[1:] + log_int[:0:-1])  # log sqrt((n+1)(m-n))
+    log_rho = np.zeros((steps.shape[0], m + 1))
+    np.cumsum(steps, axis=1, out=log_rho[:, 1:])
+    rho = np.exp(log_rho - log_rho.max(axis=1, keepdims=True))
+    phase = np.exp(1j * ((n * cmath.phase(x)) % (2 * math.pi)))
+    # each row on its own: the same k gives the same bits alone or in a batch
+    return [normalize_state(row) for row in rho * phase]
 
 
-def _eigenstate(p: GBSParams, frame: _Frame, d: np.ndarray, k: int) -> np.ndarray:
-    """The k-th eigenstate on the frame's branch, given d = D(zeta)."""
+def _eigenstates(p: GBSParams, frame: _Frame, d: np.ndarray, ks) -> list[np.ndarray]:
+    """The eigenstates ks on the frame's branch, given d = D(zeta)."""
     if frame.kind is SolutionKind.GENERIC:
-        return normalize_state(d @ _sum_form_core(frame.triple, k, p.m))
-    if frame.kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO and k != 0:
-        raise ValueError(
-            f"the {frame.kind.value} branch carries only the eigenstate k = 0; "
-            f"k = {k} unavailable"
-        )
+        return [normalize_state(d @ core) for core in _cores(frame.triple, ks, p.m)]
+    if frame.kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO and max(ks) > 0:
+        raise ValueError(f"the {frame.kind.value} branch carries only the eigenstate k = 0; "
+                         f"k = {max(ks)} unavailable")
     # A+ = 0 leaves the diagonal -A0 J0, A0 = 0 the nilpotent A+ J+ (a single
     # Jordan chain headed by |0>); either way the eigenvector is |k> and the
     # eigenstate is column k of D
-    return normalize_state(d[:, k])
+    return [normalize_state(d[:, k]) for k in ks]
 
 
 def eigenstate(p: GBSParams, k: int, root_policy: str = "principal") -> np.ndarray:
@@ -268,18 +267,18 @@ def eigenstate(p: GBSParams, k: int, root_policy: str = "principal") -> np.ndarr
     """
     _check_index(p, k)
     frame = _frame(p, root_policy)
-    return _eigenstate(p, frame, displacement(frame.zeta), k)
+    return _eigenstates(p, frame, displacement(frame.zeta), [k])[0]
 
 
 def undisplaced_eigenstate(p: GBSParams, k: int, root_policy: str = "principal") -> np.ndarray:
     """Eigenstate of the rotated operator A+ J+ - A0 J0, before displacing back."""
-    return _sum_form_core(_generic_frame(p, root_policy, k).triple, k, p.m)
+    return _cores(_generic_frame(p, root_policy, k).triple, [k], p.m)[0]
 
 
 def eigenstate_sum(p: GBSParams, k: int, root_policy: str = "principal") -> np.ndarray:
     """Eigenstate via the finite-sum form, displaced back to the original frame."""
     frame = _generic_frame(p, root_policy, k)
-    return _eigenstate(p, frame, displacement(frame.zeta), k)
+    return _eigenstates(p, frame, displacement(frame.zeta), [k])[0]
 
 
 def _exponential_form_core(triple: CoefficientTriple, k: int, m: int) -> np.ndarray:
@@ -327,7 +326,7 @@ def solve(p: GBSParams, root_policy: str = "principal") -> GBSSolution:
         zeta=frame.zeta,
         triple=frame.triple,
         eigenvalues=_ladder(frame.triple.a_zero, p.m),
-        eigenstates=[_eigenstate(p, frame, d, k) for k in range(count)],
+        eigenstates=_eigenstates(p, frame, d, range(count)),
         kind=frame.kind,
     )
 

@@ -239,6 +239,29 @@ def test_limit_m_values_must_be_finite_integers(capsys, m_values):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("phi", ["inf", "nan"])
+def test_limit_coherent_phi_must_be_finite(capsys, phi):
+    argv = ["limit", "--mode", "coherent", "--alpha", "1", "--m-values", "50", "--phi", phi]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: --phi must be finite, got {float(phi)!r}"]
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--etas", ["limit", "--mode", "number", "--m", "4", "--k", "2", "--etas", "abc"]),
+        ("--m-values", ["limit", "--mode", "coherent", "--alpha", "1", "--m-values", "50,abc"]),
+    ],
+)
+def test_limit_parse_errors_name_the_flag(capsys, flag, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: {flag} takes comma-separated numbers, got {argv[-1]!r}"]
+
+
 def test_limit_json_format(capsys):
     doc = run_json(
         capsys,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from gbstates.displacement import (
     DisplacementParams,
@@ -64,6 +65,20 @@ def test_displacement_unitary_and_inverse():
         theta_flip = theta + math.pi if theta <= 0 else theta - math.pi
         d_inv = displacement(DisplacementParams(r, theta_flip, m))
         assert np.linalg.norm(d @ d_inv - np.eye(m + 1)) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "m, r, theta",
+    [(60, 0.3, 0.7), (60, 2.6, math.pi), (60, 1.0, -2.0), (400, 2.6, math.pi), (400, 1.1, -0.4)],
+)
+def test_displacement_matches_expm_of_the_generator(m, r, theta):
+    # entrywise against scipy's expm past the m <= 20 of the mpmath product;
+    # unitarity and D(zeta) D(-zeta) = I alone would not see the phase
+    # similarity Q and Q^dag swapped (that D sits ~10 away at m = 60)
+    p = DisplacementParams(r, theta, m)
+    _, jp, jm = hp_generators(m)
+    generator = p.zeta * jp - np.conj(p.zeta) * jm
+    assert np.linalg.norm(displacement(p) - expm(generator)) <= 1e-11
 
 
 def test_disentangled_identity_cases():

@@ -1,12 +1,13 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from gbstates.binomial import BinomialParams, binomial_amplitudes
 from gbstates.displacement import delta_to_zeta, displacement
-from gbstates.fock import basis_state, fidelity, hp_generators
+from gbstates.fock import basis_state, fidelity, hp_generators, normalize_state
 from gbstates.oracle import dense_spectrum
 from gbstates.solver import (
     GBSParams,
@@ -380,6 +381,30 @@ def test_cores_past_the_square_overflow(m, k):
     rotated = t.a_plus * jp - t.a_zero * j0
     lam = t.a_zero * (2 * k - m) / 2
     assert np.linalg.norm(rotated @ core - lam * core) <= 1e-10 * np.linalg.norm(rotated)
+    # solve builds every core in one batch; a single state must not differ by a bit
+    states = solve(p).eigenstates
+    for j in (0, m // 2, m):
+        np.testing.assert_array_equal(eigenstate(p, j), states[j])
+
+
+@pytest.mark.parametrize("eta", [1e-6, 1e-4, 0.3, 0.5, 0.99, 0.9999, 1 - 1e-6])
+@pytest.mark.parametrize("mu, nu", [(1.0, 0.0), (0.7 * cmath.exp(0.9j), 0.3j)])
+def test_cores_match_the_closed_form_in_mpmath(eta, mu, nu):
+    # core_k(n) = e^{i n arg x} |x|^n C(k, n) / sqrt(C(m, n)), x = A0/A+, at 30
+    # digits; with nu = 0, |x| = sqrt(eta / (1 - eta)) runs from 1e-3 to 1e3
+    m = 60
+    p = GBSParams(mu, nu, eta, m)
+    t = coefficient_triple(p, select_root(p))
+    x = t.a_zero / t.a_plus
+    for k in (0, 1, 7, 30, 59, 60):
+        with mp.workdps(30):
+            terms = [mp.mpf(abs(x)) ** n * mp.binomial(k, n) / mp.sqrt(mp.binomial(m, n))
+                     * mp.expj(n * mp.mpf(cmath.phase(x))) for n in range(k + 1)]
+            norm = mp.sqrt(mp.fsum(abs(c) ** 2 for c in terms))
+            expected = np.zeros(m + 1, dtype=complex)
+            expected[: k + 1] = [complex(c / norm) for c in terms]
+        got = undisplaced_eigenstate(p, k)
+        assert np.abs(got - normalize_state(expected)).max() <= 1e-13
 
 
 def test_nu_zero_eigenstates_near_the_number_limit_at_m200():
