@@ -3,14 +3,16 @@
 Single solves emit JSON run records, scans emit CSV (one row per schedule
 point), and `verify` runs the whole property battery.  Exit codes: 0 success,
 2 invalid input, 3 a verification check failed or the oracle did not
-converge.  Complex numbers are encoded as [re, im] pairs; output is
-deterministic for identical inputs.
+converge.  Complex numbers are encoded as [re, im] pairs.  Output is
+deterministic for identical inputs except the wall times (`wall_s` per check,
+`total_s`) in the diagnostics of `verify --format json`.
 """
 
 import argparse
 import json
 import math
 import sys
+import time
 
 import numpy as np
 
@@ -271,12 +273,14 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    start = time.perf_counter()
     results = run_all(
         spectrum_draws=args.spectrum_draws,
         degenerate_draws=args.degenerate_draws,
         disentangle_draws=args.disentangle_draws,
         seed=args.seed,
     )
+    total_s = time.perf_counter() - start
     if args.format == "json":
         payload = _record(
             "verify",
@@ -299,7 +303,7 @@ def cmd_verify(args) -> int:
                 ],
                 "all_passed": all(r.passed for r in results),
             },
-            {},
+            {"wall_s": {r.name: r.wall_s for r in results}, "total_s": total_s},
         )
         _write(payload, args.out)
     else:

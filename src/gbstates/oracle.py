@@ -1,31 +1,27 @@
 """Independent dense eigensolver used to verify the closed-form pipeline.
 
-Nothing here touches the solver's formulas: eigenvalues come from balancing,
-Householder reduction to Hessenberg form and shifted QR iteration with
-deflation, then two Newton steps on det(H - z) for the whole spectrum at once.
-Self-contained on purpose, so agreement with the closed form is a genuine
-cross-check.
+Eigenvalues come from the matrix entries alone, in four steps: Householder
+reduction to Hessenberg form, a closed-form exact radix-2 balancing of its two
+central diagonals, LAPACK's eigenvalues of the result (`np.linalg.eigvals`)
+and two Newton steps on det(H - z) for the whole spectrum by Hyman's method.
+The cross-check stays genuine: nothing here reads the root, the rotation or
+the coefficient triple; the closed form calls no `eigvals` (its rotation is a
+real `eigh`); and the hand-written polish, not LAPACK, sets the final
+accuracy, so the starting values only have to lie in each root's basin.
 
-Cost on an n x n matrix: each QR sweep applies its Givens rotations as one
-2x2 product per row pair and one per column pair, O(n) numpy calls per
-sweep; each Newton step evaluates d/dz log det(H - z) for all n eigenvalues
-by Hyman's back-substitution, n row products of size (row x 2n), O(n^3)
-flops in all.
+Cost on an n x n matrix of upper bandwidth w: O(n^2) to balance, O(n^3) in
+LAPACK, O(n^2 w) per Newton step in n row products (w = 1 on L).
 """
 
-import cmath
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .solver import GBSParams, GBSSolution, SolutionKind, build_operator, operator_norm
 
-_EPS = float(np.finfo(float).eps)
-
 
 class NonConvergenceError(RuntimeError):
-    """QR iteration hit its cap without deflating the whole matrix."""
+    """LAPACK's eigenvalue iteration failed to converge."""
 
 
 @dataclass
@@ -62,37 +58,25 @@ class SpectrumReport:
         return self.multiplicity_collapse or self.max_pair_error <= self.pair_bound
 
 
-def _balance(a: np.ndarray, sweeps: int = 50) -> np.ndarray:
-    """Osborne balancing with radix-2 scaling (an exact similarity).
+def _balance(h: np.ndarray) -> np.ndarray:
+    """Exact radix-2 similarity D^-1 H D equalizing H's two central diagonals.
 
-    Equalizes row and column norms; for strongly non-normal inputs this is
-    what keeps the QR eigenvalues accurate to ~1e-12 instead of ~1e-9.
+    D = diag(2^e), e = rint(cumsum(1/2 log2 |h[i+1,i]| / |h[i,i+1]|)) with
+    e_0 = 0 and step 0 where either entry is zero.  Entries scale as
+    ldexp(h[i,j], e_j - e_i): nothing rounds and zeros stay zero.  Rounding
+    the running sum keeps each e_j - e_i within 1 of exact, so on a
+    tridiagonal each |sub| / |super| ends within a factor of 4 of 1.  Closed
+    form, no sweeps: L's pairs drift by (|nu|/|mu|)^(m/2) end to end, beyond a
+    sweep-capped iterative balancing, and LAPACK then starts too far off.
     """
-    h = np.array(a, dtype=complex, copy=True)
-    n = h.shape[0]
-    for _ in range(sweeps):
-        converged = True
-        for i in range(n):
-            r = np.abs(h[i, :]).sum() - abs(h[i, i])
-            c = np.abs(h[:, i]).sum() - abs(h[i, i])
-            if r == 0.0 or c == 0.0:
-                continue
-            f = 1.0
-            while c < r / 2.0:
-                c *= 2.0
-                r /= 2.0
-                f *= 2.0
-            while c >= r * 2.0:
-                c /= 2.0
-                r *= 2.0
-                f /= 2.0
-            if f != 1.0:
-                converged = False
-                h[:, i] *= f
-                h[i, :] /= f
-        if converged:
-            break
-    return h
+    sub = np.abs(np.diagonal(h, -1))
+    sup = np.abs(np.diagonal(h, 1))
+    both = (sub > 0.0) & (sup > 0.0)
+    step = np.zeros(len(sub))
+    step[both] = 0.5 * np.log2(sub[both] / sup[both])
+    e = np.rint(np.concatenate([[0.0], np.cumsum(step)])).astype(np.int64)
+    shift = e[None, :] - e[:, None]
+    return np.ldexp(h.real, shift) + 1j * np.ldexp(h.imag, shift)
 
 
 def _hessenberg(a: np.ndarray) -> np.ndarray:
@@ -121,94 +105,6 @@ def _hessenberg(a: np.ndarray) -> np.ndarray:
     return h
 
 
-def _givens(f: complex, g: complex) -> np.ndarray:
-    """Rotation [[c, s], [-conj(s), c]] (c real) sending (f, g) to (r, 0).
-
-    f and g are Python complex scalars, which keep this once-per-rotation
-    arithmetic cheap.
-    """
-    if g == 0:
-        c, s = 1.0, 0.0j
-    elif f == 0:
-        c, s = 0.0, g.conjugate() / abs(g)
-    else:
-        af = abs(f)
-        hyp = math.hypot(af, abs(g))
-        c, s = af / hyp, (f / af) * g.conjugate() / hyp
-    return np.array([[c, s], [-s.conjugate(), c]], dtype=complex)
-
-
-def _eig22(a: complex, b: complex, c: complex, d: complex) -> tuple[complex, complex]:
-    t = (a + d) / 2.0
-    disc = cmath.sqrt(((a - d) / 2.0) ** 2 + b * c)
-    return t + disc, t - disc
-
-
-def _qr_eigenvalues(h: np.ndarray, max_iters: int) -> np.ndarray:
-    """Shifted QR with deflation on an upper Hessenberg matrix.
-
-    Wilkinson-style shifts from the trailing 2x2 of the active block, an
-    ad hoc exceptional shift every 15 stalled sweeps, and explicit Givens
-    QR steps restricted to the active window (only eigenvalues are needed,
-    so the off-window blocks can be ignored once the window decouples).
-    """
-    h = np.array(h, dtype=complex, copy=True)
-    n = h.shape[0]
-    eig: list[complex] = []
-    hi = n
-    iters = 0
-    stalled = 0
-    while hi > 0:
-        if hi == 1:
-            eig.append(h[0, 0])
-            break
-        lo = hi - 1
-        while lo > 0:
-            if abs(h[lo, lo - 1]) <= _EPS * (abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])):
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi - 1:
-            eig.append(h[hi - 1, hi - 1])
-            hi -= 1
-            stalled = 0
-            continue
-        if lo == hi - 2:
-            eig.extend(_eig22(h[lo, lo], h[lo, lo + 1], h[lo + 1, lo], h[lo + 1, lo + 1]))
-            hi -= 2
-            stalled = 0
-            continue
-        iters += 1
-        stalled += 1
-        if iters > max_iters:
-            raise NonConvergenceError(
-                f"QR iteration exceeded {max_iters} sweeps on a {n}x{n} matrix"
-            )
-        if stalled % 15 == 0:
-            sigma = h[hi - 1, hi - 1] + 0.75 * abs(h[hi - 1, hi - 2])
-        else:
-            l1, l2 = _eig22(
-                h[hi - 2, hi - 2], h[hi - 2, hi - 1], h[hi - 1, hi - 2], h[hi - 1, hi - 1]
-            )
-            corner = h[hi - 1, hi - 1]
-            sigma = l1 if abs(l1 - corner) <= abs(l2 - corner) else l2
-        w = h[lo:hi, lo:hi]
-        m = hi - lo
-        idx = np.arange(m)
-        w[idx, idx] -= sigma
-        rotations = []
-        for i in range(m - 1):
-            f, g = w[i:i + 2, i].tolist()
-            rot = _givens(f, g)
-            rotations.append(rot)
-            w[i:i + 2, i:] = rot @ w[i:i + 2, i:]
-        for i, rot in enumerate(rotations):
-            top = min(i + 2, m)
-            w[:top, i:i + 2] = w[:top, i:i + 2] @ rot.conj().T
-        w[idx, idx] += sigma
-    return np.array(eig, dtype=complex)
-
-
 def _log_det_derivative(h: np.ndarray, z: np.ndarray) -> np.ndarray:
     """d/dz log det(H - z) = -tr((H - z)^-1) at every z, for upper Hessenberg H.
 
@@ -220,11 +116,15 @@ def _log_det_derivative(h: np.ndarray, z: np.ndarray) -> np.ndarray:
     stacked side by side; the pair is rescaled together whenever its new row
     exceeds 1, which leaves alpha'/alpha unchanged and keeps every entry <= 1.
     H splits into diagonal blocks at exactly-zero subdiagonals, and the
-    blocks' log-derivatives add up.  O(n^2) per z.
+    blocks' log-derivatives add up.  For upper bandwidth w, row i reads only
+    x[i .. i+w], so each product and rescale touches those rows alone (later
+    rows are never read again): O(n w) per z.
     """
     n = h.shape[0]
     k = len(z)
     zz = np.concatenate([z, z])
+    rows, cols = np.nonzero(h)
+    w = int((cols - rows).max(initial=0))
     total = np.zeros(k, dtype=complex)
     cuts = [0, *(np.flatnonzero(np.diagonal(h, -1) == 0) + 1), n]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -233,12 +133,12 @@ def _log_det_derivative(h: np.ndarray, z: np.ndarray) -> np.ndarray:
         y = np.zeros((hi - lo, 2 * k), dtype=complex)
         y[-1, :k] = 1.0
         for i in range(hi - lo - 1, 0, -1):
-            t = b[i, i:] @ y[i:] - zz * y[i]
+            t = b[i, i:i + w + 1] @ y[i:i + w + 1] - zz * y[i]
             t[k:] -= y[i, :k]
             y[i - 1] = t / -b[i, i - 1]
             scale = np.maximum(np.maximum(np.abs(y[i - 1, :k]), np.abs(y[i - 1, k:])), 1.0)
-            y[i - 1:] /= np.concatenate([scale, scale])
-        t = b[0] @ y - zz * y[0]
+            y[i - 1:i + w] /= np.concatenate([scale, scale])
+        t = b[0, :w + 1] @ y[:w + 1] - zz * y[0]
         t[k:] -= y[0, :k]
         total += t[k:] / t[:k]
     return total
@@ -248,12 +148,12 @@ def _newton_polish(h: np.ndarray, eigenvalues: np.ndarray, steps: int = 2) -> np
     """Newton steps on det(H - z) for all eigenvalues at once.
 
     z <- z - 1/(d/dz log det(H - z)), with the log-derivative evaluated by
-    Hyman's method on the Hessenberg form (O(n^2) per eigenvalue, O(n^3) per
-    step for the whole spectrum).  The QR values carry a forward error
-    amplified by the eigenvalue condition number; one or two quadratically
-    convergent corrections pull them back to ~eps * |H|.  A step that is
-    non-finite or larger than 0.5 |H|_F + 1 is skipped, which leaves that
-    value where it was.
+    Hyman's method on the Hessenberg form (O(n w) per eigenvalue for upper
+    bandwidth w).  The starting values carry a forward error amplified by the
+    eigenvalue condition number; one or two quadratically convergent
+    corrections pull them back to ~eps * |H|.  A step that is non-finite or
+    larger than 0.5 |H|_F + 1 is skipped, which leaves that value where it
+    was.
     """
     cap = 0.5 * np.linalg.norm(h) + 1.0
     z = np.array(eigenvalues, dtype=complex)
@@ -265,11 +165,12 @@ def _newton_polish(h: np.ndarray, eigenvalues: np.ndarray, steps: int = 2) -> np
     return z
 
 
-def dense_spectrum(op: np.ndarray, max_iters: int | None = None) -> np.ndarray:
+def dense_spectrum(op: np.ndarray) -> np.ndarray:
     """All eigenvalues of a dense complex matrix, with algebraic multiplicity.
 
-    Raises NonConvergenceError if the QR sweep cap (default 100 per
-    dimension) is hit; never returns a silently truncated spectrum.
+    Hessenberg form, the closed-form balancing, LAPACK's eigenvalues of the
+    result and two Hyman-Newton steps on it.  Raises NonConvergenceError when
+    LAPACK's iteration fails; never returns a silently truncated spectrum.
     """
     op = np.asarray(op, dtype=complex)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
@@ -279,12 +180,14 @@ def dense_spectrum(op: np.ndarray, max_iters: int | None = None) -> np.ndarray:
     n = op.shape[0]
     if n == 0:
         return np.array([], dtype=complex)
-    if n == 1:
-        return op[0, :1].astype(complex)
-    if max_iters is None:
-        max_iters = 100 * n
-    h = _hessenberg(_balance(op))
-    return _newton_polish(h, _qr_eigenvalues(h, max_iters))
+    h = _balance(_hessenberg(op))
+    try:
+        values = np.linalg.eigvals(h)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(
+            f"LAPACK eigenvalue iteration failed on a {n}x{n} matrix: {exc}"
+        ) from exc
+    return _newton_polish(h, values)
 
 
 def _greedy_pairing(

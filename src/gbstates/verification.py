@@ -7,6 +7,7 @@ records one criterion at a time.
 """
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,13 +41,15 @@ DEFAULT_SEED = 20240615
 @dataclass
 class CheckResult:
     """One verified property: passes iff observed <= threshold (and any
-    side conditions recorded in detail hold)."""
+    side conditions recorded in detail hold).  wall_s, set by run_all, is the
+    wall time of the check function that produced the record."""
 
     name: str
     passed: bool
     observed: float
     threshold: float
     detail: str = ""
+    wall_s: float = 0.0
 
 
 def _result(name, observed, threshold, detail="", extra_ok=True):
@@ -107,7 +110,7 @@ def check_binomial_core() -> list[CheckResult]:
 def check_spectrum_oracle(
     draws: int = DEFAULT_SPECTRUM_DRAWS, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
-    """Closed-form eigenvalues multiset-match the independent QR spectrum and
+    """Closed-form eigenvalues multiset-match the independent oracle spectrum and
     the eigenstates have small residuals, over random parameter draws."""
     worst_pair_ratio = 0.0
     worst_pair_detail = ""
@@ -347,17 +350,27 @@ def run_all(
     disentangle_draws: int = DEFAULT_DISENTANGLE_DRAWS,
     seed: int = DEFAULT_SEED,
 ) -> list[CheckResult]:
-    """Run the full battery and return every CheckResult."""
+    """Run the full battery and return every CheckResult, each carrying the
+    wall time of the check function that produced it."""
+    battery = [
+        (check_binomial_core, ()),
+        (check_spectrum_oracle, (spectrum_draws, seed)),
+        (check_form_equivalence, (spectrum_draws, seed)),
+        (check_degenerate_branch, (degenerate_draws, seed + 1)),
+        (check_number_state_limit, ()),
+        (check_coherent_limit, ()),
+        (check_squeezed_limit, ()),
+        (check_disentangling, (disentangle_draws, seed + 2)),
+        (check_time_evolution, (seed + 3,)),
+        (check_su2_algebra_and_unitarity, (seed + 4,)),
+        (check_modulus_absorption, ()),
+    ]
     results: list[CheckResult] = []
-    results += check_binomial_core()
-    results += check_spectrum_oracle(spectrum_draws, seed)
-    results += check_form_equivalence(spectrum_draws, seed)
-    results += check_degenerate_branch(degenerate_draws, seed + 1)
-    results += check_number_state_limit()
-    results += check_coherent_limit()
-    results += check_squeezed_limit()
-    results += check_disentangling(disentangle_draws, seed + 2)
-    results += check_time_evolution(seed + 3)
-    results += check_su2_algebra_and_unitarity(seed + 4)
-    results += check_modulus_absorption()
+    for check, args in battery:
+        start = time.perf_counter()
+        batch = check(*args)
+        elapsed = time.perf_counter() - start
+        for r in batch:
+            r.wall_s = elapsed
+        results += batch
     return results

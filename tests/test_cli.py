@@ -375,6 +375,26 @@ def test_verify_json_records_amplitude_verdict(capsys):
     assert "verdict: alpha/2" in squeezed[0]["detail"]
 
 
+def test_verify_json_reports_wall_time_per_check(capsys):
+    doc = run_json(
+        capsys,
+        [
+            "verify",
+            "--spectrum-draws", "3",
+            "--degenerate-draws", "2",
+            "--disentangle-draws", "2",
+            "--format", "json",
+        ],
+    )
+    wall = doc["diagnostics"]["wall_s"]
+    assert set(wall) == {c["name"] for c in doc["results"]["checks"]}
+    assert len(wall) == len(doc["results"]["checks"])
+    times = [*wall.values(), doc["diagnostics"]["total_s"]]
+    assert all(math.isfinite(t) and t >= 0.0 for t in times)
+    # total_s spans the whole battery, so no single check can exceed it
+    assert doc["diagnostics"]["total_s"] >= max(wall.values())
+
+
 def test_verify_failure_path(capsys, monkeypatch):
     failing = CheckResult(name="planted", passed=False, observed=1.0, threshold=0.5)
     monkeypatch.setattr(cli, "run_all", lambda **_: [failing])

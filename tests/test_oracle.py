@@ -5,6 +5,7 @@ import pytest
 
 from gbstates.oracle import (
     NonConvergenceError,
+    _balance,
     _hessenberg,
     _log_det_derivative,
     compare,
@@ -66,12 +67,18 @@ def test_dimension_64_accuracy_contract():
         assert worst <= 1e-10 * np.linalg.norm(op)
 
 
-@pytest.mark.parametrize("zero_subdiagonals", ["none", "one", "all"])
-@pytest.mark.parametrize("n", [1, 2, 7, 30])
-def test_log_det_derivative_matches_dense_trace(n, zero_subdiagonals):
-    # Hyman's back-substitution against -tr((H - z)^-1) from dense solves
+@pytest.mark.parametrize(
+    "n, zero_subdiagonals, bandwidth",
+    [(n, zeros, None) for n in (1, 2, 7, 30) for zeros in ("none", "one", "all")]
+    + [(30, zeros, w) for w in (1, 3) for zeros in ("none", "one", "all")],
+)
+def test_log_det_derivative_matches_dense_trace(n, zero_subdiagonals, bandwidth):
+    # Hyman's back-substitution against -tr((H - z)^-1) from dense solves;
+    # bandwidth None is a dense Hessenberg, otherwise h[i, j] = 0 for j - i > bandwidth
     rng = np.random.default_rng(1000 + n)
     h = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), -1)
+    if bandwidth is not None:
+        h = np.tril(h, bandwidth)
     if zero_subdiagonals == "one" and n > 1:
         h[n // 2, n // 2 - 1] = 0.0
     elif zero_subdiagonals == "all":
@@ -85,6 +92,42 @@ def test_log_det_derivative_matches_dense_trace(n, zero_subdiagonals):
     for zi, gi in zip(z, got):
         ref = -np.trace(np.linalg.solve(h - zi * eye, eye))
         assert abs(gi - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        GBSParams(1.0, 0.3, 0.4, 400),
+        GBSParams(1.0, 0.3j, 0.4, 120),
+        GBSParams(0.8 * np.exp(0.9j), 1.2 * np.exp(-0.3j), 0.7, 60),
+        GBSParams(1.0, 0.0, 0.25, 20),
+    ],
+)
+def test_balance_is_an_exact_power_of_two_similarity(p):
+    op = build_operator(p)
+    b = _balance(op)
+    # every entry is its input times 2^integer, and zeros stay zero
+    assert np.array_equal(b == 0, op == 0)
+    nz = op != 0
+    k = np.rint(np.log2(np.abs(b[nz]) / np.abs(op[nz]))).astype(int)
+    assert np.array_equal(b[nz], np.ldexp(op.real[nz], k) + 1j * np.ldexp(op.imag[nz], k))
+    # a tridiagonal stays tridiagonal, with each sub/super pair within a factor of 4
+    assert not np.any(np.triu(b, 2)) and not np.any(np.tril(b, -2))
+    sub, sup = np.abs(np.diagonal(b, -1)), np.abs(np.diagonal(b, 1))
+    both = (sub > 0) & (sup > 0)
+    ratio = sub[both] / sup[both]
+    assert np.all((ratio >= 0.25) & (ratio <= 4.0))
+
+
+@pytest.mark.parametrize("m", [200, 400])
+@pytest.mark.parametrize("nu", [0.3, 0.7 * np.exp(0.03j)])
+def test_balancing_keeps_near_normal_points_exact(nu, m):
+    # (|nu|/|mu|)^(m/2) spans far more than a capped iterative balancing can
+    # equalize; without the closed-form balancing these points fail at m = 400
+    p = GBSParams(1.0, complex(nu), 0.4, m)
+    report = compare(p, solve(p))
+    assert report.passed
+    assert report.max_pair_error <= 1e-12
 
 
 def test_hessenberg_keeps_tridiagonal_bit_for_bit():
@@ -116,11 +159,15 @@ def test_input_validation():
         dense_spectrum(np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
 
-def test_iteration_cap_is_loud():
+def test_lapack_failure_is_loud(monkeypatch):
+    def fails(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fails)
     rng = np.random.default_rng(123)
     a = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
-    with pytest.raises(NonConvergenceError):
-        dense_spectrum(a, max_iters=1)
+    with pytest.raises(NonConvergenceError, match="10x10"):
+        dense_spectrum(a)
 
 
 def test_compare_nu_zero_is_tight():
