@@ -68,6 +68,9 @@ def _balance(h: np.ndarray) -> np.ndarray:
     tridiagonal each |sub| / |super| ends within a factor of 4 of 1.  Closed
     form, no sweeps: L's pairs drift by (|nu|/|mu|)^(m/2) end to end, beyond a
     sweep-capped iterative balancing, and LAPACK then starts too far off.
+
+    Raises ValueError, naming the span max(e) - min(e), when a scaled entry
+    leaves the double range; L's balanced entries stay bounded.
     """
     sub = np.abs(np.diagonal(h, -1))
     sup = np.abs(np.diagonal(h, 1))
@@ -76,7 +79,14 @@ def _balance(h: np.ndarray) -> np.ndarray:
     step[both] = 0.5 * np.log2(sub[both] / sup[both])
     e = np.rint(np.concatenate([[0.0], np.cumsum(step)])).astype(np.int64)
     shift = e[None, :] - e[:, None]
-    return np.ldexp(h.real, shift) + 1j * np.ldexp(h.imag, shift)
+    with np.errstate(over="ignore", invalid="ignore"):
+        balanced = np.ldexp(h.real, shift) + 1j * np.ldexp(h.imag, shift)
+    if not np.all(np.isfinite(balanced)):
+        raise ValueError(
+            f"balancing exponents span 2^{int(e.max() - e.min())}: the balanced "
+            f"{len(e)}x{len(e)} Hessenberg form overflows the double range"
+        )
+    return balanced
 
 
 def _hessenberg(a: np.ndarray) -> np.ndarray:
@@ -170,7 +180,9 @@ def dense_spectrum(op: np.ndarray) -> np.ndarray:
 
     Hessenberg form, the closed-form balancing, LAPACK's eigenvalues of the
     result and two Hyman-Newton steps on it.  Raises NonConvergenceError when
-    LAPACK's iteration fails; never returns a silently truncated spectrum.
+    LAPACK's iteration fails, and ValueError when the balancing exponents
+    span more than the double range; never returns a silently truncated
+    spectrum.
     """
     op = np.asarray(op, dtype=complex)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:

@@ -257,7 +257,7 @@ def check_squeezed_limit() -> list[CheckResult]:
 def check_disentangling(
     draws: int = DEFAULT_DISENTANGLE_DRAWS, seed: int = DEFAULT_SEED + 2
 ) -> list[CheckResult]:
-    """Multiprecision product form of the rotation equals displacement()."""
+    """Exact-integer product form of the rotation equals displacement()."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(draws):

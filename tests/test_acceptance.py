@@ -65,7 +65,7 @@ def test_criterion_07_squeezed_limit_and_amplitude_verdict():
 
 
 def test_criterion_08_disentangling_theorem():
-    # 50 random |xi| <= 1.4, m <= 20: the mpmath product form equals
+    # 50 random |xi| <= 1.4, m <= 20: the exact-integer product form equals
     # displacement() to 1e-10 Frobenius
     report_and_assert(vf.check_disentangling(draws=50))
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from gbstates.displacement import (
+    DISENTANGLED_MAX_M,
     DisplacementParams,
     conjugated_generators,
     delta_to_zeta,
@@ -72,8 +73,8 @@ def test_displacement_unitary_and_inverse():
     [(60, 0.3, 0.7), (60, 2.6, math.pi), (60, 1.0, -2.0), (400, 2.6, math.pi), (400, 1.1, -0.4)],
 )
 def test_displacement_matches_expm_of_the_generator(m, r, theta):
-    # entrywise against scipy's expm past the m <= 20 of the mpmath product;
-    # unitarity and D(zeta) D(-zeta) = I alone would not see the phase
+    # entrywise against scipy's expm, up to m = 400; unitarity and
+    # D(zeta) D(-zeta) = I alone would not see the phase
     # similarity Q and Q^dag swapped (that D sits ~10 away at m = 60)
     p = DisplacementParams(r, theta, m)
     _, jp, jm = hp_generators(m)
@@ -92,7 +93,7 @@ def test_disentangled_identity_cases():
 
 
 def test_disentangled_matches_displacement():
-    # the mpmath normal-ordered product against the eigendecomposed rotation
+    # the exact-integer normal-ordered product against the eigendecomposed rotation
     rng = np.random.default_rng(11)
     for _ in range(8):
         m = int(rng.integers(1, 21))
@@ -103,10 +104,45 @@ def test_disentangled_matches_displacement():
         assert np.linalg.norm(direct - product) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "m, xi",
+    [
+        (40, 1.5),
+        (60, 1.5),
+        (60, 1.2 * np.exp(0.7j)),
+        (100, 1.4 * np.exp(-2.0j)),
+        # a later tan branch: the product is the rotation times (-1)^m
+        (12, 3.0),
+        (13, 3.0 * np.exp(-1.1j)),
+        (100, 3.0),
+    ],
+)
+def test_disentangled_matches_expm(m, xi):
+    # the corner entries cancel both the middle factor's (1+|tau|^2)^(m/2) and
+    # the binomial weights of the outer factors; precision sized for the first
+    # alone erred 7e-12 at (40, 1.5) and 2e-5 at m = 60
+    _, jp, jm = hp_generators(m)
+    sign = (-1) ** (m * round(abs(xi) / math.pi))
+    expected = sign * expm(xi * jp - np.conj(xi) * jm)
+    assert np.linalg.norm(disentangled_displacement(xi, m) - expected) <= 1e-12
+
+
 def test_disentangled_rejects_tan_singularity():
     for bad in (math.pi / 2, math.pi / 2 + math.pi, math.pi / 2 + 1e-9):
         with pytest.raises(ValueError):
             disentangled_displacement(bad * np.exp(0.3j), 4)
+
+
+@pytest.mark.parametrize("xi", [math.nan, math.inf, complex(0.3, math.nan), complex(-math.inf, 1.0)])
+def test_disentangled_rejects_non_finite_xi(xi):
+    with pytest.raises(ValueError, match="xi must be finite"):
+        disentangled_displacement(xi, 4)
+
+
+@pytest.mark.parametrize("m", [-1, DISENTANGLED_MAX_M + 1, 4.0])
+def test_disentangled_rejects_photon_cap_outside_its_range(m):
+    with pytest.raises(ValueError, match=rf"\[0, {DISENTANGLED_MAX_M}\]"):
+        disentangled_displacement(0.3, m)
 
 
 def test_conjugated_generators_trivial_rotation():

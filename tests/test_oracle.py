@@ -130,6 +130,17 @@ def test_balancing_keeps_near_normal_points_exact(nu, m):
     assert report.max_pair_error <= 1e-12
 
 
+def test_balancing_past_the_double_range_names_the_span():
+    # sub/super ratios of 1e300 need scale factors 2^2491 apart; LAPACK alone
+    # handles this matrix, but its balanced form would hold inf
+    h = np.triu(np.ones((6, 6)), -1).astype(complex)
+    idx = np.arange(5)
+    h[idx + 1, idx] = 1e150
+    h[idx, idx + 1] = 1e-150
+    with pytest.raises(ValueError, match=r"span 2\^2491"):
+        dense_spectrum(h)
+
+
 def test_hessenberg_keeps_tridiagonal_bit_for_bit():
     op = build_operator(GBSParams(0.8 * np.exp(0.9j), 1.2 * np.exp(-0.3j), 0.7, 40))
     assert np.array_equal(_hessenberg(op), op)
