@@ -2,8 +2,9 @@
 
 D(zeta) = exp(-iH) is a spin-m/2 Wigner rotation; H = i(zeta J+ - zeta* J-)
 is r Q X Q^dag with Q a diagonal phase and X = J+ + J- real with eigenvalues
-2k - m, so one real eigendecomposition gives D exactly unitary.  The module
-also covers its disentangled (normal-ordered) product form, evaluated in
+2k - m.  The reflection |n> -> |m-n> commutes with X and splits it into two
+half-size real blocks, so two small real eigendecompositions give D exactly
+unitary.  The module also covers its disentangled (normal-ordered) product form, evaluated in
 exact integer arithmetic as an independent cross-check that never calls
 `displacement()` or `eigh`, and the closed-form adjoint action on the
 generators that the solver uses to rotate away the J- coefficient.
@@ -32,10 +33,12 @@ class DisplacementParams:
     m: int
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"rotation magnitude must be >= 0, got {self.r}")
+        if not (math.isfinite(self.r) and self.r >= 0):
+            raise ValueError(f"rotation magnitude must be finite and >= 0, got {self.r}")
         if not -math.pi < self.theta <= math.pi:
             raise ValueError(f"phase must lie in (-pi, pi], got {self.theta}")
+        if not isinstance(self.m, numbers.Integral):
+            raise ValueError(f"photon cap must be an integer >= 0, got {self.m!r}")
         if self.m < 0:
             raise ValueError(f"photon cap must be >= 0, got {self.m}")
 
@@ -62,25 +65,68 @@ def delta_to_zeta(delta: complex, m: int) -> DisplacementParams:
 
 
 def displacement(p: DisplacementParams) -> np.ndarray:
-    """Unitary D(zeta) = exp(-iH) on dim m+1, built from one real basis.
+    """Unitary D(zeta) = exp(-iH) on dim m+1, built from two half-size real bases.
 
     H = i(zeta J+ - zeta* J-) = r Q X Q^dag with Q = diag(e^{-i n (theta + pi/2)})
-    and X = J+ + J- real, symmetric, tridiagonal and a function of m alone.
-    With X = V diag(lambda) V^T and the exact eigenvalues lambda_k = 2k - m,
-    D = Q (V cos(r lambda) V^T - i V sin(r lambda) V^T) Q^dag.
+    and X = J+ + J- real, symmetric, tridiagonal and a function of m alone,
+    so D = Q (cos(rX) - i sin(rX)) Q^dag.
+
+    The reflection R|n> = |m-n> commutes with X.  On the basis
+    (|n> +- |m-n>)/sqrt(2), n < h = (m+1)//2, X splits into an even and an odd
+    real tridiagonal block, each with the off-diagonals sqrt((n+1)(m-n)) of X.
+    For odd m the central pair adds +-(m+1)/2 to the last diagonal entry of
+    each block.  For even m, |m/2> joins the even block, coupled to its last
+    pair by sqrt(2) sqrt((m/2)(m/2+1)), and the odd block is padded with one
+    idle row.  Both are stacked as one (2, s, s) array, s = m//2 + 1, for one
+    batched eigh; with the exact eigenvalues lambda = rint(w) = 2k - m of each
+    block, E = V cos(r lambda) V^T - i V sin(r lambda) V^T per block.  Then
+    for i, j < h the real-frame entries are (E_even +- E_odd)[i, j] / 2 at
+    (i, j) and (i, m-j), the bottom half follows from D[m-i, m-j] = D[i, j],
+    and for even m the centre row and column are E_even's last row divided
+    by sqrt(2).
+
+    Cost: two eigh and two gemm of size about m/2, a quarter of the flops of
+    one full-size eigh and gemm pair, plus O(m^2) copies and the phases.
     """
     if p.r == 0.0:
         return np.eye(p.m + 1, dtype=complex)
-    n = np.arange(p.m + 1)
-    off = np.sqrt(n[1:] * (p.m + 1 - n[1:]), dtype=float)  # sqrt((n+1)(m-n)) on the integers
-    _, v = np.linalg.eigh(np.diag(off, -1))  # eigh reads only the lower triangle of X
-    angle = p.r * (2 * n - p.m)
-    d = np.empty((p.m + 1, p.m + 1), dtype=complex)
-    d.real = (v * np.cos(angle)) @ v.T
-    d.imag = (v * -np.sin(angle)) @ v.T
+    m = p.m
+    h = (m + 1) // 2
+    s = m // 2 + 1
+    j = np.arange(1, s)
+    x = np.zeros((2, s, s))
+    # eigh reads only the lower triangle: fill both sub-diagonals,
+    # sqrt((j+1)(m-j)) formed on the integers, through a flat view
+    x.reshape(2, -1)[:, s :: s + 1] = np.sqrt(j * (m + 1 - j), dtype=float)
+    if m % 2:
+        x[0, h - 1, h - 1] = (m + 1) / 2
+        x[1, h - 1, h - 1] = -(m + 1) / 2
+    else:
+        x[0, h, h - 1] *= math.sqrt(2)
+        x[1, h, h - 1] = 0.0  # the idle row
+    w, v = np.linalg.eigh(x)
+    # -r lambda: cos is even and sin odd, so the weights give E = cos - i sin
+    angle = np.rint(w)[:, None, :] * -p.r
+    vt = v.transpose(0, 2, 1)
+    g = np.empty((2, s, s), dtype=complex)
+    np.matmul(v * np.cos(angle), vt, out=g.real)
+    np.matmul(v * np.sin(angle), vt, out=g.imag)
+    # d holds twice the real-frame matrix until the phases bring in the 1/2
+    even, odd = g[0, :h, :h], g[1, :h, :h]
+    d = np.empty((m + 1, m + 1), dtype=complex)
+    np.add(even, odd, out=d[:h, :h])
+    np.subtract(even, odd, out=d[:h, m : m - h : -1])
+    if not m % 2:
+        centre = g[0, h, :h] * math.sqrt(2)
+        d[:h, h] = centre
+        d[h, :h] = centre
+        d[h, m:h:-1] = centre
+        d[h, h] = 2 * g[0, h, h]
+    d[m : m - h : -1] = d[:h, ::-1]
+    n = np.arange(m + 1)
     # phases reduced mod 2 pi before exp: as a power they cost a decade of unitarity
     q = np.exp(-1j * ((n * (p.theta + math.pi / 2)) % (2 * math.pi)))
-    d *= np.outer(q, q.conj())
+    d *= (0.5 * q)[:, None] * q.conj()
     return d
 
 

@@ -224,13 +224,15 @@ def spectrum(p: GBSParams, root_policy: str = "principal") -> np.ndarray:
     return _ladder(_frame(p, root_policy).triple.a_zero, p.m)
 
 
-def _cores(triple: CoefficientTriple, ks, m: int) -> list[np.ndarray]:
-    """Rotated-frame eigenstates for the indices ks, each supported on |0>..|k>.
+def _cores(triple: CoefficientTriple, ks, m: int) -> np.ndarray:
+    """Rotated-frame eigenstates for the indices ks, one row each, unnormalized.
 
     Each step of the recursion c_{n+1} sqrt((n+1)(m-n)) A+ = c_n A0 (k - n)
     carries the phase of x = A0/A+, so for n <= k, in closed form,
-        core_k(n) = e^{i n arg x} |x|^n C(k, n) / sqrt(C(m, n)).
-    The log magnitudes are one cumsum over n (-inf past k), max-shifted before exp.
+        core_k(n) = e^{i n arg x} |x|^n C(k, n) / sqrt(C(m, n)),
+    and core_k vanishes past n = k.  The log magnitudes are one cumsum over
+    n (-inf past k), max-shifted before exp, so each row's largest entry has
+    modulus exactly 1 and nothing overflows; the caller normalizes.
     """
     x = triple.a_zero / triple.a_plus
     n = np.arange(m + 1)
@@ -242,14 +244,20 @@ def _cores(triple: CoefficientTriple, ks, m: int) -> list[np.ndarray]:
     np.cumsum(steps, axis=1, out=log_rho[:, 1:])
     rho = np.exp(log_rho - log_rho.max(axis=1, keepdims=True))
     phase = np.exp(1j * ((n * cmath.phase(x)) % (2 * math.pi)))
-    # each row on its own: the same k gives the same bits alone or in a batch
-    return [normalize_state(row) for row in rho * phase]
+    # elementwise per row: the same k gives the same bits alone or in a batch
+    return rho * phase
 
 
 def _eigenstates(p: GBSParams, frame: _Frame, d: np.ndarray, ks) -> list[np.ndarray]:
-    """The eigenstates ks on the frame's branch, given d = D(zeta)."""
+    """The eigenstates ks on the frame's branch, given d = D(zeta).
+
+    On the generic branch state k is D core_k, read only over the core's
+    support: normalize_state(d[:, :k+1] @ core_k[:k+1]), one gemv on k+1
+    columns and the state's single normalization.
+    """
     if frame.kind is SolutionKind.GENERIC:
-        return [normalize_state(d @ core) for core in _cores(frame.triple, ks, p.m)]
+        cores = _cores(frame.triple, ks, p.m)
+        return [normalize_state(d[:, : k + 1] @ core[: k + 1]) for k, core in zip(ks, cores)]
     if frame.kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO and max(ks) > 0:
         raise ValueError(f"the {frame.kind.value} branch carries only the eigenstate k = 0; "
                          f"k = {max(ks)} unavailable")
@@ -272,7 +280,7 @@ def eigenstate(p: GBSParams, k: int, root_policy: str = "principal") -> np.ndarr
 
 def undisplaced_eigenstate(p: GBSParams, k: int, root_policy: str = "principal") -> np.ndarray:
     """Eigenstate of the rotated operator A+ J+ - A0 J0, before displacing back."""
-    return _cores(_generic_frame(p, root_policy, k).triple, [k], p.m)[0]
+    return normalize_state(_cores(_generic_frame(p, root_policy, k).triple, [k], p.m)[0])
 
 
 def eigenstate_sum(p: GBSParams, k: int, root_policy: str = "principal") -> np.ndarray:

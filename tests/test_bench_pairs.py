@@ -1,0 +1,52 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def _side(run_s, setup_s=0.2):
+    return {"setup_s": setup_s, "run_s": run_s, "op_median_s": run_s / 10, "peak_rss_mib": 60.0,
+            "failed": 0, "attempted": 100, "checks_pass": True}
+
+
+def test_summarize_pairs_on_a_hand_made_record():
+    runs = [
+        {"seed": 1, "first": "parent", "parent": _side(1.0), "change": _side(0.5)},
+        {"seed": 2, "first": "change", "change": _side(0.7), "parent": _side(1.2)},
+        {"seed": 3, "first": "parent", "parent": _side(0.9), "change": _side(1.1, setup_s=0.1)},
+        {"seed": 4, "first": "change", "change": _side(0.6), "parent": _side(1.4)},
+    ]
+    summary = bench_pairs.summarize_pairs(runs)
+    run_s = summary["run_s"]
+    assert run_s["parent"] == 1.1 and run_s["change"] == 0.65
+    # inclusive quartiles of (0.9, 1.0, 1.2, 1.4) and (0.5, 0.6, 0.7, 1.1)
+    assert run_s["parent_quartiles"] == [0.975, 1.25]
+    assert run_s["change_quartiles"] == [0.575, 0.8]
+    assert run_s["change_pct"] == pytest.approx(-40.9)
+    assert run_s["change_wins"] == "3/4"
+    # a tie is no win; setup_s is lower only on the third pair
+    assert summary["setup_s"]["change_wins"] == "1/4"
+    assert summary["peak_rss_mib"]["change_wins"] == "0/4"
+    assert summary["peak_rss_mib"]["change_pct"] == 0.0
+
+
+def test_run_record_takes_the_end_to_end_values():
+    result = {"correct": True, "attempted": 46, "failed": 0,
+              "metrics": {"setup_s": {"value": 0.16, "unit": "s"}, "run_s": {"value": 0.42, "unit": "s"},
+                          "op_median_s": {"value": 0.0017, "unit": "s"},
+                          "peak_rss_mib": {"value": 104.7, "unit": "MiB"}}}
+    assert bench_pairs.run_record(result) == {
+        "setup_s": 0.16, "run_s": 0.42, "op_median_s": 0.0017, "peak_rss_mib": 104.7,
+        "failed": 0, "attempted": 46, "checks_pass": True}
+
+
+def test_parse_pairs_rejects_a_missing_count():
+    assert bench_pairs.parse_pairs(["large-m-scan=10", "small-m-mix=5"]) == {
+        "large-m-scan": 10, "small-m-mix": 5}
+    with pytest.raises(SystemExit, match="WORKLOAD=COUNT"):
+        bench_pairs.parse_pairs(["large-m-scan"])

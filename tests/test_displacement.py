@@ -44,6 +44,15 @@ def test_displacement_params_validation():
         DisplacementParams(r=0.1, theta=4.0, m=2)
     with pytest.raises(ValueError):
         DisplacementParams(r=0.1, theta=0.0, m=-1)
+    # NaN fails every comparison, so r < 0 alone lets it through
+    for r in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="rotation magnitude must be finite and >= 0"):
+            DisplacementParams(r=r, theta=0.0, m=4)
+    # the parity blocks index with m // 2
+    for m in (4.0, 2.5):
+        with pytest.raises(ValueError, match="photon cap must be an integer >= 0"):
+            DisplacementParams(r=0.3, theta=0.0, m=m)
+    assert DisplacementParams(r=0.3, theta=0.0, m=np.int64(4)).m == 4
 
 
 def test_displacement_identity_and_two_level_action():
@@ -70,10 +79,24 @@ def test_displacement_unitary_and_inverse():
 
 @pytest.mark.parametrize(
     "m, r, theta",
-    [(60, 0.3, 0.7), (60, 2.6, math.pi), (60, 1.0, -2.0), (400, 2.6, math.pi), (400, 1.1, -0.4)],
+    [
+        (60, 0.3, 0.7),
+        (60, 2.6, math.pi),
+        (60, 1.0, -2.0),
+        (400, 2.6, math.pi),
+        (400, 1.1, -0.4),
+        # the parity split's edges: one central pair and nothing else (1), a
+        # padded odd block whose idle row shares the eigenvalue 0 with it
+        # (2: m/2 odd), and odd m beside the even ones above
+        (1, 1.1, 0.4),
+        (2, 2.6, -1.3),
+        (3, 0.7, math.pi),
+        (61, 1.0, -2.0),
+        (401, 2.6, math.pi),
+    ],
 )
 def test_displacement_matches_expm_of_the_generator(m, r, theta):
-    # entrywise against scipy's expm, up to m = 400; unitarity and
+    # entrywise against scipy's expm, up to m = 401; unitarity and
     # D(zeta) D(-zeta) = I alone would not see the phase
     # similarity Q and Q^dag swapped (that D sits ~10 away at m = 60)
     p = DisplacementParams(r, theta, m)

@@ -387,6 +387,26 @@ def test_cores_past_the_square_overflow(m, k):
         np.testing.assert_array_equal(eigenstate(p, j), states[j])
 
 
+@pytest.mark.parametrize(
+    "p, kind",
+    [
+        (GBSParams(1.0, 0.3j, 0.4, 400), SolutionKind.GENERIC),
+        (GBSParams(0.9 + 0.4j, 0.9 - 0.4j, 0.55, 401), SolutionKind.DEGENERATE_A_PLUS_ZERO),
+    ],
+)
+def test_eigenstate_is_the_solve_entry_at_large_m(p, kind):
+    # the property test draws m <= 60; here the parity blocks of D(zeta) and
+    # the support-limited product run at an even and an odd m in the hundreds
+    sol = solve(p)
+    assert sol.kind is kind
+    op = build_operator(p)
+    bound = 1e-10 * np.linalg.norm(op)
+    for k in (0, p.m // 2, p.m):
+        v = eigenstate(p, k)
+        np.testing.assert_array_equal(v, sol.eigenstates[k])
+        assert np.linalg.norm(op @ v - sol.eigenvalues[k] * v) <= bound
+
+
 @pytest.mark.parametrize("eta", [1e-6, 1e-4, 0.3, 0.5, 0.99, 0.9999, 1 - 1e-6])
 @pytest.mark.parametrize("mu, nu", [(1.0, 0.0), (0.7 * cmath.exp(0.9j), 0.3j)])
 def test_cores_match_the_closed_form_in_mpmath(eta, mu, nu):
