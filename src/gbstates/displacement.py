@@ -88,7 +88,8 @@ def displacement(p: DisplacementParams) -> np.ndarray:
     Cost: two eigh and two gemm of size about m/2, a quarter of the flops of
     one full-size eigh and gemm pair, plus O(m^2) copies and the phases.
     """
-    if p.r == 0.0:
+    if p.r == 0.0 or p.m == 0:
+        # at m = 0 the generators vanish, and there is no pair to index
         return np.eye(p.m + 1, dtype=complex)
     m = p.m
     h = (m + 1) // 2

@@ -85,9 +85,10 @@ def test_displacement_unitary_and_inverse():
         (60, 1.0, -2.0),
         (400, 2.6, math.pi),
         (400, 1.1, -0.4),
-        # the parity split's edges: one central pair and nothing else (1), a
-        # padded odd block whose idle row shares the eigenvalue 0 with it
-        # (2: m/2 odd), and odd m beside the even ones above
+        # the parity split's edges: no pair at all (0), one central pair and
+        # nothing else (1), a padded odd block whose idle row shares the
+        # eigenvalue 0 with it (2: m/2 odd), and odd m beside the even ones
+        (0, 1.1, 0.4),
         (1, 1.1, 0.4),
         (2, 2.6, -1.3),
         (3, 0.7, math.pi),

@@ -3,17 +3,17 @@
     python3 tools/bench_pairs.py --parent HEAD~1 --out BENCH_10.json \\
         --change "what the change does" --claim large-m-scan:run_s \\
         --pairs large-m-scan=10 --pairs verified-solve=5 --pairs small-m-mix=5 \\
-        --first-seed 1001 --seconds 30 --trace-seed 1001 \\
-        --trace-metric displacement.rotation_s --trace-metric solver.assembly_s
+        --first-seed 1001
 
 The parent revision is unpacked with `git archive <rev> | tar -x` into a
 temporary directory.  For every pair, perfbench/run.py runs once from the
 parent's tree and once from this checkout, each as its own subprocess on the
-same seed; the side that runs first alternates from pair to pair.  With
---trace-seed, one traced run per side and workload follows, and the listed
-per-layer metrics are kept.  The output holds each run's end-to-end metrics,
-and per workload the medians, the inclusive quartiles and the count of pairs
-the change wins.  The benchmark itself is only run, never imported.
+same seed and for BENCHMARK.json's run_seconds; the side that runs first
+alternates from pair to pair.  Then one traced run per side and workload, on
+the first seed, keeps every metric it reports.  The output holds each run's
+end-to-end metrics, and per workload the medians, the inclusive quartiles and
+the count of pairs the change wins.  The benchmark itself is only run, never
+imported.
 """
 
 import argparse
@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parents[1]
 RUNNER = Path("perfbench") / "run.py"
 END_TO_END = ("setup_s", "run_s", "op_median_s", "peak_rss_mib")
 SIDES = ("parent", "change")
+RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 
 
 def unpack(rev: str, dest: Path) -> None:
@@ -36,10 +37,10 @@ def unpack(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+def run_bench(tree: Path, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
     """One perfbench run from tree; returns (result line, environment line)."""
     cmd = [sys.executable, str(tree / RUNNER), "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(RUN_SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -108,17 +109,13 @@ def main(argv=None) -> int:
     parser.add_argument("--change", default="", help="one line naming the change")
     parser.add_argument("--claim", default=None, help="claimed metric as WORKLOAD:METRIC")
     parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=COUNT")
-    parser.add_argument("--first-seed", type=int, default=1001)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--trace-seed", type=int, default=None, help="seed of one traced run per side")
-    parser.add_argument("--trace-metric", action="append", default=[], help="per-layer metric to keep")
+    parser.add_argument("--first-seed", type=int, default=1001, help="seed of the first pair and the traced runs")
     args = parser.parse_args(argv)
     counts = parse_pairs(args.pairs)
 
     out = {"change": args.change,
-           "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {args.seconds:g} "
-                      "--trace 0" + (f"; traced: --trace 1 --seed {args.trace_seed}"
-                                     if args.trace_seed is not None else ""),
+           "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {RUN_SECONDS} --trace 0; "
+                      f"traced: --trace 1 --seed {args.first_seed}",
            "parent_rev": subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, capture_output=True,
                                         text=True, check=True).stdout.strip(),
            "host": {}, "blas_threads": 1,
@@ -137,7 +134,7 @@ def main(argv=None) -> int:
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 run = {"seed": seed, "first": order[0]}
                 for side in order:
-                    result, env = run_bench(trees[side], workload, seed, args.seconds, 0)
+                    result, env = run_bench(trees[side], workload, seed, 0)
                     run[side] = run_record(result)
                     out["host"] = out["host"] or {k: env.get(k) for k in
                                                   ("python", "numpy", "scipy", "mpmath", "blas", "nproc")}
@@ -145,16 +142,13 @@ def main(argv=None) -> int:
                           file=sys.stderr, flush=True)
                 runs.append(run)
             out["workloads"][workload] = {"seeds": seeds, "median": summarize_pairs(runs), "runs": runs}
-        if args.trace_seed is not None:
-            out["traced"] = {}
-            for workload in counts:
-                traced = {"seed": args.trace_seed}
-                for side in SIDES:
-                    result, _ = run_bench(trees[side], workload, args.trace_seed, args.seconds, 1)
-                    metrics = result["metrics"]
-                    traced[side] = {name: metrics[name]["value"]
-                                    for name in (args.trace_metric or metrics) if name in metrics}
-                out["traced"][workload] = traced
+        out["traced"] = {}
+        for workload in counts:
+            traced = {"seed": args.first_seed}
+            for side in SIDES:
+                result, _ = run_bench(trees[side], workload, args.first_seed, 1)
+                traced[side] = {name: metric["value"] for name, metric in result["metrics"].items()}
+            out["traced"][workload] = traced
     args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     return 0
 
