@@ -23,7 +23,6 @@ from .analysis import (
 from .binomial import BinomialParams, binomial_amplitudes, binomial_displacement_form, ladder_residual
 from .displacement import (
     DisplacementParams,
-    conjugated_generators,
     delta_to_zeta,
     disentangled_displacement,
     displacement,
@@ -77,7 +76,6 @@ __all__ = [
     "coherent_state",
     "commutator",
     "compare",
-    "conjugated_generators",
     "constraint_roots",
     "creation_operator",
     "delta_to_zeta",

@@ -6,6 +6,7 @@ the reference states, the fidelity/residual scans that probe those limits at
 finite resolution, and the free-field time evolution.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -97,6 +98,8 @@ def coherent_state(alpha: complex, dim: int = 0) -> np.ndarray:
     the requested dimension cannot hold the tail.
     """
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     d = _reference_dim(abs(alpha) ** 2, dim)
     amps = np.zeros(d, dtype=complex)
     amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
@@ -118,6 +121,9 @@ def squeezed_eigenstate(mu: complex, nu: complex, lam: complex, dim: int = 0) ->
     mu = complex(mu)
     nu = complex(nu)
     lam = complex(lam)
+    for name, value in (("mu", mu), ("nu", nu), ("lam", lam)):
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if mu == 0:
         raise ValueError("mu must be nonzero")
     if abs(nu / mu) >= 1.0:
@@ -146,7 +152,10 @@ def photon_statistics(v: np.ndarray) -> PhotonStatistics:
     """Photon-number mean, variance and Mandel Q of a (normalized) state."""
     v = np.asarray(v, dtype=complex)
     p = np.abs(v) ** 2
-    p = p / p.sum()
+    total = p.sum()
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"state must have a finite nonzero norm, got squared norm {total}")
+    p = p / total
     n = np.arange(len(p))
     mean = float(np.sum(n * p))
     variance = float(np.sum(n * n * p) - mean * mean)
@@ -236,6 +245,8 @@ def su2_coherent_form(eta: float, phi: float, m: int) -> np.ndarray:
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie strictly inside (0, 1), got {eta}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     # xi = r e^{i(phi + pi)} with tan r = sqrt(eta/(1-eta)), i.e. the rotation
     # encoded by delta = e^{-i(phi + pi)} tan r
     delta = -math.sqrt(eta / (1.0 - eta)) * complex(math.cos(phi), -math.sin(phi))

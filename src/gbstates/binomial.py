@@ -7,6 +7,7 @@ sin r = sqrt(eta).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ class BinomialParams:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+        if not isinstance(self.m, numbers.Integral):
+            raise ValueError(f"photon cap must be an integer, got {self.m!r}")
         if self.m < 0:
             raise ValueError(f"photon cap must be >= 0, got {self.m}")
 

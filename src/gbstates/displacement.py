@@ -4,10 +4,11 @@ D(zeta) = exp(-iH) is a spin-m/2 Wigner rotation; H = i(zeta J+ - zeta* J-)
 is r Q X Q^dag with Q a diagonal phase and X = J+ + J- real with eigenvalues
 2k - m.  The reflection |n> -> |m-n> commutes with X and splits it into two
 half-size real blocks, so two small real eigendecompositions give D exactly
-unitary.  The module also covers its disentangled (normal-ordered) product form, evaluated in
-exact integer arithmetic as an independent cross-check that never calls
-`displacement()` or `eigh`, and the closed-form adjoint action on the
-generators that the solver uses to rotate away the J- coefficient.
+unitary.  D(zeta) lifts the 2x2 unitary w^-1/2 [[1, delta*], [-delta, 1]],
+delta = e^{-i theta} tan r, w = 1 + |delta|^2, which the solver takes as a
+Schur basis of its 2x2 matrix.  The module also covers the disentangled
+(normal-ordered) product form, evaluated in exact integer arithmetic as an
+independent cross-check that never calls `displacement()` or `eigh`.
 """
 
 import math
@@ -15,8 +16,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-
-from .fock import hp_generators
 
 
 @dataclass(frozen=True)
@@ -129,36 +128,6 @@ def displacement(p: DisplacementParams) -> np.ndarray:
     q = np.exp(-1j * ((n * (p.theta + math.pi / 2)) % (2 * math.pi)))
     d *= (0.5 * q)[:, None] * q.conj()
     return d
-
-
-def adjoint_weights(p: DisplacementParams) -> tuple[tuple[complex, ...], ...]:
-    """Rows w with D^-1 G_i D = sum_j w[i][j] G_j for G = (J+, J-, J0).
-
-    The adjoint action of the rotation mixes the generators with sin/cos
-    weights of r and 2r and phases e^{+-i theta}.
-    """
-    c2 = math.cos(p.r) ** 2
-    s2 = math.sin(p.r) ** 2
-    s2r = math.sin(2 * p.r)
-    eip = complex(math.cos(p.theta), math.sin(p.theta))
-    eim = eip.conjugate()
-    return (
-        (c2, -s2 * eim * eim, -s2r * eim),
-        (-s2 * eip * eip, c2, -s2r * eip),
-        (0.5 * s2r * eip, 0.5 * s2r * eim, math.cos(2 * p.r)),
-    )
-
-
-def conjugated_generators(
-    p: DisplacementParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed forms of D^-1 J+ D, D^-1 J- D, D^-1 J0 D.
-
-    Assembled from the bare generators with the adjoint weights, without any
-    matrix exponential.
-    """
-    j0, jp, jm = hp_generators(p.m)
-    return tuple(w_p * jp + w_m * jm + w_0 * j0 for w_p, w_m, w_0 in adjoint_weights(p))
 
 
 # Largest photon cap of the exact product: the range its tests cover against

@@ -1,11 +1,16 @@
 """Closed-form solution of the generalized binomial-state eigenvalue problem.
 
-The operator L = sqrt(1-eta) (mu J+ + nu J-) - sqrt(eta) J0 acts on the
-(m+1)-dimensional truncated Fock space.  A single SU(2) rotation D(zeta),
-with zeta fixed by a quadratic constraint, removes the J- term; the rotated
-operator A+ J+ - A0 J0 is then solved exactly by a terminating two-term
-recursion.  The spectrum is A0 (2k - m)/2 for k = 0..m and the eigenstates
-are rotated images of states supported on |0>..|k>.
+The operator L = sqrt(1-eta) (mu J+ + nu J-) - sqrt(eta) J0 on the
+(m+1)-dimensional truncated Fock space is the Schwinger image (J+ = a^dag b,
+J- = b^dag a, J0 = (a^dag a - b^dag b)/2) of the 2x2 matrix
+    M = [[-sqrt(eta)/2, sqrt(1-eta) mu], [sqrt(1-eta) nu, sqrt(eta)/2]].
+A single SU(2) rotation D(zeta), the spin-m/2 lift of a Schur basis U of M,
+removes the J- term: the constraint root delta is an eigenvector ratio of M,
+and the coefficient triple is read off U^H M U = [[-A0/2, A+], [0, A0/2]].
+The rotated operator A+ J+ - A0 J0 is solved exactly by a terminating
+two-term recursion: the spectrum is A0 (2k - m)/2 for k = 0..m, with
+A0 = +-sqrt(eta + 4(1-eta) mu nu), and the eigenstates are rotated images of
+states supported on |0>..|k>.
 
 Every entry point derives the constraint root, the rotation, the coefficient
 triple and the branch of a point once, as one rotated frame, and builds the
@@ -14,11 +19,11 @@ eigenstates it returns from that frame and one D(zeta).
 Branches:
   * generic          -- A+ away from zero; full closed-form eigenbasis
                         D(zeta) core_k.
-  * degenerate A+ =0 -- happens when mu = nu* (L Hermitian); taken only
-                        while the dropped A+ J+ term stays far inside the
-                        residual bound.  The eigenstates collapse to
-                        displaced number states D(zeta)|k>.
-  * defective A0 = 0 -- the rotated operator is nilpotent; the m+1
+  * degenerate A+ =0 -- M normal: happens when mu = nu* (L Hermitian);
+                        taken only while the dropped A+ J+ term stays far
+                        inside the residual bound.  The eigenstates
+                        collapse to displaced number states D(zeta)|k>.
+  * defective A0 = 0 -- M nilpotent, and so the rotated operator; the m+1
                         eigenvalues all vanish and only a single genuine
                         eigenvector D(zeta)|0> exists.  Reported, never
                         patched over.
@@ -33,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .displacement import DisplacementParams, adjoint_weights, delta_to_zeta, displacement
+from .displacement import DisplacementParams, delta_to_zeta, displacement
 from .fock import hp_generators, normalize_state
 
 ROOT_POLICIES = ("principal", "secondary")
@@ -124,55 +129,60 @@ def operator_norm(p: GBSParams) -> float:
 
 
 def constraint_roots(p: GBSParams) -> tuple[complex, complex]:
-    """Both roots of mu sqrt(1-eta) D^2 + sqrt(eta) D - sqrt(1-eta) nu = 0.
+    """Both eigenvector ratios delta = -g_b/g_a of M, principal first.
 
-    The roots are the values of delta = e^{-i theta} tan r that kill the J-
-    coefficient of the rotated operator.  Solved with the cancellation-free
-    quadratic formula; equal roots are returned twice.
+    The constraint mu sqrt(1-eta) D^2 + sqrt(eta) D - sqrt(1-eta) nu = 0 that
+    kills the J- coefficient is M's eigenvector equation in that ratio.  With
+    A0 = sqrt(eta + 4(1-eta) mu nu), Re A0 > 0 (Im A0 >= 0 on the cut),
+        principal = 2 sqrt(1-eta) nu / (sqrt(eta) + A0)  (eigenvalue -A0/2),
+        secondary = -(sqrt(eta) + A0) / (2 sqrt(1-eta) mu),
+    free of cancellation; |principal| <= |secondary| since
+    |sqrt(eta) - A0| <= |sqrt(eta) + A0|, and principal = 0 when nu = 0.
     """
-    a = p.mu * math.sqrt(1.0 - p.eta)
-    b = complex(math.sqrt(p.eta))
-    c = -math.sqrt(1.0 - p.eta) * p.nu
-    if c == 0:
-        return 0.0 + 0.0j, -b / a
-    disc2 = b * b - 4.0 * a * c
+    s, se = math.sqrt(1.0 - p.eta), math.sqrt(p.eta)
+    s_mu, s_nu = s * p.mu, s * p.nu
+    disc = se * se + 4.0 * s_mu * s_nu  # -4 det M, from M's entries
     # a discriminant below the rounding floor of its two summands is a true
     # double root (the defective point); keep it exactly zero rather than
     # letting sqrt(rounding noise) fake a ~1e-8 splitting
-    if abs(disc2) <= 16.0 * _EPS * (abs(b * b) + 4.0 * abs(a) * abs(c)):
-        disc2 = 0.0
-    disc = cmath.sqrt(disc2)
-    # pick the sign that avoids subtracting nearly equal quantities
-    q = -(b + disc) / 2.0 if (b.conjugate() * disc).real >= 0.0 else -(b - disc) / 2.0
-    if q == 0:  # b = 0 and disc = 0; double root at the origin
-        return 0.0 + 0.0j, 0.0 + 0.0j
-    return q / a, c / q
+    if abs(disc) <= 16.0 * _EPS * (se * se + 4.0 * abs(s_mu) * abs(s_nu)):
+        disc = 0.0
+    # + 0j clears a signed-zero imaginary part, so the cut takes Im A0 >= 0
+    denom = se + cmath.sqrt(disc + 0j)
+    return 2.0 * s_nu / denom, -denom / (2.0 * s_mu)
 
 
 def select_root(p: GBSParams, root_policy: str = "principal") -> complex:
-    """Principal = smaller |delta| (ties: nonnegative real part); secondary = other.
+    """Principal = smaller |delta|, the first of constraint_roots; secondary = other.
 
     The smaller rotation keeps D(zeta) well conditioned and reduces to the
     no-rotation case delta = 0 when nu = 0.
     """
     if root_policy not in ROOT_POLICIES:
         raise ValueError(f"root policy must be one of {ROOT_POLICIES}, got {root_policy!r}")
-    r1, r2 = constraint_roots(p)
-    if abs(r1) != abs(r2):
-        principal, secondary = (r1, r2) if abs(r1) < abs(r2) else (r2, r1)
-    else:
-        principal, secondary = (r1, r2) if r1.real >= r2.real else (r2, r1)
-    return principal if root_policy == "principal" else secondary
+    return constraint_roots(p)[ROOT_POLICIES.index(root_policy)]
 
 
 def coefficient_triple(p: GBSParams, delta: complex) -> CoefficientTriple:
-    """Rotated-frame coefficients for the rotation encoded by delta."""
-    w = adjoint_weights(delta_to_zeta(delta, p.m))
-    sq = math.sqrt(1.0 - p.eta)
-    # L = sum_i c_i G_i with G = (J+, J-, J0), so D^-1 L D = sum_j (sum_i c_i w[i][j]) G_j
-    c = (sq * p.mu, sq * p.nu, -math.sqrt(p.eta))
-    a_plus, a_minus, j0_coeff = (sum(c[i] * w[i][j] for i in range(3)) for j in range(3))
-    return CoefficientTriple(a_plus=a_plus, a_minus=a_minus, a_zero=-j0_coeff)
+    """Rotated-frame coefficients: the entries of T = U^H M U.
+
+    U = w^-1/2 [[1, delta*], [-delta, 1]], w = 1 + |delta|^2, is the 2x2
+    unitary that D(zeta) lifts (delta = e^{-i theta} tan r), so
+    D^-1 L D = A+ J+ + A- J- - A0 J0 with A+ = T_12, A- = T_21 and
+    A0 = T_22 - T_11.  At a constraint root U is a Schur basis of M: A-
+    vanishes and A0 = -2 lambda, lambda the eigenvalue of U's first column
+    (A0 = sqrt(eta + 4(1-eta) mu nu) at the principal root).
+    """
+    delta = complex(delta)
+    dc = delta.conjugate()
+    s, se = math.sqrt(1.0 - p.eta), math.sqrt(p.eta)
+    d2 = delta.real**2 + delta.imag**2
+    w = 1.0 + d2
+    return CoefficientTriple(
+        a_plus=(s * (p.mu - p.nu * dc * dc) - se * dc) / w,
+        a_minus=(s * (p.nu - p.mu * delta * delta) - se * delta) / w,
+        a_zero=(se * (1.0 - d2) + 2.0 * s * (p.mu * delta + p.nu * dc)) / w,
+    )
 
 
 def branch_kind(p: GBSParams, triple: CoefficientTriple) -> SolutionKind:

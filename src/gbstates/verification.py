@@ -351,7 +351,12 @@ def run_all(
     seed: int = DEFAULT_SEED,
 ) -> list[CheckResult]:
     """Run the full battery and return every CheckResult, each carrying the
-    wall time of the check function that produced it."""
+    wall time of the check function that produced it.  Every draw count must
+    be >= 1: a check over no draws would pass with nothing checked."""
+    counts = (spectrum_draws, degenerate_draws, disentangle_draws)
+    for name, count in zip(("spectrum", "degenerate", "disentangle"), counts):
+        if not count >= 1:
+            raise ValueError(f"{name} draws must be >= 1, got {count}")
     battery = [
         (check_binomial_core, ()),
         (check_spectrum_oracle, (spectrum_draws, seed)),

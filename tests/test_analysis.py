@@ -93,6 +93,24 @@ def test_photon_statistics_vacuum_mandel_undefined():
     assert stats.mean == 0.0
 
 
+@pytest.mark.parametrize(
+    "call, bound",
+    [
+        (lambda: su2_coherent_form(0.3, math.nan, 3), "phi must be finite"),
+        (lambda: coherent_state(math.nan), "alpha must be finite"),
+        (lambda: coherent_state(complex(0.5, math.inf)), "alpha must be finite"),
+        (lambda: squeezed_eigenstate(1.0, 0.3, math.nan), "lam must be finite"),
+        (lambda: squeezed_eigenstate(math.nan, 0.3, 0.5), "mu must be finite"),
+        (lambda: photon_statistics([0.0, 0.0]), "finite nonzero norm"),
+        (lambda: photon_statistics([1.0, math.nan]), "finite nonzero norm"),
+    ],
+    ids=["su2-phi", "coherent-nan", "coherent-inf", "squeezed-lam", "squeezed-mu", "stats-zero", "stats-nan"],
+)
+def test_helpers_name_the_bad_input(call, bound):
+    with pytest.raises(ValueError, match=bound):
+        call()
+
+
 def test_embed_rejects_shrinking():
     with pytest.raises(ValueError):
         embed(np.ones(5), 4)

@@ -20,6 +20,10 @@ def test_params_validation():
         BinomialParams(eta=1.1, m=3)
     with pytest.raises(ValueError):
         BinomialParams(eta=0.5, m=-1)
+    for m in (4.0, 2.5):
+        with pytest.raises(ValueError, match="photon cap must be an integer"):
+            BinomialParams(eta=0.3, m=m)
+    assert BinomialParams(eta=0.3, m=np.int64(4)).m == 4
 
 
 def test_endpoints_give_exact_number_states():

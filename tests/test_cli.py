@@ -395,6 +395,16 @@ def test_verify_json_reports_wall_time_per_check(capsys):
     assert doc["diagnostics"]["total_s"] >= max(wall.values())
 
 
+@pytest.mark.parametrize("flag", ["--spectrum-draws", "--degenerate-draws", "--disentangle-draws"])
+@pytest.mark.parametrize("count", ["-3", "0"])
+def test_verify_rejects_draw_counts_below_one(capsys, flag, count):
+    # a check over no draws would print PASS with observed 0
+    code, out, err = run_cli(capsys, ["verify", flag, count])
+    assert code == 2
+    assert out == ""
+    assert f"{flag[2:].replace('-', ' ')} must be >= 1, got {count}" in err
+
+
 def test_verify_failure_path(capsys, monkeypatch):
     failing = CheckResult(name="planted", passed=False, observed=1.0, threshold=0.5)
     monkeypatch.setattr(cli, "run_all", lambda **_: [failing])

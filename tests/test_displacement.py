@@ -7,7 +7,6 @@ from scipy.linalg import expm
 from gbstates.displacement import (
     DISENTANGLED_MAX_M,
     DisplacementParams,
-    conjugated_generators,
     delta_to_zeta,
     disentangled_displacement,
     displacement,
@@ -167,35 +166,3 @@ def test_disentangled_rejects_non_finite_xi(xi):
 def test_disentangled_rejects_photon_cap_outside_its_range(m):
     with pytest.raises(ValueError, match=rf"\[0, {DISENTANGLED_MAX_M}\]"):
         disentangled_displacement(0.3, m)
-
-
-def test_conjugated_generators_trivial_rotation():
-    p = DisplacementParams(0.0, 0.0, 6)
-    jp_rot, jm_rot, j0_rot = conjugated_generators(p)
-    j0, jp, jm = hp_generators(6)
-    np.testing.assert_array_equal(jp_rot, jp)
-    np.testing.assert_array_equal(jm_rot, jm)
-    np.testing.assert_array_equal(j0_rot, j0)
-
-
-def test_conjugated_generators_against_numerical_conjugation():
-    rng = np.random.default_rng(42)
-    for m in (1, 4, 12, 20, 400):
-        r = float(rng.uniform(0.05, math.pi / 2 * 0.95))
-        theta = float(rng.uniform(-math.pi, math.pi))
-        p = DisplacementParams(r, theta, m)
-        d = displacement(p)
-        closed = conjugated_generators(p)
-        j0, jp, jm = hp_generators(m)
-        for got, bare in zip(closed, (jp, jm, j0)):
-            numeric = np.linalg.solve(d, bare @ d)
-            assert np.linalg.norm(numeric - got) <= 1e-10
-
-
-def test_conjugated_generators_half_pi_flips_j0():
-    # cos(2r) = -1 at r = pi/2; the sin(2r) cross terms vanish
-    m = 5
-    p = DisplacementParams(math.pi / 2, 0.0, m)
-    _, _, j0_rot = conjugated_generators(p)
-    j0, _, _ = hp_generators(m)
-    assert np.linalg.norm(j0_rot + j0) <= 1e-14

@@ -1,5 +1,7 @@
-"""Property: every point of the drawn domain solves within the residual bound
-or is rejected with ValueError, and eigenstate(p, k) is solve's k-th state."""
+"""Properties: every point of the drawn domain solves within the residual bound
+or is rejected with ValueError, and eigenstate(p, k) is solve's k-th state;
+over the frame's domain the constraint roots and the coefficient triple are
+M's eigenvector ratios and Schur entries."""
 
 import cmath
 import math
@@ -9,7 +11,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gbstates.solver import GBSParams, build_operator, eigenstate, solve
+from gbstates.solver import (
+    GBSParams,
+    build_operator,
+    coefficient_triple,
+    constraint_roots,
+    eigenstate,
+    solve,
+)
 
 phases = st.floats(-math.pi, math.pi)
 
@@ -40,3 +49,25 @@ def test_solves_within_bound_or_rejects(point):
     else:
         with pytest.raises(ValueError):
             eigenstate(p, k)
+
+
+@st.composite
+def frame_points(draw):
+    """|mu|, |nu| in [1e-2, 1e2], both phases over the whole circle, eta in [1e-3, 1 - 1e-3]."""
+    mu = 10 ** draw(st.floats(-2.0, 2.0)) * cmath.exp(1j * draw(phases))
+    nu = 10 ** draw(st.floats(-2.0, 2.0)) * cmath.exp(1j * draw(phases))
+    return GBSParams(mu=mu, nu=nu, eta=draw(st.floats(1e-3, 1.0 - 1e-3)), m=1)
+
+
+@given(frame_points())
+def test_frame_is_the_schur_form_of_m(p):
+    principal, secondary = constraint_roots(p)
+    # equal moduli in exact arithmetic at a tie; allow their rounding
+    assert abs(principal) <= abs(secondary) * (1.0 + 1e-15)
+    for delta in (principal, secondary):
+        assert abs(coefficient_triple(p, delta).a_minus) <= 1e-13 * p.scale
+    disc = p.eta + 4.0 * (1.0 - p.eta) * p.mu * p.nu
+    # inside the defective floor the roots are merged on purpose
+    if abs(disc) > 1e-14 * (p.eta + 4.0 * (1.0 - p.eta) * abs(p.mu) * abs(p.nu)):
+        a_zero = coefficient_triple(p, principal).a_zero
+        assert abs(a_zero - cmath.sqrt(disc + 0j)) <= 1e-13 * p.scale

@@ -143,6 +143,20 @@ def test_select_root_policies():
         select_root(p, "smallest")
 
 
+@pytest.mark.parametrize("mu, nu, eta", [(1.0, -1.0, 0.5), (1.0, -2.0, 0.4), (0.5j, 1.5j, 0.3)])
+def test_constraint_roots_tie_rule(mu, nu, eta):
+    # mu nu real and <= -eta/(4(1-eta)): A0 is imaginary, both roots have
+    # one modulus, and the principal root is the one with Im A0 >= 0
+    p = GBSParams(mu, nu, eta, 3)
+    a0 = 1j * math.sqrt(-(eta + 4 * (1 - eta) * (mu * nu).real))
+    principal, secondary = constraint_roots(p)
+    assert abs(abs(principal) - abs(secondary)) <= 1e-15 * abs(secondary)
+    expect = 2 * math.sqrt(1 - eta) * nu / (math.sqrt(eta) + a0)
+    assert principal == pytest.approx(expect, rel=1e-15)
+    assert coefficient_triple(p, principal).a_zero == pytest.approx(a0, rel=1e-14)
+    assert coefficient_triple(p, secondary).a_zero == pytest.approx(-a0, rel=1e-14)
+
+
 def test_coefficient_triple_no_rotation():
     p = GBSParams(0.5 + 0.5j, 0.3 - 0.1j, 0.36, 4)
     t = coefficient_triple(p, 0.0)
@@ -158,6 +172,22 @@ def test_coefficient_triple_kills_a_minus_at_both_roots():
         for delta in constraint_roots(p):
             t = coefficient_triple(p, delta)
             assert abs(t.a_minus) <= 1e-10 * p.scale
+
+
+def test_coefficient_triple_is_the_rotated_operator():
+    # the triple is read off the 2x2 matrix; D(zeta)^H L D(zeta) is formed
+    # from displacement() and the dense operator
+    rng = np.random.default_rng(42)
+    for m in (1, 4, 12, 20, 400):
+        q = random_params(rng)
+        p = GBSParams(q.mu, q.nu, q.eta, m)
+        op = build_operator(p)
+        j0, jp, jm = hp_generators(m)
+        for delta in (*constraint_roots(p), complex(*rng.normal(size=2))):
+            t = coefficient_triple(p, delta)
+            d = displacement(delta_to_zeta(delta, m))
+            expect = t.a_plus * jp + t.a_minus * jm - t.a_zero * j0
+            assert np.linalg.norm(d.conj().T @ op @ d - expect) <= 1e-12 * np.linalg.norm(op)
 
 
 def test_hermitian_case_kills_both_off_coefficients():
