@@ -8,12 +8,13 @@ finite resolution, and the free-field time evolution.
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .displacement import delta_to_zeta, displacement
-from .fock import annihilation_operator, basis_state, fidelity
+from .fock import basis_state, fidelity
 from .solver import GBSParams, eigenstate
 
 K_RULE_MODES = ("center", "top-offset", "bottom")
@@ -47,6 +48,8 @@ class KRule:
     def __post_init__(self):
         if self.mode not in K_RULE_MODES:
             raise ValueError(f"k rule must be one of {K_RULE_MODES}, got {self.mode!r}")
+        if not isinstance(self.offset, numbers.Integral):
+            raise ValueError(f"k rule offset must be an integer, got {self.offset!r}")
 
     def index(self, m: int) -> int:
         if self.mode == "center":
@@ -69,8 +72,8 @@ class LimitSchedule:
     k_rule: KRule
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if not self.m_values:
             raise ValueError("schedule needs at least one m value")
         if list(self.m_values) != sorted(self.m_values):
@@ -212,8 +215,9 @@ def squeezed_limit_scan(
     """(m, residual, fidelity) rows towards the squeezed/coherent/vacuum limit.
 
     residual is |(mu a + nu a^dag - target) v| with the eigenstate embedded in
-    the common dimension; fidelity is against the squeezed eigenstate with
-    that target eigenvalue.
+    the common dimension, read off the two bands of the truncated ladder
+    operators, (a v)_n = sqrt(n+1) v_{n+1} and (a^dag v)_n = sqrt(n) v_{n-1};
+    fidelity is against the squeezed eigenstate with that target eigenvalue.
     """
     mu = complex(mu)
     nu = complex(nu)
@@ -230,10 +234,11 @@ def squeezed_limit_scan(
         dim = max(m + 1, len(reference))
         v = embed(state, dim)
         ref = embed(reference, dim)
-        a = annihilation_operator(dim - 1)
-        op = mu * a + nu * a.conj().T
-        residual = float(np.linalg.norm(op @ v - target * v))
-        rows.append((int(m), residual, fidelity(v, ref)))
+        root = np.sqrt(np.arange(1, dim))
+        r = -target * v
+        r[:-1] += mu * root * v[1:]
+        r[1:] += nu * root * v[:-1]
+        rows.append((int(m), float(np.linalg.norm(r)), fidelity(v, ref)))
     return rows
 
 

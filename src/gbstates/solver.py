@@ -13,12 +13,16 @@ A0 = +-sqrt(eta + 4(1-eta) mu nu), and the eigenstates are rotated images of
 states supported on |0>..|k>.
 
 Every entry point derives the constraint root, the rotation, the coefficient
-triple and the branch of a point once, as one rotated frame, and builds the
-eigenstates it returns from that frame and one D(zeta).
+triple and the branch of a point once, as one rotated frame.  On the generic
+branch solve and eigenstate then build each state from L's three bands at
+its exact eigenvalue, by a twisted factorization in O(m) per state and
+without D(zeta); eigenstate_sum builds the same state as D(zeta) core_k, the
+paper's finite-sum form, so the two check each other.  The other branches
+read columns of D(zeta).
 
 Branches:
-  * generic          -- A+ away from zero; full closed-form eigenbasis
-                        D(zeta) core_k.
+  * generic          -- A+ away from zero; full closed-form eigenbasis,
+                        equal to D(zeta) core_k.
   * degenerate A+ =0 -- M normal: happens when mu = nu* (L Hermitian);
                         taken only while the dropped A+ J+ term stays far
                         inside the residual bound.  The eigenstates
@@ -49,6 +53,12 @@ DEGENERATE_APLUS_TOL = 1e-12
 DEFECTIVE_AZERO_TOL = 1e-12
 
 _EPS = float(np.finfo(float).eps)
+# stands in for an exact zero pivot of the twisted factorization; its square
+# is still a normal double
+_PIVOT_FLOOR = 2.0**-300
+# a batch of eigenstates is built and normalized in chunks of at most this
+# many (n, k) entries, which bounds the memory of a solve at large m
+_SWEEP_ENTRIES = 2**16
 
 
 class SolutionKind(Enum):
@@ -210,6 +220,8 @@ def _frame(p: GBSParams, root_policy: str) -> _Frame:
 
 
 def _check_index(p: GBSParams, k: int) -> None:
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"eigenstate index must be an integer, got {k!r}")
     if not 0 <= k <= p.m:
         raise ValueError(f"eigenstate index {k} outside 0..{p.m}")
 
@@ -234,69 +246,241 @@ def spectrum(p: GBSParams, root_policy: str = "principal") -> np.ndarray:
     return _ladder(_frame(p, root_policy).triple.a_zero, p.m)
 
 
-def _cores(triple: CoefficientTriple, ks, m: int) -> np.ndarray:
-    """Rotated-frame eigenstates for the indices ks, one row each, unnormalized.
+def _core(triple: CoefficientTriple, k: int, m: int) -> np.ndarray:
+    """Rotated-frame eigenstate k, unnormalized.
 
     Each step of the recursion c_{n+1} sqrt((n+1)(m-n)) A+ = c_n A0 (k - n)
     carries the phase of x = A0/A+, so for n <= k, in closed form,
         core_k(n) = e^{i n arg x} |x|^n C(k, n) / sqrt(C(m, n)),
     and core_k vanishes past n = k.  The log magnitudes are one cumsum over
-    n (-inf past k), max-shifted before exp, so each row's largest entry has
+    n (-inf past k), max-shifted before exp, so the largest entry has
     modulus exactly 1 and nothing overflows; the caller normalizes.
     """
     x = triple.a_zero / triple.a_plus
     n = np.arange(m + 1)
-    # log j at j = 0..m; the -inf at j = 0 ends each core after n = k
+    # log j at j = 0..m; the -inf at j = 0 ends the core after n = k
     log_int = np.log(n, out=np.full(m + 1, -np.inf), where=n > 0)
-    steps = math.log(abs(x)) + log_int[np.maximum(np.asarray(ks)[:, None] - n[:-1], 0)]
+    steps = math.log(abs(x)) + log_int[np.maximum(k - n[:-1], 0)]
     steps -= 0.5 * (log_int[1:] + log_int[:0:-1])  # log sqrt((n+1)(m-n))
-    log_rho = np.zeros((steps.shape[0], m + 1))
-    np.cumsum(steps, axis=1, out=log_rho[:, 1:])
-    rho = np.exp(log_rho - log_rho.max(axis=1, keepdims=True))
+    log_rho = np.zeros(m + 1)
+    np.cumsum(steps, out=log_rho[1:])
     phase = np.exp(1j * ((n * cmath.phase(x)) % (2 * math.pi)))
-    # elementwise per row: the same k gives the same bits alone or in a batch
-    return rho * phase
+    return np.exp(log_rho - log_rho.max()) * phase
 
 
-def _eigenstates(p: GBSParams, frame: _Frame, d: np.ndarray, ks) -> list[np.ndarray]:
-    """The eigenstates ks on the frame's branch, given d = D(zeta).
+def _chunks(count: int, m: int) -> list[slice]:
+    """range(count) split evenly into slices of at most _SWEEP_ENTRIES (n, k) entries."""
+    pieces = math.ceil(count * (m + 1) / _SWEEP_ENTRIES)
+    edges = [count * i // pieces for i in range(pieces + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
-    On the generic branch state k is D core_k, read only over the core's
-    support: normalize_state(d[:, :k+1] @ core_k[:k+1]), one gemv on k+1
-    columns and the state's single normalization.
+
+def _sweep_floats(er, ei, c, xs, ys) -> None:
+    """_sweep for one state and one direction, in Python floats: the same
+    operations in the same order as _sweep's numpy rows, so the same bits."""
+    x, y = er[0] + _PIVOT_FLOOR, ei[0] + _PIVOT_FLOOR
+    xs[0], ys[0] = x, y
+    for j in range(len(c)):
+        den = x * x + y * y
+        x = er[j + 1] - x * (c[j] / den) + _PIVOT_FLOOR
+        y = ei[j + 1] - y * (-c[j] / den) + _PIVOT_FLOOR
+        xs[j + 1], ys[j + 1] = x, y
+
+
+def _sweep(diag, lam, c, d) -> None:
+    """The pivots of the rotated, scaled L - lambda down and up, for a batch of k.
+
+    Rows are in sweep order, [..., 0, :] down from row 0 and [..., 1, :] up
+    from row m, with the real and imaginary part on the axis before: diag is
+    (m+1, 2, 2, 1) and lam (2, 1, K), so row j of L - lambda_k is
+    diag[j] - lam, and c, (m, 2), holds the real products u_n l_n.  The
+    pivots d_0 = e_0, d_{j+1} = e_{j+1} - c_j / d_j go to d, (m+1, 2, 2, K),
+    with c_j / d_j = q (x - i y), q = c_j / |d_j|^2.  _PIVOT_FLOOR, added to
+    both parts, changes no part above 1e-74 and turns an exact zero pivot,
+    which would make the next quotient 0/0, into a tiny one.
+
+    Only real + - * /, each correctly rounded and elementwise over k:
+    _sweep_floats repeats them in Python floats, and a state gets the same
+    bits alone as in a batch.
+    """
+    K = lam.shape[2]
+    cq = np.empty((len(c), 2, 2, 1))  # c_j and -c_j, per part
+    cq[:, 0, :, 0] = c
+    np.negative(c, out=cq[:, 1, :, 0])
+    e, sq, quot = np.empty((2, 2, K)), np.empty((2, 2, K)), np.empty((2, 2, K))
+    den = np.empty((2, K))
+    np.subtract(diag[0], lam, e)
+    np.add(e, _PIVOT_FLOOR, d[0])
+    for d0, d1, c0, g1 in zip(d, d[1:], cq, diag[1:]):
+        np.multiply(d0, d0, sq)
+        np.add(sq[0], sq[1], den)
+        np.divide(c0, den, quot)
+        np.multiply(d0, quot, d1)
+        np.subtract(g1, lam, e)
+        np.subtract(e, d1, d1)
+        np.add(d1, _PIVOT_FLOOR, d1)
+
+
+def _twisted_states(p: GBSParams, a_zero: complex, ks) -> list[np.ndarray]:
+    """Eigenstates ks of L at lambda_k = A0 (2k - m)/2, from L's three bands.
+
+    Fernando's twisted factorization (Parlett & Dhillon, LAA 267, 1997), in
+    O(m) per state and without D(zeta).  With e_n the diagonal of L - lambda
+    and u_n, l_n its super- and subdiagonal, the pivots run down,
+    D+_{n+1} = e_{n+1} - u_n l_n / D+_n, and up, D-_n = e_n - u_n l_n / D-_{n+1};
+    the twist r minimizes |D+_r + D-_r - e_r|, and from z_r = 1 the state is
+    z_n = -u_n z_{n+1} / D+_n below r and z_n = -l_{n-1} z_{n-1} / D-_n above.
+
+    The pivots see only u_n l_n = (1-eta) mu nu (n+1)(m-n), whose phase phi is
+    the same for every n.  Rotating them by e^{-i phi/2} makes the products
+    real, and dividing by sigma, the power of two at |A0|, keeps them near 1.
+    Then -u_n / D+_n = v |u_n| / |D+_n| times the conjugate unit phase of
+    D+_n, with v = -mu e^{-i phi/2} / |mu|, and above r the same holds with
+    v* and |l_{n-1}|.  So the state is v^-n times a modulus and a phase
+    product.  The modulus is summed as log |band| - log |pivot| outward from
+    r, which sits at the state's large entries, and max-shifted before exp,
+    so nothing overflows at any |nu/mu|; the phase is the running product of
+    the pivots' unit phases, the downward one below r and the upward one
+    above, joined at r.  At nu = 0 L is upper bidiagonal: log |l| = -inf,
+    and the part above r vanishes.
+
+    One state sweeps in Python floats, a batch in numpy rows, in chunks of at
+    most _SWEEP_ENTRIES (n, k) entries; all else is numpy and elementwise
+    over k, so a state gets the same bits alone as in a batch.
+    """
+    m = p.m
+    s, se = math.sqrt(1.0 - p.eta), math.sqrt(p.eta)
+    mu, nu = complex(p.mu), complex(p.nu)
+    rot = cmath.exp(-0.5j * cmath.phase(mu * nu)) / 2.0 ** math.frexp(abs(a_zero))[1]
+    n = np.arange(m + 1)
+    diag = (se * (2 * n - m) * 0.5) * rot
+    prods = (n[1:] * (m + 1 - n[1:])).astype(float)  # (n+1)(m-n), n < m
+    c = np.empty((m, 2))  # u_n l_n, rotated and scaled, in sweep order: down, up
+    np.multiply(s * s * abs(mu) * abs(nu) * abs(rot) ** 2, prods, out=c[:, 0])
+    c[:, 1] = c[::-1, 0]
+    # log |u_n| at row n for the part below r, log |l_{n-1}| for the part
+    # above (-inf at nu = 0, where that part vanishes)
+    log_b = math.log(s * abs(rot)) + 0.5 * np.log(prods)
+    log_down, log_up = np.zeros((m + 1, 1)), np.full((m + 1, 1), -np.inf)
+    log_down[:-1, 0] = math.log(abs(mu)) + log_b
+    if nu:
+        log_up[1:, 0] = math.log(abs(nu)) + log_b
+    # v^-n, reduced mod 2 pi before exp
+    phase = np.exp(-1j * ((n * cmath.phase(-mu * rot)) % (2 * math.pi)))[:, None]
+    sweep_diag = np.empty((m + 1, 2, 2, 1))  # parts on axis 1, down and up on axis 2
+    sweep_diag[:, 0, 0, 0], sweep_diag[:, 1, 0, 0] = diag.real, diag.imag
+    sweep_diag[:, :, 1] = sweep_diag[::-1, :, 0]
+    ks = np.asarray(ks)
+    # one block for all states, filled chunk by chunk: the chunks' scratch
+    # arrays are then the only allocations that come and go
+    states = np.empty((len(ks), m + 1), dtype=complex)
+    for at in _chunks(len(ks), m):
+        k = ks[at]
+        K = len(k)
+        lam = (a_zero * rot) * ((2 * k - m) * 0.5)
+        lam_parts = lam.view(float).reshape(K, 2).T[:, None]
+        d = np.empty((m + 1, 2, 2, K))
+        if K == 1:
+            e = (sweep_diag - lam_parts)[..., 0]
+            for side in (0, 1):
+                out = [[0.0] * (m + 1), [0.0] * (m + 1)]
+                parts = (e[:, 0, side].tolist(), e[:, 1, side].tolist())
+                _sweep_floats(*parts, c[:, side].tolist(), *out)
+                d[:, 0, side, 0], d[:, 1, side, 0] = out
+        else:
+            _sweep(sweep_diag, lam_parts, c, d)
+        # pivots in row order, complex: [:, 0] the downward D+, [:, 1] the upward D-
+        piv = np.empty((m + 1, 2, K), dtype=complex)
+        piv.real[:, 0], piv.imag[:, 0] = d[:, 0, 0], d[:, 1, 0]
+        piv.real[:, 1], piv.imag[:, 1] = d[::-1, 0, 1], d[::-1, 1, 1]
+        del d
+        gap = piv[:, 0] + piv[:, 1]
+        gap -= np.subtract.outer(diag, lam)
+        r = np.argmin(np.abs(gap), axis=0)
+        del gap  # each array goes once read: that bounds a chunk's memory
+        below, up = n[:, None] < r, n[:, None] > r
+        mods = np.abs(piv)
+        # log |z_n / z_r|, summed outward from r
+        steps = np.log(mods)
+        np.subtract(log_down, steps[:, 0], out=steps[:, 0], where=below)
+        np.subtract(log_up, steps[:, 1], out=steps[:, 1], where=up)
+        log_z = np.cumsum(np.where(below, steps[:, 0], 0.0)[::-1], axis=0)[::-1]
+        log_z += np.cumsum(np.where(up, steps[:, 1], 0.0), axis=0)
+        del steps
+        # unit phases of the pivots and their running products away from row
+        # 0 (down) and from row m (up), exclusive of the row itself
+        turns = np.divide(piv, mods, out=piv)
+        del mods
+        turns[1:, 0] = turns[:-1, 0]
+        turns[0, 0] = 1.0
+        turns[:-1, 1] = turns[1:, 1]
+        turns[-1, 1] = 1.0
+        np.multiply.accumulate(turns[:, 0], axis=0, out=turns[:, 0])
+        np.multiply.accumulate(turns[::-1, 1], axis=0, out=turns[::-1, 1])
+        cols = np.arange(K)
+        join = turns[r, 0, cols] * turns[r, 1, cols].conj()
+        z = np.where(up, turns[:, 1] * join, turns[:, 0])
+        del turns
+        log_z -= log_z.max(axis=0)
+        z *= np.exp(log_z, out=log_z)
+        z *= phase
+        del log_z
+        states[at] = normalize_state(z.T)
+    return list(states)
+
+
+def _eigenstates(p: GBSParams, frame: _Frame, ks) -> list[np.ndarray]:
+    """The eigenstates ks on the frame's branch, solve's and eigenstate's one route.
+
+    Generic states come from L's three bands by the twisted recurrence
+    (_twisted_states), with no D(zeta); the other branches read columns of
+    D(zeta).  Either way the states are normalized in chunks of rows, so a
+    state has the same bits alone as in a solve.
     """
     if frame.kind is SolutionKind.GENERIC:
-        cores = _cores(frame.triple, ks, p.m)
-        return [normalize_state(d[:, : k + 1] @ core[: k + 1]) for k, core in zip(ks, cores)]
+        return _twisted_states(p, frame.triple.a_zero, ks)
     if frame.kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO and max(ks) > 0:
         raise ValueError(f"the {frame.kind.value} branch carries only the eigenstate k = 0; "
                          f"k = {max(ks)} unavailable")
     # A+ = 0 leaves the diagonal -A0 J0, A0 = 0 the nilpotent A+ J+ (a single
     # Jordan chain headed by |0>); either way the eigenvector is |k> and the
     # eigenstate is column k of D
-    return [normalize_state(d[:, k]) for k in ks]
+    d = displacement(frame.zeta)
+    ks = np.asarray(ks)
+    states = np.empty((len(ks), p.m + 1), dtype=complex)
+    for at in _chunks(len(ks), p.m):
+        states[at] = normalize_state(d[:, ks[at]].T)
+    return list(states)
 
 
 def eigenstate(p: GBSParams, k: int, root_policy: str = "principal") -> np.ndarray:
     """solve(p, root_policy).eigenstates[k], without building the other states.
 
-    Raises ValueError for a k the branch does not carry: outside 0..m, or
-    k > 0 on the defective branch.
+    On the generic branch the state comes from the twisted factorization of
+    L - lambda_k, in O(m); eigenstate_sum builds the same state through
+    D(zeta) as an independent check.  Raises ValueError for a k the branch
+    does not carry: not an integer, outside 0..m, or k > 0 on the defective
+    branch.
     """
     _check_index(p, k)
-    frame = _frame(p, root_policy)
-    return _eigenstates(p, frame, displacement(frame.zeta), [k])[0]
+    return _eigenstates(p, _frame(p, root_policy), [k])[0]
 
 
 def undisplaced_eigenstate(p: GBSParams, k: int, root_policy: str = "principal") -> np.ndarray:
     """Eigenstate of the rotated operator A+ J+ - A0 J0, before displacing back."""
-    return normalize_state(_cores(_generic_frame(p, root_policy, k).triple, [k], p.m)[0])
+    return normalize_state(_core(_generic_frame(p, root_policy, k).triple, k, p.m))
 
 
 def eigenstate_sum(p: GBSParams, k: int, root_policy: str = "principal") -> np.ndarray:
-    """Eigenstate via the finite-sum form, displaced back to the original frame."""
+    """Eigenstate via the finite-sum form, displaced back to the original frame.
+
+    D(zeta) core_k, read only over the core's support: one gemv on k+1
+    columns of D and one normalization.  It shares no step with eigenstate's
+    twisted factorization beyond the frame, so the two check each other.
+    """
     frame = _generic_frame(p, root_policy, k)
-    return _eigenstates(p, frame, displacement(frame.zeta), [k])[0]
+    core = _core(frame.triple, k, p.m)
+    return normalize_state(displacement(frame.zeta)[:, : k + 1] @ core[: k + 1])
 
 
 def _exponential_form_core(triple: CoefficientTriple, k: int, m: int) -> np.ndarray:
@@ -323,7 +507,7 @@ def _exponential_form_core(triple: CoefficientTriple, k: int, m: int) -> np.ndar
         if big > 1e200:
             v /= big
             term /= big
-    return normalize_state(v)
+    return v
 
 
 def eigenstate_exponential(p: GBSParams, k: int, root_policy: str = "principal") -> np.ndarray:
@@ -336,7 +520,6 @@ def eigenstate_exponential(p: GBSParams, k: int, root_policy: str = "principal")
 def solve(p: GBSParams, root_policy: str = "principal") -> GBSSolution:
     """Full closed-form solution: root, rotation, coefficients, spectrum, states."""
     frame = _frame(p, root_policy)
-    d = displacement(frame.zeta)
     count = 1 if frame.kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO else p.m + 1
     return GBSSolution(
         params=p,
@@ -344,7 +527,7 @@ def solve(p: GBSParams, root_policy: str = "principal") -> GBSSolution:
         zeta=frame.zeta,
         triple=frame.triple,
         eigenvalues=_ladder(frame.triple.a_zero, p.m),
-        eigenstates=_eigenstates(p, frame, d, range(count)),
+        eigenstates=_eigenstates(p, frame, range(count)),
         kind=frame.kind,
     )
 

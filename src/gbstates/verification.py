@@ -7,6 +7,7 @@ records one criterion at a time.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -352,10 +353,12 @@ def run_all(
 ) -> list[CheckResult]:
     """Run the full battery and return every CheckResult, each carrying the
     wall time of the check function that produced it.  Every draw count must
-    be >= 1: a check over no draws would pass with nothing checked."""
+    be an integer >= 1: a check over no draws would pass with nothing checked."""
     counts = (spectrum_draws, degenerate_draws, disentangle_draws)
     for name, count in zip(("spectrum", "degenerate", "disentangle"), counts):
-        if not count >= 1:
+        if not isinstance(count, numbers.Integral):
+            raise ValueError(f"{name} draws must be an integer, got {count!r}")
+        if count < 1:
             raise ValueError(f"{name} draws must be >= 1, got {count}")
     battery = [
         (check_binomial_core, ()),

@@ -18,7 +18,7 @@ from gbstates.analysis import (
 )
 from gbstates.binomial import BinomialParams, binomial_amplitudes
 from gbstates.fock import annihilation_operator, basis_state, fidelity
-from gbstates.solver import GBSParams, solve
+from gbstates.solver import GBSParams, eigenstate, solve
 
 
 def test_coherent_vacuum():
@@ -186,6 +186,44 @@ def test_limit_schedule_validation():
         LimitSchedule(alpha=1.0, m_values=(20, 10), k_rule=rule)
     with pytest.raises(ValueError):
         LimitSchedule(alpha=4.0, m_values=(10, 20), k_rule=rule)  # eta >= 1 at m = 10
+
+
+@pytest.mark.parametrize("offset", [0.5, 1.0, "1"])
+def test_k_rule_rejects_a_non_integer_offset(offset):
+    with pytest.raises(ValueError, match="offset must be an integer"):
+        KRule("center", offset)
+
+
+def test_k_rule_takes_numpy_integer_offsets():
+    assert KRule("center", np.int64(1)).index(10) == 6
+    rows = squeezed_limit_scan(1.0, 0.3, LimitSchedule(1.0, (30,), KRule("center", np.int32(1))))
+    assert rows[0][0] == 30
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_limit_schedule_names_a_bad_alpha(alpha):
+    # nan <= 0 is false, so nan used to get past the sign check and fail on eta
+    with pytest.raises(ValueError, match="alpha must be finite and positive"):
+        LimitSchedule(alpha=alpha, m_values=(50,), k_rule=KRule("center"))
+
+
+@pytest.mark.parametrize(
+    "mu, nu, rule, target",
+    [(1.0, 0.3j, KRule("center"), 0.5), (np.exp(0.8j), 0.0, KRule("top-offset"), 1.0)],
+    ids=["squeezed", "coherent"],
+)
+def test_squeezed_scan_residual_is_the_dense_product(mu, nu, rule, target):
+    # the scan reads the residual off the two bands of a and a^dag; here the
+    # dense (mu a + nu a^dag - target) v, with alpha = 1 and target its limit
+    schedule = LimitSchedule(alpha=1.0, m_values=(40, 130), k_rule=rule)
+    reference = squeezed_eigenstate(mu, nu, target)
+    for m, residual, _ in squeezed_limit_scan(mu, nu, schedule):
+        dim = max(m + 1, len(reference))
+        v = embed(eigenstate(GBSParams(mu, nu, schedule.eta(m), m), rule.index(m)), dim)
+        a = annihilation_operator(dim - 1)
+        dense = np.linalg.norm((mu * a + nu * a.conj().T) @ v - target * v)
+        bound = 1e-14 * np.linalg.norm(v) * (abs(mu) + abs(nu)) * math.sqrt(dim)
+        assert abs(residual - dense) <= bound
 
 
 def test_squeezed_limit_scan_center_rule():

@@ -1,7 +1,8 @@
 """Properties: every point of the drawn domain solves within the residual bound
-or is rejected with ValueError, and eigenstate(p, k) is solve's k-th state;
-over the frame's domain the constraint roots and the coefficient triple are
-M's eigenvector ratios and Schur entries."""
+or is rejected with ValueError, eigenstate(p, k) is solve's k-th state, and on
+the generic branch it agrees with the finite-sum form; over the frame's domain
+the constraint roots and the coefficient triple are M's eigenvector ratios and
+Schur entries."""
 
 import cmath
 import math
@@ -11,12 +12,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gbstates.fock import fidelity
 from gbstates.solver import (
     GBSParams,
+    SolutionKind,
     build_operator,
     coefficient_triple,
     constraint_roots,
     eigenstate,
+    eigenstate_sum,
     solve,
 )
 
@@ -49,6 +53,22 @@ def test_solves_within_bound_or_rejects(point):
     else:
         with pytest.raises(ValueError):
             eigenstate(p, k)
+
+
+@given(points())
+def test_eigenstate_and_the_sum_form_agree_on_the_generic_branch(point):
+    # eigenstate comes from the twisted factorization of L's bands,
+    # eigenstate_sum from D(zeta) times the closed-form core: two routes
+    # that share only the frame
+    p, _ = point
+    try:
+        sol = solve(p)
+    except ValueError:
+        return
+    if sol.kind is not SolutionKind.GENERIC:
+        return
+    for k, v in enumerate(sol.eigenstates):
+        assert 1.0 - fidelity(v, eigenstate_sum(p, k)) <= 1e-12
 
 
 @st.composite

@@ -26,6 +26,7 @@ from gbstates.solver import (
     spectrum,
     undisplaced_eigenstate,
 )
+from gbstates.verification import run_all
 
 
 def random_params(rng, hermitian=False, m_max=12):
@@ -542,3 +543,49 @@ def test_generic_eigenbasis_linearly_independent():
         basis = np.column_stack(sol.eigenstates)
         smallest = np.linalg.svd(basis, compute_uv=False)[-1]
         assert smallest > 1e-10
+
+
+@pytest.mark.parametrize("k", [5.5, 5.0, "5"])
+def test_eigenstate_rejects_a_non_integer_index(k):
+    # 5.5 used to reach numpy indexing and raise IndexError
+    with pytest.raises(ValueError, match="eigenstate index must be an integer"):
+        eigenstate(GBSParams(1.0, 0.3, 0.4, 10), k)
+
+
+def test_eigenstate_takes_numpy_integer_indices():
+    p = GBSParams(1.0, 0.3, 0.4, 10)
+    np.testing.assert_array_equal(eigenstate(p, np.int64(5)), eigenstate(p, 5))
+    np.testing.assert_array_equal(eigenstate_sum(p, np.int32(5)), eigenstate_sum(p, 5))
+
+
+@pytest.mark.parametrize("name", ["spectrum", "degenerate", "disentangle"])
+def test_run_all_rejects_a_non_integer_draw_count(name):
+    # 2.5 used to reach range() and raise TypeError
+    with pytest.raises(ValueError, match=f"{name} draws must be an integer, got 2.5"):
+        run_all(**{f"{name}_draws": 2.5})
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        GBSParams(1.0, 300.0, 0.4, 400),  # |nu/mu| = 300
+        GBSParams(1.0, 0.3, 0.4, 1000),
+        GBSParams(1.0, 0.3, 1e-6, 1000),
+        GBSParams(1.0, 0.3, 0.9999, 1000),
+        GBSParams(1.0, 0.0, 0.5, 200),  # nu = 0: L bidiagonal, an exact zero pivot
+        GBSParams(1.0, 1.0 + 1e-9j, 0.4, 200),  # next to the Hermitian branch
+    ],
+    ids=["nu-over-mu-300", "m1000", "eta-1e-6", "eta-0.9999", "nu-zero", "near-hermitian"],
+)
+def test_twisted_states_in_the_overflow_and_edge_regimes(p):
+    # unscaled, the recurrence overflows to NaN at |nu/mu| = 300, m = 400, and
+    # its norm at (1, 0.3, 0.4, 1000); nu = 0 puts 0/0 in the pivots
+    sol = solve(p)
+    assert sol.kind is SolutionKind.GENERIC
+    states = np.column_stack(sol.eigenstates)
+    assert np.all(np.isfinite(states))
+    op = build_operator(p)
+    residuals = np.linalg.norm(op @ states - states * sol.eigenvalues, axis=0)
+    assert residuals.max() <= 1e-10 * np.linalg.norm(op)
+    for k in (0, 1, p.m // 2, p.m):
+        np.testing.assert_array_equal(eigenstate(p, k), sol.eigenstates[k])
