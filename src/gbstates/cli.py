@@ -58,9 +58,12 @@ def _write(text: str, out: str) -> None:
     text = text if text.endswith("\n") else text + "\n"
     if out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _record(command: str, params: dict, results: dict, diagnostics: dict) -> str:
@@ -241,7 +244,10 @@ def cmd_limit(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    for flag, value in (("--phi", args.phi), ("--omega", args.omega), ("--t", args.t)):
+    shifted = args.phi + args.omega * args.t
+    top = args.omega * args.t * (args.m + 0.5)  # the evolution's largest phase, at n = m
+    for flag, value in (("--phi", args.phi), ("--omega", args.omega), ("--t", args.t),
+                        ("phi + omega*t", shifted), ("omega*t*(m + 1/2)", top)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value!r}")
     p0 = GBSParams(mu=complex(math.cos(args.phi), math.sin(args.phi)), nu=0.0, eta=args.eta, m=args.m)
@@ -249,7 +255,6 @@ def cmd_evolve(args) -> int:
         raise ValueError(f"eigenstate index {args.k} outside 0..{args.m}")
     state = eigenstate_sum(p0, args.k)
     evolved = time_evolve(state, omega=args.omega, t=args.t)
-    shifted = args.phi + args.omega * args.t
     p1 = GBSParams(mu=complex(math.cos(shifted), math.sin(shifted)), nu=0.0, eta=args.eta, m=args.m)
     fid = fidelity(evolved, eigenstate_sum(p1, args.k))
     payload = _record(

@@ -1,16 +1,14 @@
-"""Independent dense eigensolver used to verify the closed-form pipeline.
+"""Independent eigensolver on L's three bands, used to verify the closed form.
 
-Eigenvalues come from the matrix entries alone, in four steps: Householder
-reduction to Hessenberg form, a closed-form exact radix-2 balancing of its two
-central diagonals, LAPACK's eigenvalues of the result (`np.linalg.eigvals`)
-and two Newton steps on det(H - z) for the whole spectrum by Hyman's method.
-The cross-check stays genuine: nothing here reads the root, the rotation or
-the coefficient triple; the closed form calls no `eigvals` (its rotation is a
-real `eigh`); and the hand-written polish, not LAPACK, sets the final
-accuracy, so the starting values only have to lie in each root's basin.
-
-Cost on an n x n matrix of upper bandwidth w: O(n^2) to balance, O(n^3) in
-LAPACK, O(n^2 w) per Newton step in n row products (w = 1 on L).
+L is tridiagonal, and the oracle reads only its sub-, main and superdiagonal:
+an exact radix-2 balancing of the two off-diagonals, LAPACK's eigenvalues of
+the balanced matrix (`np.linalg.eigvals`) as starting values, and two Newton
+steps on det(L - z), evaluated by the three-term continuant of its leading
+minors.  Nothing here reads the root, the rotation or the coefficient triple;
+the closed form calls no `eigvals`; and the polish, not LAPACK, sets the final
+accuracy, so LAPACK's values only have to lie in each root's basin.  Cost on
+an n x n tridiagonal: O(n) to balance, O(n^3) in LAPACK, O(n) per eigenvalue
+and Newton step, and O(n) per state for the residuals.
 """
 
 from dataclasses import dataclass, field
@@ -58,148 +56,111 @@ class SpectrumReport:
         return self.multiplicity_collapse or self.max_pair_error <= self.pair_bound
 
 
-def _balance(h: np.ndarray) -> np.ndarray:
-    """Exact radix-2 similarity D^-1 H D equalizing H's two central diagonals.
+def _bands(op: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sub, diag, sup) of a square, finite, tridiagonal matrix; ValueError otherwise."""
+    op = np.asarray(op, dtype=complex)
+    if op.ndim != 2 or op.shape[0] != op.shape[1]:
+        raise ValueError(f"dense_spectrum needs a square matrix, got shape {op.shape}")
+    if not np.all(np.isfinite(op)):
+        raise ValueError("dense_spectrum needs finite entries")
+    bands = tuple(np.diagonal(op, j) for j in (-1, 0, 1))
+    if np.count_nonzero(op) != sum(map(np.count_nonzero, bands)):
+        raise ValueError("dense_spectrum needs a tridiagonal matrix, got an entry off the bands")
+    return bands
 
-    D = diag(2^e), e = rint(cumsum(1/2 log2 |h[i+1,i]| / |h[i,i+1]|)) with
-    e_0 = 0 and step 0 where either entry is zero.  Entries scale as
-    ldexp(h[i,j], e_j - e_i): nothing rounds and zeros stay zero.  Rounding
-    the running sum keeps each e_j - e_i within 1 of exact, so on a
-    tridiagonal each |sub| / |super| ends within a factor of 4 of 1.  Closed
-    form, no sweeps: L's pairs drift by (|nu|/|mu|)^(m/2) end to end, beyond a
+
+def _balance(sub: np.ndarray, sup: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The off-diagonals of D^-1 T D, the exact radix-2 similarity equalizing them.
+
+    D = diag(2^e), e = rint(cumsum(1/2 log2 |sub_i| / |sup_i|)) with e_0 = 0
+    and step 0 where either entry is zero.  With s = diff(e) the subdiagonal
+    scales by 2^-s and the superdiagonal by 2^s: nothing rounds, zeros stay
+    zero, and each |sub| / |sup| ends within a factor of 4 of 1.  Closed form,
+    no sweeps: L's pairs drift by (|nu|/|mu|)^(m/2) end to end, beyond a
     sweep-capped iterative balancing, and LAPACK then starts too far off.
-
     Raises ValueError, naming the span max(e) - min(e), when a scaled entry
     leaves the double range; L's balanced entries stay bounded.
     """
-    sub = np.abs(np.diagonal(h, -1))
-    sup = np.abs(np.diagonal(h, 1))
-    both = (sub > 0.0) & (sup > 0.0)
-    step = np.zeros(len(sub))
-    step[both] = 0.5 * np.log2(sub[both] / sup[both])
+    a, b = np.abs(sub), np.abs(sup)
+    both = (a > 0.0) & (b > 0.0)
+    step = np.zeros(len(a))
+    step[both] = 0.5 * np.log2(a[both] / b[both])
     e = np.rint(np.concatenate([[0.0], np.cumsum(step)])).astype(np.int64)
-    shift = e[None, :] - e[:, None]
+    shift = np.diff(e) * np.array([[-1], [1]])
+    pair = np.array([sub, sup])
     with np.errstate(over="ignore", invalid="ignore"):
-        balanced = np.ldexp(h.real, shift) + 1j * np.ldexp(h.imag, shift)
+        balanced = np.ldexp(pair.real, shift) + 1j * np.ldexp(pair.imag, shift)
     if not np.all(np.isfinite(balanced)):
         raise ValueError(
             f"balancing exponents span 2^{int(e.max() - e.min())}: the balanced "
-            f"{len(e)}x{len(e)} Hessenberg form overflows the double range"
+            f"{len(e)}x{len(e)} tridiagonal overflows the double range"
         )
-    return balanced
+    return balanced[0], balanced[1]
 
 
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    """Householder reduction to upper Hessenberg form.
+def _log_det_derivative(sub, diag, sup, z: np.ndarray) -> np.ndarray:
+    """d/dz log det(T - z) = f'_n / f_n at every z, for the tridiagonal T.
 
-    A column already zero below its subdiagonal is left alone: reflecting it
-    would only apply a phase and add rounding fill.  A matrix that is already
-    Hessenberg (a tridiagonal L among them) therefore comes back bit for bit.
+    The leading principal minors of T - z obey the continuant
+    f_{i+1} = (d_i - z) f_i - sub_{i-1} sup_{i-1} f_{i-1}, f_0 = 1, f_{-1} = 0
+    (Wilkinson, The Algebraic Eigenvalue Problem, ch. 7); f' obeys its
+    derivative, which adds -f_i.  Both pairs (f, f') in hand are divided after
+    each row by their largest modulus: f'/f is unchanged and nothing over- or
+    underflows.  No step divides by an off-diagonal entry.  O(n) per z.
     """
-    h = np.array(a, dtype=complex, copy=True)
-    n = h.shape[0]
-    for c in range(n - 2):
-        if not np.any(h[c + 2:, c]):
-            continue
-        x = h[c + 1:, c]
-        nx = np.linalg.norm(x)
-        if nx == 0.0:  # entries so small that their squares underflow
-            continue
-        v = x.copy()
-        phase = x[0] / abs(x[0]) if abs(x[0]) > 0.0 else 1.0
-        v[0] += phase * nx
-        v = v / np.linalg.norm(v)
-        h[c + 1:, c:] -= 2.0 * np.outer(v, v.conj() @ h[c + 1:, c:])
-        h[:, c + 1:] -= 2.0 * np.outer(h[:, c + 1:] @ v, v.conj())
-        h[c + 2:, c] = 0.0
-    return h
+    gap = np.subtract.outer(diag, z)
+    minus_prods = np.concatenate([[0.0], -(sub * sup)])
+    y = np.zeros((4, len(z)), dtype=complex)
+    old, new = y[:2], y[2:]  # (f, f') of minors i - 1 and i
+    new[0] = 1.0
+    for g, c in zip(gap, minus_prods):
+        old *= c  # minor i + 1 overwrites minor i - 1
+        old += g * new
+        old[1] -= new[0]
+        old, new = new, old
+        y /= np.abs(y).max(axis=0)
+    return new[1] / new[0]
 
 
-def _log_det_derivative(h: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """d/dz log det(H - z) = -tr((H - z)^-1) at every z, for upper Hessenberg H.
+def _newton_polish(sub, diag, sup, eigenvalues: np.ndarray, steps: int = 2) -> np.ndarray:
+    """Newton steps z <- z - 1/(d/dz log det(T - z)) for all eigenvalues at once.
 
-    Hyman's method (Wilkinson, The Algebraic Eigenvalue Problem, ch. 7): on a
-    block with nonzero subdiagonal, back-substitute (H - z) x = alpha e_1 with
-    x_last = 1 from the bottom row up, carrying x' = dx/dz alongside.  Then
-    det(H - z) is alpha(z) times a constant, and the log-derivative is
-    alpha'/alpha.  Each row is one (row x eigenvalues) product over x and x'
-    stacked side by side; the pair is rescaled together whenever its new row
-    exceeds 1, which leaves alpha'/alpha unchanged and keeps every entry <= 1.
-    H splits into diagonal blocks at exactly-zero subdiagonals, and the
-    blocks' log-derivatives add up.  For upper bandwidth w, row i reads only
-    x[i .. i+w], so each product and rescale touches those rows alone (later
-    rows are never read again): O(n w) per z.
+    The starting values carry a forward error amplified by the eigenvalue
+    condition number; one or two quadratically convergent corrections pull
+    them back to ~eps * |T|.  A step that is non-finite or larger than
+    0.5 |T|_F + 1 is skipped, which leaves that value where it was.
     """
-    n = h.shape[0]
-    k = len(z)
-    zz = np.concatenate([z, z])
-    rows, cols = np.nonzero(h)
-    w = int((cols - rows).max(initial=0))
-    total = np.zeros(k, dtype=complex)
-    cuts = [0, *(np.flatnonzero(np.diagonal(h, -1) == 0) + 1), n]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        b = h[lo:hi, lo:hi]
-        # columns :k hold x, columns k: hold x'
-        y = np.zeros((hi - lo, 2 * k), dtype=complex)
-        y[-1, :k] = 1.0
-        for i in range(hi - lo - 1, 0, -1):
-            t = b[i, i:i + w + 1] @ y[i:i + w + 1] - zz * y[i]
-            t[k:] -= y[i, :k]
-            y[i - 1] = t / -b[i, i - 1]
-            scale = np.maximum(np.maximum(np.abs(y[i - 1, :k]), np.abs(y[i - 1, k:])), 1.0)
-            y[i - 1:i + w] /= np.concatenate([scale, scale])
-        t = b[0, :w + 1] @ y[:w + 1] - zz * y[0]
-        t[k:] -= y[0, :k]
-        total += t[k:] / t[:k]
-    return total
-
-
-def _newton_polish(h: np.ndarray, eigenvalues: np.ndarray, steps: int = 2) -> np.ndarray:
-    """Newton steps on det(H - z) for all eigenvalues at once.
-
-    z <- z - 1/(d/dz log det(H - z)), with the log-derivative evaluated by
-    Hyman's method on the Hessenberg form (O(n w) per eigenvalue for upper
-    bandwidth w).  The starting values carry a forward error amplified by the
-    eigenvalue condition number; one or two quadratically convergent
-    corrections pull them back to ~eps * |H|.  A step that is non-finite or
-    larger than 0.5 |H|_F + 1 is skipped, which leaves that value where it
-    was.
-    """
-    cap = 0.5 * np.linalg.norm(h) + 1.0
+    cap = 0.5 * np.linalg.norm(np.concatenate([sub, diag, sup])) + 1.0
     z = np.array(eigenvalues, dtype=complex)
     for _ in range(steps):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = -1.0 / _log_det_derivative(h, z)
+            step = -1.0 / _log_det_derivative(sub, diag, sup, z)
         ok = np.isfinite(step) & (np.abs(step) <= cap)
         z[ok] += step[ok]
     return z
 
 
 def dense_spectrum(op: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a dense complex matrix, with algebraic multiplicity.
+    """All eigenvalues of a tridiagonal complex matrix, with algebraic multiplicity.
 
-    Hessenberg form, the closed-form balancing, LAPACK's eigenvalues of the
-    result and two Hyman-Newton steps on it.  Raises NonConvergenceError when
-    LAPACK's iteration fails, and ValueError when the balancing exponents
-    span more than the double range; never returns a silently truncated
-    spectrum.
+    Reads op's three bands: the closed-form balancing, LAPACK's eigenvalues
+    of the balanced matrix and two Newton steps on the continuant.  Raises
+    ValueError for a matrix that is not square, finite and tridiagonal, or
+    whose balancing leaves the double range, and NonConvergenceError when
+    LAPACK's iteration fails; never returns a silently truncated spectrum.
     """
-    op = np.asarray(op, dtype=complex)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError(f"dense_spectrum needs a square matrix, got shape {op.shape}")
-    if not np.all(np.isfinite(op)):
-        raise ValueError("dense_spectrum needs finite entries")
-    n = op.shape[0]
-    if n == 0:
-        return np.array([], dtype=complex)
-    h = _balance(_hessenberg(op))
+    sub, diag, sup = _bands(op)
+    sub, sup = _balance(sub, sup)
+    n = len(diag)
+    h = np.zeros((n, n), dtype=complex)
+    h.flat[:: n + 1], h.flat[1 :: n + 1], h.flat[n :: n + 1] = diag, sup, sub
     try:
         values = np.linalg.eigvals(h)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(
             f"LAPACK eigenvalue iteration failed on a {n}x{n} matrix: {exc}"
         ) from exc
-    return _newton_polish(h, values)
+    return _newton_polish(sub, diag, sup, values)
 
 
 def _greedy_pairing(
@@ -249,7 +210,11 @@ def compare(p: GBSParams, solution: GBSSolution) -> SpectrumReport:
         report.multiplicity_collapse = True
     else:
         report.pairing, report.max_pair_error = _greedy_pairing(closed_vals, oracle_vals)
-    states = np.column_stack(solution.eigenstates)
-    lam = 0.0 if report.multiplicity_collapse else closed_vals
-    report.max_residual = float(np.linalg.norm(op @ states - states * lam, axis=0).max())
+    # |L v - lambda v| from the three bands, one state per row
+    sub, diag, sup = _bands(op)
+    states = np.array(solution.eigenstates)
+    res = (diag - (0.0 if report.multiplicity_collapse else closed_vals[:, None])) * states
+    res[:, 1:] += sub * states[:, :-1]
+    res[:, :-1] += sup * states[:, 1:]
+    report.max_residual = float(np.linalg.norm(res, axis=1).max())
     return report

@@ -69,8 +69,13 @@ class SolutionKind(Enum):
 
 @dataclass(frozen=True)
 class GBSParams:
-    """Operator parameters {mu, nu, eta, m}: finite mu != 0 and nu, 0 < eta < 1,
-    integer m >= 0."""
+    """Operator parameters {mu, nu, eta, m}: 1e-50 <= |mu| <= 1e50, |nu| <= 1e50,
+    0 < eta < 1, integer m >= 0.
+
+    The magnitude bounds keep the frame inside the double range at every eta
+    and either root: |delta| <= 1/(s |mu|) + sqrt(|nu/mu|) < 1e58, with
+    s = sqrt(1-eta) >= 2^-26.5, so |delta|^2 and nu delta^2 stay below 1e170.
+    """
 
     mu: complex
     nu: complex
@@ -81,8 +86,11 @@ class GBSParams:
         for name in ("mu", "nu"):
             if not cmath.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.mu == 0:
-            raise ValueError("mu must be nonzero")
+        mod_mu, mod_nu = (math.hypot(z.real, z.imag) for z in (complex(self.mu), complex(self.nu)))
+        if not 1e-50 <= mod_mu <= 1e50:
+            raise ValueError(f"|mu| must lie in [1e-50, 1e50], got {mod_mu:g}")
+        if mod_nu > 1e50:
+            raise ValueError(f"|nu| must be at most 1e50, got {mod_nu:g}")
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must lie strictly inside (0, 1), got {self.eta}")
         if not isinstance(self.m, numbers.Integral):

@@ -1,9 +1,13 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbstates import cli
 from gbstates.cli import main
@@ -151,6 +155,56 @@ def test_gbs_non_finite_input_exits_2(capsys, flags, bound):
     assert code == 2
     assert out == ""
     assert bound in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "flags, bound",
+    [
+        (["--nu-re", "1e160"], "|nu| must be at most 1e50"),
+        (["--mu-re", "1e-200", "--nu-re", "1e200"], "|mu| must lie in [1e-50, 1e50]"),
+        (["--mu-re", "1e308", "--nu-re", "1e308"], "|mu| must lie in [1e-50, 1e50]"),
+    ],
+)
+def test_gbs_magnitudes_past_the_bound_exit_2(capsys, flags, bound):
+    # these used to overflow into an OverflowError traceback, exit 1
+    code, out, err = run_cli(capsys, ["gbs", "--eta", "0.4", "--m", "3"] + flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bound}, got ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def _modulus_and_phase(log10_modulus, phase):
+    return complex(10.0**log10_modulus * math.cos(phase), 10.0**log10_modulus * math.sin(phase))
+
+
+@settings(max_examples=40)
+@given(
+    mu=st.builds(_modulus_and_phase, st.floats(-300, 300), st.floats(-math.pi, math.pi)),
+    nu=st.builds(_modulus_and_phase, st.floats(-300, 300), st.floats(-math.pi, math.pi)),
+    eta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    m=st.integers(0, 8),
+    root=st.sampled_from(["principal", "secondary"]),
+)
+def test_gbs_never_shows_a_traceback(mu, nu, eta, m, root):
+    # every finite input solves or is rejected by name: exit 0, 2 or 3
+    argv = ["gbs", f"--mu-re={mu.real!r}", f"--mu-im={mu.imag!r}", f"--nu-re={nu.real!r}",
+            f"--nu-im={nu.imag!r}", f"--eta={eta!r}", f"--m={m}", f"--root={root}"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+
+
+def test_gbs_unwritable_out_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, ["gbs", "--eta", "0.4", "--m", "3", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
     assert len(err.strip().splitlines()) == 1
 
 
@@ -321,6 +375,20 @@ def test_evolve_non_finite_input_exits_2(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert err.strip().splitlines() == [f"error: {flag} must be finite, got {float(value)!r}"]
+
+
+@pytest.mark.parametrize(
+    "m, omega, t, phase",
+    [(3, "1e308", "1e10", "phi + omega*t"), (20, "1e307", "1", "omega*t*(m + 1/2)")],
+)
+def test_evolve_overflowing_phase_exits_2(capsys, m, omega, t, phase):
+    # phi + omega*t used to reach math.cos as inf ("math domain error"), and
+    # the top amplitude's phase to return NaN amplitudes with exit 0
+    argv = ["evolve", "--eta", "0.4", "--m", str(m), "--k", "1", "--omega", omega, "--t", t]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: {phase} must be finite, got inf"]
 
 
 def test_output_is_deterministic(capsys):

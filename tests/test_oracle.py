@@ -3,19 +3,31 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gbstates.oracle import (
-    NonConvergenceError,
-    _balance,
-    _hessenberg,
-    _log_det_derivative,
-    compare,
-    dense_spectrum,
-)
+from gbstates.oracle import NonConvergenceError, _log_det_derivative, compare, dense_spectrum
 from gbstates.solver import GBSParams, SolutionKind, build_operator, solve
 
 
 def sorted_c(values):
     return np.sort_complex(np.asarray(values, dtype=complex))
+
+
+def random_tridiagonal(rng, n):
+    full = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.triu(np.tril(full, 1), -1)
+
+
+def lapack_input(monkeypatch, op):
+    """The matrix dense_spectrum hands to np.linalg.eigvals."""
+    seen = []
+    eigvals = np.linalg.eigvals
+
+    def spy(a):
+        seen.append(np.array(a, copy=True))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    dense_spectrum(op)
+    return seen[0]
 
 
 def test_diagonal_matrix():
@@ -39,7 +51,7 @@ def test_rotation_generator_pair():
 def test_characteristic_polynomial_invariants():
     rng = np.random.default_rng(77)
     for n in (2, 4, 8):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = random_tridiagonal(rng, n)
         lam = dense_spectrum(a)
         assert abs(lam.sum() - np.trace(a)) <= 1e-11 * max(1.0, abs(np.trace(a)))
         det = np.linalg.det(a)
@@ -67,18 +79,12 @@ def test_dimension_64_accuracy_contract():
         assert worst <= 1e-10 * np.linalg.norm(op)
 
 
-@pytest.mark.parametrize(
-    "n, zero_subdiagonals, bandwidth",
-    [(n, zeros, None) for n in (1, 2, 7, 30) for zeros in ("none", "one", "all")]
-    + [(30, zeros, w) for w in (1, 3) for zeros in ("none", "one", "all")],
-)
-def test_log_det_derivative_matches_dense_trace(n, zero_subdiagonals, bandwidth):
-    # Hyman's back-substitution against -tr((H - z)^-1) from dense solves;
-    # bandwidth None is a dense Hessenberg, otherwise h[i, j] = 0 for j - i > bandwidth
+@pytest.mark.parametrize("n", [1, 2, 7, 30])
+@pytest.mark.parametrize("zero_subdiagonals", ["none", "one", "all"])
+def test_log_det_derivative_matches_dense_trace(n, zero_subdiagonals):
+    # the continuant on the three bands against -tr((H - z)^-1) from dense solves
     rng = np.random.default_rng(1000 + n)
-    h = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), -1)
-    if bandwidth is not None:
-        h = np.tril(h, bandwidth)
+    h = random_tridiagonal(rng, n)
     if zero_subdiagonals == "one" and n > 1:
         h[n // 2, n // 2 - 1] = 0.0
     elif zero_subdiagonals == "all":
@@ -87,7 +93,7 @@ def test_log_det_derivative_matches_dense_trace(n, zero_subdiagonals, bandwidth)
     z = rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40)
     z = z[np.abs(eig[:, None] - z[None, :]).min(axis=0) > 0.05]
     assert len(z) >= 20
-    got = _log_det_derivative(h, z)
+    got = _log_det_derivative(np.diagonal(h, -1), np.diagonal(h), np.diagonal(h, 1), z)
     eye = np.eye(n)
     for zi, gi in zip(z, got):
         ref = -np.trace(np.linalg.solve(h - zi * eye, eye))
@@ -103,9 +109,9 @@ def test_log_det_derivative_matches_dense_trace(n, zero_subdiagonals, bandwidth)
         GBSParams(1.0, 0.0, 0.25, 20),
     ],
 )
-def test_balance_is_an_exact_power_of_two_similarity(p):
+def test_balance_is_an_exact_power_of_two_similarity(p, monkeypatch):
     op = build_operator(p)
-    b = _balance(op)
+    b = lapack_input(monkeypatch, op)
     # every entry is its input times 2^integer, and zeros stay zero
     assert np.array_equal(b == 0, op == 0)
     nz = op != 0
@@ -131,33 +137,40 @@ def test_balancing_keeps_near_normal_points_exact(nu, m):
 
 
 def test_balancing_past_the_double_range_names_the_span():
-    # sub/super ratios of 1e300 need scale factors 2^2491 apart; LAPACK alone
-    # handles this matrix, but its balanced form would hold inf
-    h = np.triu(np.ones((6, 6)), -1).astype(complex)
-    idx = np.arange(5)
-    h[idx + 1, idx] = 1e150
-    h[idx, idx + 1] = 1e-150
+    # five sub/super ratios of 1e300 need scale factors 2^2491 apart; the
+    # exponent of the (1.5e308, 1.7e308) pair rounds one step off its ratio,
+    # which doubles its subdiagonal past the double range
+    sub = np.array([1e150, 1e150, 1.5e308, 1e150, 1e150, 1e150])
+    sup = np.array([1e-150, 1e-150, 1.7e308, 1e-150, 1e-150, 1e-150])
+    h = (np.eye(7) + np.diag(sub, -1) + np.diag(sup, 1)).astype(complex)
     with pytest.raises(ValueError, match=r"span 2\^2491"):
         dense_spectrum(h)
 
 
-def test_hessenberg_keeps_tridiagonal_bit_for_bit():
+def test_lapack_sees_the_exact_power_of_two_balancing_of_l(monkeypatch):
+    # e_j = rint(sum_{i<j} 1/2 log2 |sub_i/sup_i|), entry (i, j) scaled by 2^(e_j - e_i)
     op = build_operator(GBSParams(0.8 * np.exp(0.9j), 1.2 * np.exp(-0.3j), 0.7, 40))
-    assert np.array_equal(_hessenberg(op), op)
+    sub, sup = np.diagonal(op, -1), np.diagonal(op, 1)
+    e = np.rint(np.cumsum([0.0, *(0.5 * np.log2(np.abs(sub) / np.abs(sup)))])).astype(int)
+    s = np.diff(e)
+    want = np.diag(np.diagonal(op)).astype(complex)
+    want += np.diag(np.ldexp(sub.real, -s) + 1j * np.ldexp(sub.imag, -s), -1)
+    want += np.diag(np.ldexp(sup.real, s) + 1j * np.ldexp(sup.imag, s), 1)
+    assert np.array_equal(lapack_input(monkeypatch, op), want)
 
 
-def test_hessenberg_reduces_dense_matrix():
-    rng = np.random.default_rng(9)
-    a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    h = _hessenberg(a)
-    assert np.all(np.tril(h, -2) == 0)
-    np.testing.assert_allclose(np.linalg.norm(h), np.linalg.norm(a), rtol=1e-13)
-    np.testing.assert_allclose(np.trace(h), np.trace(a), atol=1e-12 * np.linalg.norm(a))
+def test_non_tridiagonal_matrix_is_rejected():
+    op = build_operator(GBSParams(1.0, 0.3, 0.4, 5))
+    op[0, 2] = 1e-300
+    with pytest.raises(ValueError, match="needs a tridiagonal matrix"):
+        dense_spectrum(op)
+    with pytest.raises(ValueError, match="needs a tridiagonal matrix"):
+        dense_spectrum(np.ones((3, 3)))
 
 
 def test_hermitian_spectrum_is_real():
     rng = np.random.default_rng(5)
-    a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    a = random_tridiagonal(rng, 9)
     h = (a + a.conj().T) / 2
     lam = dense_spectrum(h)
     assert np.abs(lam.imag).max() <= 1e-11 * np.linalg.norm(h)
@@ -175,8 +188,7 @@ def test_lapack_failure_is_loud(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvals", fails)
-    rng = np.random.default_rng(123)
-    a = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
+    a = random_tridiagonal(np.random.default_rng(123), 10)
     with pytest.raises(NonConvergenceError, match="10x10"):
         dense_spectrum(a)
 

@@ -8,7 +8,7 @@ import pytest
 from gbstates.binomial import BinomialParams, binomial_amplitudes
 from gbstates.displacement import delta_to_zeta, displacement
 from gbstates.fock import basis_state, fidelity, hp_generators, normalize_state
-from gbstates.oracle import dense_spectrum
+from gbstates.oracle import compare, dense_spectrum
 from gbstates.solver import (
     GBSParams,
     SolutionKind,
@@ -62,6 +62,31 @@ def test_params_validation():
 def test_params_reject_non_finite_and_non_integer(kwargs, bound):
     with pytest.raises(ValueError, match=bound):
         GBSParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "mu, nu, bound",
+    [
+        (1.0, 1e160, r"\|nu\| must be at most 1e50"),
+        (1e-200, 1e200, r"\|mu\| must lie in \[1e-50, 1e50\]"),
+        (1e308, 1e308, r"\|mu\| must lie in \[1e-50, 1e50\]"),
+    ],
+)
+def test_params_reject_magnitudes_past_the_bound(mu, nu, bound):
+    # each used to overflow into an OverflowError, in operator_norm or in
+    # coefficient_triple
+    with pytest.raises(ValueError, match=bound):
+        GBSParams(mu=mu, nu=nu, eta=0.4, m=3)
+
+
+@pytest.mark.parametrize("root_policy", ["principal", "secondary"])
+@pytest.mark.parametrize(
+    "mu, nu, eta",
+    [(1e-50, 1e50, 0.4), (1e50, 1e50, 0.4), (1e50j, -1e50, 0.5), (1e-50, 1e50, 1e-300)],
+)
+def test_params_at_the_magnitude_bounds_solve(mu, nu, eta, root_policy):
+    p = GBSParams(mu=mu, nu=nu, eta=eta, m=8)
+    assert compare(p, solve(p, root_policy)).passed
 
 
 def test_params_accept_numpy_integer_cap():
