@@ -394,9 +394,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write `--flag -1e-3` as `--flag=-1e-3`.
+
+    argparse reads a token that starts with '-' as an option unless it
+    matches its negative-number pattern, which has no exponent, so
+    `--nu-re -1e-3` would leave --nu-re without its value.  A number that
+    follows a long option without '=' is attached to it instead.
+    """
+    out = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and token.startswith("-") and _is_number(token):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except ValueError as exc:

@@ -3,9 +3,11 @@
 D(zeta) = exp(-iH) is a spin-m/2 Wigner rotation; H = i(zeta J+ - zeta* J-)
 is r Q X Q^dag with Q a diagonal phase and X = J+ + J- real with eigenvalues
 2k - m.  The reflection |n> -> |m-n> commutes with X and splits it into two
-half-size real blocks, so two small real eigendecompositions give D exactly
-unitary.  D(zeta) lifts the 2x2 unitary w^-1/2 [[1, delta*], [-delta, 1]],
-delta = e^{-i theta} tan r, w = 1 + |delta|^2, which the solver takes as a
+half-size real blocks; the parity (-1)^N anticommutes with X, which maps one
+block onto the other for odd m and makes each block a bipartite
+[[0, C], [C^T, 0]] for even m.  So one half-size eigh (odd m) or one batched
+quarter-size SVD (even m) gives D exactly unitary.  D(zeta) lifts the 2x2
+unitary w^-1/2 [[1, delta*], [-delta, 1]], delta = e^{-i theta} tan r, w = 1 + |delta|^2, which the solver takes as a
 Schur basis of its 2x2 matrix.  The module also covers the disentangled
 (normal-ordered) product form, evaluated in exact integer arithmetic as an
 independent cross-check that never calls `displacement()` or `eigh`.
@@ -64,7 +66,7 @@ def delta_to_zeta(delta: complex, m: int) -> DisplacementParams:
 
 
 def displacement(p: DisplacementParams) -> np.ndarray:
-    """Unitary D(zeta) = exp(-iH) on dim m+1, built from two half-size real bases.
+    """Unitary D(zeta) = exp(-iH) on dim m+1, from one half- or quarter-size real factorization.
 
     H = i(zeta J+ - zeta* J-) = r Q X Q^dag with Q = diag(e^{-i n (theta + pi/2)})
     and X = J+ + J- real, symmetric, tridiagonal and a function of m alone,
@@ -73,19 +75,38 @@ def displacement(p: DisplacementParams) -> np.ndarray:
     The reflection R|n> = |m-n> commutes with X.  On the basis
     (|n> +- |m-n>)/sqrt(2), n < h = (m+1)//2, X splits into an even and an odd
     real tridiagonal block, each with the off-diagonals sqrt((n+1)(m-n)) of X.
-    For odd m the central pair adds +-(m+1)/2 to the last diagonal entry of
-    each block.  For even m, |m/2> joins the even block, coupled to its last
-    pair by sqrt(2) sqrt((m/2)(m/2+1)), and the odd block is padded with one
-    idle row.  Both are stacked as one (2, s, s) array, s = m//2 + 1, for one
-    batched eigh; with the exact eigenvalues lambda = rint(w) = 2k - m of each
-    block, E = V cos(r lambda) V^T - i V sin(r lambda) V^T per block.  Then
-    for i, j < h the real-frame entries are (E_even +- E_odd)[i, j] / 2 at
-    (i, j) and (i, m-j), the bottom half follows from D[m-i, m-j] = D[i, j],
+    The parity Z = (-1)^N anticommutes with X, since X moves n by one; that
+    halves the work that remains on the blocks.
+
+    Odd m: the central pair adds +-(m+1)/2 to the last diagonal entry of each
+    block, so X_odd = -S X_even S with S = diag((-1)^i).  One eigh of the even
+    block, with its exact eigenvalues lambda = rint(w) = 2k - m, gives
+    E_even = V cos(r lambda) V^T - i V sin(r lambda) V^T, and
+    E_odd = exp(ir S X_even S) = S conj(E_even) S.
+
+    Even m: |m/2> joins the even block, coupled to its last pair by
+    sqrt(2) sqrt((m/2)(m/2+1)), and the odd block is padded with one idle row,
+    so both have size s = m//2 + 1 and a zero diagonal.  On its even and odd
+    rows each block is [[0, C], [C^T, 0]], with C lower bidiagonal,
+    ceil(s/2) x floor(s/2), read straight off the block's off-diagonals
+    (Golub & Kahan, 1965).  LAPACK gets B = C^T, with a zero column appended
+    to C when s is odd: square and upper bidiagonal, so its reduction to
+    bidiagonal form is exact.  One batched SVD B = W Sigma U^T of both
+    blocks, with Sigma rounded to the exact |2k - m|, gives
+    E = [[U cos(r Sigma) U^T, -i U sin(r Sigma) W^T],
+         [-i W sin(r Sigma) U^T, W cos(r Sigma) W^T]].
+    The padding adds the singular value 0, whose U vector spans C^T's null
+    space and takes cos 0 = 1; its W vector lives on the padding's row,
+    which is never read.
+
+    Then for i, j < h the real-frame entries are (E_even +- E_odd)[i, j] / 2
+    at (i, j) and (i, m-j), the bottom half follows from D[m-i, m-j] = D[i, j],
     and for even m the centre row and column are E_even's last row divided
     by sqrt(2).
 
-    Cost: two eigh and two gemm of size about m/2, a quarter of the flops of
-    one full-size eigh and gemm pair, plus O(m^2) copies and the phases.
+    Cost: one eigh and two gemm of size m/2 for odd m; one batched SVD and
+    three batched gemm of size about m/4 for even m; plus O(m^2) copies and
+    the phases.
     """
     if p.r == 0.0 or p.m == 0:
         # at m = 0 the generators vanish, and there is no pair to index
@@ -94,23 +115,46 @@ def displacement(p: DisplacementParams) -> np.ndarray:
     h = (m + 1) // 2
     s = m // 2 + 1
     j = np.arange(1, s)
-    x = np.zeros((2, s, s))
-    # eigh reads only the lower triangle: fill both sub-diagonals,
-    # sqrt((j+1)(m-j)) formed on the integers, through a flat view
-    x.reshape(2, -1)[:, s :: s + 1] = np.sqrt(j * (m + 1 - j), dtype=float)
+    # the sub-diagonal sqrt((j+1)(m-j)) of X, formed on the integers
+    off = np.sqrt(j * (m + 1 - j), dtype=float)
     if m % 2:
-        x[0, h - 1, h - 1] = (m + 1) / 2
-        x[1, h - 1, h - 1] = -(m + 1) / 2
+        x = np.zeros((h, h))
+        # eigh reads only the lower triangle: fill the sub-diagonal through a flat view
+        x.reshape(-1)[h :: h + 1] = off
+        x[-1, -1] = (m + 1) / 2
+        w, v = np.linalg.eigh(x)
+        # -r lambda: cos is even and sin odd, so the weights give E = cos - i sin
+        angle = np.rint(w) * -p.r
+        g = np.empty((2, h, h), dtype=complex)
+        np.matmul(v * np.cos(angle), v.T, out=g[0].real)
+        np.matmul(v * np.sin(angle), v.T, out=g[0].imag)
+        # E_odd = S conj(E_even) S: the conjugate, negated where i + j is odd
+        np.conjugate(g[0], out=g[1])
+        for flip in (g[1, ::2, 1::2], g[1, 1::2, ::2]):
+            np.negative(flip, out=flip)
     else:
-        x[0, h, h - 1] *= math.sqrt(2)
-        x[1, h, h - 1] = 0.0  # the idle row
-    w, v = np.linalg.eigh(x)
-    # -r lambda: cos is even and sin odd, so the weights give E = cos - i sin
-    angle = np.rint(w)[:, None, :] * -p.r
-    vt = v.transpose(0, 2, 1)
-    g = np.empty((2, s, s), dtype=complex)
-    np.matmul(v * np.cos(angle), vt, out=g.real)
-    np.matmul(v * np.sin(angle), vt, out=g.imag)
+        # B = C^T, t x t with t = ceil(s/2): B[i, i] = X[2i+1, 2i] and
+        # B[i, i+1] = X[2i+2, 2i+1], both blocks through one flat view
+        t, cols = (s + 1) // 2, s // 2
+        b = np.zeros((2, t, t))
+        flat = b.reshape(2, -1)
+        flat[:, : cols * (t + 1) : t + 1] = off[::2]
+        flat[:, 1 :: t + 1] = off[1::2]
+        # the last off-diagonal: the centre's coupling sqrt(2) sqrt(h(h+1)), and the idle row's zero
+        b[:, cols - 1, -1] = math.sqrt(2 * h * (h + 1)), 0.0
+        w, sigma, ut = np.linalg.svd(b)
+        angle = np.rint(sigma)[:, None, :] * -p.r
+        cos = np.cos(angle)
+        u, wt = ut.transpose(0, 2, 1), w.transpose(0, 2, 1)
+        # E on its even and odd rows and columns, through strided views; the
+        # padding's row and column of g, at index s for odd s, are never read
+        g = np.zeros((2, 2 * t, 2 * t), dtype=complex)
+        gr, gi = g.real, g.imag
+        np.matmul(u * cos, ut, out=gr[:, ::2, ::2])
+        np.matmul(w * cos, wt, out=gr[:, 1::2, 1::2])
+        eo = gi[:, ::2, 1::2]
+        np.matmul(u * np.sin(angle), wt, out=eo)
+        gi[:, 1::2, ::2] = eo.transpose(0, 2, 1)
     # d holds twice the real-frame matrix until the phases bring in the 1/2
     even, odd = g[0, :h, :h], g[1, :h, :h]
     d = np.empty((m + 1, m + 1), dtype=complex)

@@ -100,7 +100,10 @@ class GBSParams:
 
     @property
     def scale(self) -> float:
-        """Magnitude reference for the defective-branch threshold."""
+        """|mu| + |nu| + 1, the size of M's entries: a reference for rounding in the frame.
+
+        The defective-branch threshold does not use it; see `branch_kind`.
+        """
         return abs(self.mu) + abs(self.nu) + 1.0
 
 
@@ -207,7 +210,10 @@ def branch_kind(p: GBSParams, triple: CoefficientTriple) -> SolutionKind:
     # dropping A+ J+ leaves D|k> a residual |A+| sqrt(k(m-k+1)) <= |A+| (m+1)/2
     if abs(triple.a_plus) * (p.m + 1) / 2 <= DEGENERATE_APLUS_TOL * operator_norm(p):
         return SolutionKind.DEGENERATE_A_PLUS_ZERO
-    if abs(triple.a_zero) <= DEFECTIVE_AZERO_TOL * p.scale:
+    # A0^2 = eta + 4(1-eta) mu nu: |A0| against the modulus sum of its two
+    # terms, so the test holds at every scale of mu, nu and eta
+    a_zero_terms = math.sqrt(p.eta + 4.0 * (1.0 - p.eta) * abs(p.mu) * abs(p.nu))
+    if abs(triple.a_zero) <= DEFECTIVE_AZERO_TOL * a_zero_terms:
         return SolutionKind.DEFECTIVE_A_ZERO_ZERO
     return SolutionKind.GENERIC
 
@@ -364,7 +370,8 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> list[np.ndarray]:
     diag = (se * (2 * n - m) * 0.5) * rot
     prods = (n[1:] * (m + 1 - n[1:])).astype(float)  # (n+1)(m-n), n < m
     c = np.empty((m, 2))  # u_n l_n, rotated and scaled, in sweep order: down, up
-    np.multiply(s * s * abs(mu) * abs(nu) * abs(rot) ** 2, prods, out=c[:, 0])
+    # each factor scaled on its own: |rot|^2 alone overflows once |A0| < 1e-154
+    np.multiply((s * abs(mu) * abs(rot)) * (s * abs(nu) * abs(rot)), prods, out=c[:, 0])
     c[:, 1] = c[::-1, 0]
     # log |u_n| at row n for the part below r, log |l_{n-1}| for the part
     # above (-inf at nu = 0, where that part vanishes)
@@ -498,23 +505,21 @@ def _exponential_form_core(triple: CoefficientTriple, k: int, m: int) -> np.ndar
     on the n <= k sector its only matrix elements are
         (n+1, n): (A0/A+) (k - n) sqrt((n+1)/(m-n)),
     and it annihilates everything above, so the series applied to the vacuum
-    terminates after k+1 terms.
+    terminates after k+1 terms.  Its j-th term lives on |j> alone, so each
+    amplitude is the one before times one matrix element over j.
     """
-    n = np.arange(k)
-    sub = triple.a_zero / triple.a_plus * (k - n) * np.sqrt((n + 1) / (m - n))
-    v = np.zeros(m + 1, dtype=complex)
-    term = np.zeros(m + 1, dtype=complex)
-    v[0] = 1.0
-    term[0] = 1.0
-    for j in range(1, k + 1):
-        # the exponent's sub-diagonal moves |n> to |n+1>
-        term[1 : k + 1] = term[:k] * sub / j
-        term[0] = 0.0
-        v = v + term
-        big = np.abs(term).max()
+    ratio = triple.a_zero / triple.a_plus
+    t = 1.0 + 0j
+    amplitudes = [t]
+    for n in range(k):
+        t *= ratio * (k - n) * math.sqrt((n + 1) / (m - n)) / (n + 1)
+        big = abs(t)
         if big > 1e200:
-            v /= big
-            term /= big
+            amplitudes = [a / big for a in amplitudes]
+            t /= big
+        amplitudes.append(t)
+    v = np.zeros(m + 1, dtype=complex)
+    v[: k + 1] = amplitudes
     return v
 
 

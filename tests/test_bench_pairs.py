@@ -50,3 +50,27 @@ def test_parse_pairs_rejects_a_missing_count():
         "large-m-scan": 10, "small-m-mix": 5}
     with pytest.raises(SystemExit, match="WORKLOAD=COUNT"):
         bench_pairs.parse_pairs(["large-m-scan"])
+
+
+def _with_env(record, threads="1", cpus=2):
+    return {**record, "threads": {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+            "cpus_usable": cpus}
+
+
+def test_thread_settings_lists_each_sides_settings():
+    runs = [{"seed": s, "first": "parent", "parent": _with_env(_side(1.0)), "change": _with_env(_side(0.9))}
+            for s in (1, 2)]
+    settings = bench_pairs.thread_settings({"large-m-scan": {"runs": runs}, "small-m-mix": {"runs": runs}})
+    one = {"threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, "cpus_usable": 2}
+    assert settings == {"parent": [one], "change": [one], "sides_differ": False}
+
+
+@pytest.mark.parametrize("change", [{"threads": "4"}, {"cpus": 1}])
+def test_thread_settings_flags_sides_that_differ(change):
+    runs = [
+        {"seed": 1, "first": "parent", "parent": _with_env(_side(1.0)), "change": _with_env(_side(0.9))},
+        {"seed": 2, "first": "change", "parent": _with_env(_side(1.0)), "change": _with_env(_side(0.9), **change)},
+    ]
+    settings = bench_pairs.thread_settings({"large-m-scan": {"runs": runs}})
+    assert settings["sides_differ"]
+    assert len(settings["parent"]) == 1 and len(settings["change"]) == 2

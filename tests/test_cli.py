@@ -199,6 +199,46 @@ def test_gbs_never_shows_a_traceback(mu, nu, eta, m, root):
         assert err.getvalue().startswith("error: ")
 
 
+def _equals_form(argv):
+    """argv with every negative value attached to its flag by '='."""
+    joined = []
+    for token in argv:
+        if token.startswith("-") and token[1:2] in tuple(".0123456789"):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["gbs", "--eta", "0.4", "--m", "3", "--nu-re", "-1e-3"], "nu", [-1e-3, 0.0]),
+        (["gbs", "--eta", "0.4", "--m", "3", "--mu-re", "-2.5E+1", "--mu-im", "-1e-2"], "mu", [-25.0, -0.01]),
+        (["gbs", "--eta", "0.4", "--m", "3", "--nu-im", "-.5e0", "--nu-re", "-3"], "nu", [-3.0, -0.5]),
+    ],
+)
+def test_gbs_takes_negative_exponent_values_after_a_space(capsys, argv, flag, value):
+    # argparse's negative-number pattern has no exponent: left to itself it
+    # exits 2 on "--nu-re -1e-3" with "expected one argument"
+    doc = run_json(capsys, argv)
+    assert doc["params"][flag] == value
+    assert doc == run_json(capsys, _equals_form(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limit", "--mode", "coherent", "--phi", "-1e-1", "--alpha", "1.5", "--m-values", "10,20"],
+        ["evolve", "--eta", "0.4", "--m", "3", "--k", "1", "--omega", "-1e0", "--t", "2e-1", "--phi", "-3e-1"],
+    ],
+)
+def test_limit_and_evolve_take_negative_exponent_values_after_a_space(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert run_cli(capsys, _equals_form(argv))[:2] == (0, out)
+
+
 def test_gbs_unwritable_out_exits_2(capsys, tmp_path):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run_cli(capsys, ["gbs", "--eta", "0.4", "--m", "3", "--out", str(target)])

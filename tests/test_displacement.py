@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from gbstates.displacement import (
@@ -76,6 +78,26 @@ def test_displacement_unitary_and_inverse():
         assert np.linalg.norm(d @ d_inv - np.eye(m + 1)) <= 1e-11
 
 
+@pytest.mark.parametrize("m", [800, 801])
+def test_displacement_unitary_at_the_largest_benchmarked_cap(m):
+    # both paths at their largest size: the half-size eigh (odd m) and the
+    # quarter-size SVD (even m)
+    d = displacement(DisplacementParams(1.2, -0.8, m))
+    assert np.linalg.norm(d.conj().T @ d - np.eye(m + 1)) <= 1e-11
+
+
+@given(
+    st.integers(1, 30),
+    st.floats(0.0, 1.5),
+    st.floats(-math.pi, math.pi, exclude_min=True),
+)
+def test_displacement_matches_the_exact_integer_product(m, r, theta):
+    # the normal-ordered product shares no step with eigh or the SVD
+    direct = displacement(DisplacementParams(r, theta, m))
+    product = disentangled_displacement(r * np.exp(1j * theta), m)
+    assert np.linalg.norm(direct - product) <= 1e-10
+
+
 @pytest.mark.parametrize(
     "m, r, theta",
     [
@@ -93,6 +115,17 @@ def test_displacement_unitary_and_inverse():
         (3, 0.7, math.pi),
         (61, 1.0, -2.0),
         (401, 2.6, math.pi),
+        # every residue of m mod 4, small and large: for even m, s = m/2 + 1
+        # even gives square bidiagonal blocks C, s odd gives C one row taller
+        # than wide, with a left null vector; for odd m, h = (m+1)/2 even or odd
+        (4, 1.3, 0.9),
+        (5, 0.4, -2.9),
+        (6, 2.2, 1.7),
+        (7, 1.5, -0.6),
+        (62, 0.9, 2.4),
+        (63, 2.9, -1.1),
+        (402, 1.4, 0.3),
+        (403, 0.6, -2.2),
     ],
 )
 def test_displacement_matches_expm_of_the_generator(m, r, theta):

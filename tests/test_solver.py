@@ -26,6 +26,7 @@ from gbstates.solver import (
     spectrum,
     undisplaced_eigenstate,
 )
+from gbstates.solver import _exponential_form_core
 from gbstates.verification import run_all
 
 
@@ -556,6 +557,55 @@ def test_solve_defective_branch():
         eigenstate_sum(p, 1)
     with pytest.raises(ValueError):
         binomial_phase_parameters(p)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        # |A0| = 1.67 against the old 1e-12 (|mu| + |nu| + 1) = 1e38
+        GBSParams(1e-50, 1e50, 0.4, 3),
+        # every scale near 1e-40: the old "+ 1" called this defective
+        GBSParams(complex(1.02e-44, -2.08e-43), complex(7.3e-39, 2.2e-38), 2.5e-200, 4),
+        # a subnormal eta: |A0| = 2.8e-155, which the twisted factorization
+        # scales by 1/|A0|; the old threshold called it defective
+        GBSParams(complex(7.47e-48, 2.07e-48), complex(3.26e-277, 2.29e-277), 7.98e-310, 7),
+    ],
+    ids=["lopsided", "tiny", "subnormal-eta"],
+)
+def test_defective_threshold_is_relative_to_the_terms_of_a_zero(p):
+    sol = solve(p)
+    assert sol.kind is SolutionKind.GENERIC
+    assert len(sol.eigenstates) == p.m + 1
+    assert compare(p, sol).passed
+
+
+def test_exact_defective_points_stay_defective_at_every_scale():
+    # mu nu = -2^-2 and eta = 1/2 put A0^2 = eta + 4(1-eta) mu nu at exactly
+    # 0, for |mu| across the whole range [1e-50, 1e50]
+    for j in range(-166, 167):
+        p = GBSParams(2.0**j, -(2.0 ** (-j - 2)), 0.5, 4)
+        kind = branch_kind(p, coefficient_triple(p, select_root(p)))
+        assert kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO, j
+
+
+@pytest.mark.parametrize("m, k", [(30, 30), (60, 40)])
+def test_exponential_form_rescales_past_the_double_range(m, k):
+    # next to the Hermitian branch |A0/A+| = 2.2e8, so the unscaled series'
+    # top amplitude ratio^k C(k, j) / sqrt(C(m, j)) would reach 1e250 at
+    # (30, 30) and overflow at 1e326 at (60, 40)
+    p = GBSParams(1.0, 1.0 + 1e-8, 0.5, m)
+    state = eigenstate_exponential(p, k)
+    assert np.all(np.isfinite(state))
+    assert 1.0 - fidelity(eigenstate_sum(p, k), state) <= 1e-11
+    delta = select_root(p)
+    t = coefficient_triple(p, delta)
+    ratio = mp.mpc(t.a_zero / t.a_plus)
+    exact = [ratio**j * mp.binomial(k, j) / mp.sqrt(mp.binomial(m, j)) for j in range(k + 1)]
+    norm = mp.sqrt(mp.fsum(abs(x) ** 2 for x in exact))
+    expected = np.array([complex(x / norm) for x in exact])
+    core = _exponential_form_core(t, k, m)
+    assert not core[k + 1 :].any()
+    np.testing.assert_allclose(core[: k + 1] / np.linalg.norm(core), expected, rtol=1e-12, atol=1e-300)
 
 
 def test_generic_eigenbasis_linearly_independent():

@@ -11,9 +11,11 @@ parent's tree and once from this checkout, each as its own subprocess on the
 same seed and for BENCHMARK.json's run_seconds; the side that runs first
 alternates from pair to pair.  Then one traced run per side and workload, on
 the first seed, keeps every metric it reports.  The output holds each run's
-end-to-end metrics, and per workload the medians, the inclusive quartiles and
-the count of pairs the change wins.  The benchmark itself is only run, never
-imported.
+end-to-end metrics with the BLAS/OpenMP thread settings and the usable CPU
+count its worker reported, and per workload the medians, the inclusive
+quartiles and the count of pairs the change wins.  "blas_threads" lists the
+distinct settings each side ran with and flags the file when the two sides
+differ.  The benchmark itself is only run, never imported.
 """
 
 import argparse
@@ -27,6 +29,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RUNNER = Path("perfbench") / "run.py"
 END_TO_END = ("setup_s", "run_s", "op_median_s", "peak_rss_mib")
+# what each run's worker reports of its threads and CPUs
+ENV_KEYS = ("threads", "cpus_usable")
 SIDES = ("parent", "change")
 RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 
@@ -56,6 +60,23 @@ def run_record(result: dict) -> dict:
     record = {name: metrics[name]["value"] for name in END_TO_END if name in metrics}
     record.update(failed=result["failed"], attempted=result["attempted"], checks_pass=result["correct"])
     return record
+
+
+def thread_settings(workloads: dict) -> dict:
+    """The distinct thread settings and usable CPU counts of each side's runs.
+
+    workloads maps each workload to its {"runs": [...]} record.  The two
+    sides are timed fairly only if they ran with the same settings, so
+    "sides_differ" flags the file otherwise.
+    """
+    seen = {side: [] for side in SIDES}
+    for record in workloads.values():
+        for run in record["runs"]:
+            for side in SIDES:
+                setting = {key: run[side].get(key) for key in ENV_KEYS}
+                if setting not in seen[side]:
+                    seen[side].append(setting)
+    return {**seen, "sides_differ": seen["parent"] != seen["change"]}
 
 
 def _quartiles(values: list) -> list:
@@ -118,7 +139,7 @@ def main(argv=None) -> int:
                       f"traced: --trace 1 --seed {args.first_seed}",
            "parent_rev": subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, capture_output=True,
                                         text=True, check=True).stdout.strip(),
-           "host": {}, "blas_threads": 1,
+           "host": {},
            "pairs": "parent and change alternate which runs first; each run names the side that ran first"}
     if args.claim:
         workload, _, metric = args.claim.partition(":")
@@ -136,12 +157,17 @@ def main(argv=None) -> int:
                 for side in order:
                     result, env = run_bench(trees[side], workload, seed, 0)
                     run[side] = run_record(result)
+                    run[side].update({key: env.get(key) for key in ENV_KEYS})
                     out["host"] = out["host"] or {k: env.get(k) for k in
-                                                  ("python", "numpy", "scipy", "mpmath", "blas", "nproc")}
+                                                  ("python", "numpy", "scipy", "mpmath", "blas", "nproc", *ENV_KEYS)}
                     print(f"{workload} seed {seed} {side}: run_s {run[side].get('run_s', float('nan')):.4f}",
                           file=sys.stderr, flush=True)
                 runs.append(run)
             out["workloads"][workload] = {"seeds": seeds, "median": summarize_pairs(runs), "runs": runs}
+        out["blas_threads"] = thread_settings(out["workloads"])
+        if out["blas_threads"]["sides_differ"]:
+            print("warning: parent and change ran with different thread settings or CPU counts",
+                  file=sys.stderr, flush=True)
         out["traced"] = {}
         for workload in counts:
             traced = {"seed": args.first_seed}
