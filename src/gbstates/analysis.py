@@ -187,11 +187,12 @@ def number_limit_scan(
     mu: complex, nu: complex, m: int, k: int, eta_schedule
 ) -> list[tuple[float, float]]:
     """Fidelity of the k-th eigenstate against |k> along an eta -> 1 schedule."""
-    target = basis_state(k, m + 1)
-    return [
-        (float(eta), fidelity(eigenstate(GBSParams(mu=mu, nu=nu, eta=eta, m=m), k), target))
-        for eta in eta_schedule
-    ]
+    rows = []
+    for eta in eta_schedule:
+        # the eigenstate first, so that the solver's index check names a bad k
+        state = eigenstate(GBSParams(mu=mu, nu=nu, eta=eta, m=m), k)
+        rows.append((float(eta), fidelity(state, basis_state(k, m + 1))))
+    return rows
 
 
 def _limit_target(mu: complex, nu: complex, alpha: float, rule: KRule) -> complex:

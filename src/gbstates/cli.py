@@ -118,7 +118,7 @@ def cmd_gbs(args) -> int:
     )
     if args.k is not None and not 0 <= args.k <= args.m:
         raise ValueError(f"eigenstate index {args.k} outside 0..{args.m}")
-    sol = solve(p, root_policy=args.root)
+    sol = solve(p)
     report = compare(p, sol)
     results = {
         "delta_roots": [_cnum(r) for r in constraint_roots(p)],
@@ -142,13 +142,7 @@ def cmd_gbs(args) -> int:
         results["eigenstate"] = _cvec(sol.eigenstates[args.k])
     payload = _record(
         "gbs",
-        {
-            "mu": _cnum(p.mu),
-            "nu": _cnum(p.nu),
-            "eta": p.eta,
-            "m": p.m,
-            "root_policy": args.root,
-        },
+        {"mu": _cnum(p.mu), "nu": _cnum(p.nu), "eta": p.eta, "m": p.m},
         results,
         {
             "oracle": {
@@ -169,9 +163,12 @@ def cmd_gbs(args) -> int:
 
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise ValueError(f"{flag} takes comma-separated numbers, got {text!r}") from exc
+    if not values:
+        raise ValueError(f"{flag} needs at least one number, got {text!r}")
+    return values
 
 
 def _parse_m_values(text: str) -> list[int]:
@@ -191,13 +188,13 @@ def cmd_limit(args) -> int:
         etas = _parse_floats(args.etas, "--etas")
         mu = complex(args.mu_re, args.mu_im)
         nu = complex(args.nu_re, args.nu_im)
-        target = basis_state(args.k, args.m + 1)
         rows = []
         for eta in etas:
+            # the eigenstate first, so that the solver's index check names a bad k
             state = eigenstate(GBSParams(mu=mu, nu=nu, eta=eta, m=args.m), args.k)
             # |(N - k) v|, N diagonal
             residual = float(np.linalg.norm((np.arange(args.m + 1) - args.k) * state))
-            rows.append((eta, fidelity(state, target), residual))
+            rows.append((eta, fidelity(state, basis_state(args.k, args.m + 1)), residual))
         params = {
             "mode": "number",
             "mu": _cnum(mu),
@@ -251,8 +248,6 @@ def cmd_evolve(args) -> int:
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value!r}")
     p0 = GBSParams(mu=complex(math.cos(args.phi), math.sin(args.phi)), nu=0.0, eta=args.eta, m=args.m)
-    if not 0 <= args.k <= args.m:
-        raise ValueError(f"eigenstate index {args.k} outside 0..{args.m}")
     state = eigenstate_sum(p0, args.k)
     evolved = time_evolve(state, omega=args.omega, t=args.t)
     p1 = GBSParams(mu=complex(math.cos(shifted), math.sin(shifted)), nu=0.0, eta=args.eta, m=args.m)
@@ -350,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_complex_flags(p_gbs)
     p_gbs.add_argument("--eta", type=float, required=True, help="probability in (0, 1)")
     p_gbs.add_argument("--m", type=int, required=True, help="photon cap")
-    p_gbs.add_argument("--root", choices=["principal", "secondary"], default="principal")
     p_gbs.add_argument("--k", type=int, default=None, help="also emit eigenstate k")
     p_gbs.add_argument("--format", choices=["json"], default="json")
     p_gbs.add_argument("--out", default="-")

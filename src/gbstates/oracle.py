@@ -17,6 +17,11 @@ import numpy as np
 
 from .solver import GBSParams, GBSSolution, SolutionKind, build_operator, operator_norm
 
+# LAPACK's starting values carry a forward error amplified by the eigenvalue
+# condition number; inside a root's basin Newton converges quadratically, so
+# two corrections pull them back to ~eps * |T|
+_NEWTON_STEPS = 2
+
 
 class NonConvergenceError(RuntimeError):
     """LAPACK's eigenvalue iteration failed to converge."""
@@ -122,17 +127,15 @@ def _log_det_derivative(sub, diag, sup, z: np.ndarray) -> np.ndarray:
     return new[1] / new[0]
 
 
-def _newton_polish(sub, diag, sup, eigenvalues: np.ndarray, steps: int = 2) -> np.ndarray:
-    """Newton steps z <- z - 1/(d/dz log det(T - z)) for all eigenvalues at once.
+def _newton_polish(sub, diag, sup, eigenvalues: np.ndarray) -> np.ndarray:
+    """_NEWTON_STEPS steps z <- z - 1/(d/dz log det(T - z)), all eigenvalues at once.
 
-    The starting values carry a forward error amplified by the eigenvalue
-    condition number; one or two quadratically convergent corrections pull
-    them back to ~eps * |T|.  A step that is non-finite or larger than
-    0.5 |T|_F + 1 is skipped, which leaves that value where it was.
+    A step that is non-finite or larger than 0.5 |T|_F + 1 is skipped, which
+    leaves that value where it was.
     """
     cap = 0.5 * np.linalg.norm(np.concatenate([sub, diag, sup])) + 1.0
     z = np.array(eigenvalues, dtype=complex)
-    for _ in range(steps):
+    for _ in range(_NEWTON_STEPS):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = -1.0 / _log_det_derivative(sub, diag, sup, z)
         ok = np.isfinite(step) & (np.abs(step) <= cap)

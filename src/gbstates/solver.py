@@ -12,9 +12,12 @@ two-term recursion: the spectrum is A0 (2k - m)/2 for k = 0..m, with
 A0 = +-sqrt(eta + 4(1-eta) mu nu), and the eigenstates are rotated images of
 states supported on |0>..|k>.
 
-Every entry point derives the constraint root, the rotation, the coefficient
-triple and the branch of a point once, as one rotated frame.  On the generic
-branch solve and eigenstate then build each state from L's three bands at
+A point has one rotated frame, built on the principal constraint root:
+every entry point derives the root, the rotation, the coefficient triple and
+the branch once, from it.  The constraint is a quadratic in delta, but its
+secondary root gives the same states: that frame has A0 -> -A0, so it lists
+the ladder reversed, and its state k is the principal state m - k.  On the
+generic branch solve and eigenstate build each state from L's three bands at
 its exact eigenvalue, by a twisted factorization in O(m) per state and
 without D(zeta); eigenstate_sum builds the same state as D(zeta) core_k, the
 paper's finite-sum form, so the two check each other.  The other branches
@@ -44,8 +47,6 @@ import numpy as np
 
 from .displacement import DisplacementParams, delta_to_zeta, displacement
 from .fock import hp_generators, normalize_state
-
-ROOT_POLICIES = ("principal", "secondary")
 
 # fraction of |L|_F the dropped A+ J+ term may leave in a Hermitian-branch
 # residual: a hundredth of the 1e-10 |L|_F residual contract
@@ -173,15 +174,14 @@ def constraint_roots(p: GBSParams) -> tuple[complex, complex]:
     return 2.0 * s_nu / denom, -denom / (2.0 * s_mu)
 
 
-def select_root(p: GBSParams, root_policy: str = "principal") -> complex:
-    """Principal = smaller |delta|, the first of constraint_roots; secondary = other.
+def select_root(p: GBSParams) -> complex:
+    """The principal root, constraint_roots(p)[0]: the root of every frame.
 
     The smaller rotation keeps D(zeta) well conditioned and reduces to the
-    no-rotation case delta = 0 when nu = 0.
+    no-rotation case delta = 0 when nu = 0.  The secondary root would only
+    relabel the states: its state k is the principal state m - k.
     """
-    if root_policy not in ROOT_POLICIES:
-        raise ValueError(f"root policy must be one of {ROOT_POLICIES}, got {root_policy!r}")
-    return constraint_roots(p)[ROOT_POLICIES.index(root_policy)]
+    return constraint_roots(p)[0]
 
 
 def coefficient_triple(p: GBSParams, delta: complex) -> CoefficientTriple:
@@ -227,8 +227,8 @@ class _Frame(NamedTuple):
     kind: SolutionKind
 
 
-def _frame(p: GBSParams, root_policy: str) -> _Frame:
-    delta = select_root(p, root_policy)
+def _frame(p: GBSParams) -> _Frame:
+    delta = select_root(p)
     triple = coefficient_triple(p, delta)
     return _Frame(delta, delta_to_zeta(delta, p.m), triple, branch_kind(p, triple))
 
@@ -240,11 +240,11 @@ def _check_index(p: GBSParams, k: int) -> None:
         raise ValueError(f"eigenstate index {k} outside 0..{p.m}")
 
 
-def _generic_frame(p: GBSParams, root_policy: str, k: int | None = None) -> _Frame:
+def _generic_frame(p: GBSParams, k: int | None = None) -> _Frame:
     """The frame of a point whose closed forms exist; k, if given, is checked."""
     if k is not None:
         _check_index(p, k)
-    frame = _frame(p, root_policy)
+    frame = _frame(p)
     if frame.kind is not SolutionKind.GENERIC:
         raise ValueError(f"the closed forms need the generic branch, got {frame.kind.value}")
     return frame
@@ -255,9 +255,9 @@ def _ladder(a_zero: complex, m: int) -> np.ndarray:
     return a_zero * (2 * k - m) / 2.0
 
 
-def spectrum(p: GBSParams, root_policy: str = "principal") -> np.ndarray:
+def spectrum(p: GBSParams) -> np.ndarray:
     """All m+1 eigenvalues A0 (2k - m)/2, k ascending 0..m."""
-    return _ladder(_frame(p, root_policy).triple.a_zero, p.m)
+    return _ladder(_frame(p).triple.a_zero, p.m)
 
 
 def _core(triple: CoefficientTriple, k: int, m: int) -> np.ndarray:
@@ -468,8 +468,8 @@ def _eigenstates(p: GBSParams, frame: _Frame, ks) -> list[np.ndarray]:
     return list(states)
 
 
-def eigenstate(p: GBSParams, k: int, root_policy: str = "principal") -> np.ndarray:
-    """solve(p, root_policy).eigenstates[k], without building the other states.
+def eigenstate(p: GBSParams, k: int) -> np.ndarray:
+    """solve(p).eigenstates[k], without building the other states.
 
     On the generic branch the state comes from the twisted factorization of
     L - lambda_k, in O(m); eigenstate_sum builds the same state through
@@ -478,22 +478,22 @@ def eigenstate(p: GBSParams, k: int, root_policy: str = "principal") -> np.ndarr
     branch.
     """
     _check_index(p, k)
-    return _eigenstates(p, _frame(p, root_policy), [k])[0]
+    return _eigenstates(p, _frame(p), [k])[0]
 
 
-def undisplaced_eigenstate(p: GBSParams, k: int, root_policy: str = "principal") -> np.ndarray:
+def undisplaced_eigenstate(p: GBSParams, k: int) -> np.ndarray:
     """Eigenstate of the rotated operator A+ J+ - A0 J0, before displacing back."""
-    return normalize_state(_core(_generic_frame(p, root_policy, k).triple, k, p.m))
+    return normalize_state(_core(_generic_frame(p, k).triple, k, p.m))
 
 
-def eigenstate_sum(p: GBSParams, k: int, root_policy: str = "principal") -> np.ndarray:
+def eigenstate_sum(p: GBSParams, k: int) -> np.ndarray:
     """Eigenstate via the finite-sum form, displaced back to the original frame.
 
     D(zeta) core_k, read only over the core's support: one gemv on k+1
     columns of D and one normalization.  It shares no step with eigenstate's
     twisted factorization beyond the frame, so the two check each other.
     """
-    frame = _generic_frame(p, root_policy, k)
+    frame = _generic_frame(p, k)
     core = _core(frame.triple, k, p.m)
     return normalize_state(displacement(frame.zeta)[:, : k + 1] @ core[: k + 1])
 
@@ -523,16 +523,16 @@ def _exponential_form_core(triple: CoefficientTriple, k: int, m: int) -> np.ndar
     return v
 
 
-def eigenstate_exponential(p: GBSParams, k: int, root_policy: str = "principal") -> np.ndarray:
+def eigenstate_exponential(p: GBSParams, k: int) -> np.ndarray:
     """Eigenstate via the exponential form; equal to eigenstate_sum."""
-    frame = _generic_frame(p, root_policy, k)
+    frame = _generic_frame(p, k)
     core = _exponential_form_core(frame.triple, k, p.m)
     return normalize_state(displacement(frame.zeta) @ core)
 
 
-def solve(p: GBSParams, root_policy: str = "principal") -> GBSSolution:
+def solve(p: GBSParams) -> GBSSolution:
     """Full closed-form solution: root, rotation, coefficients, spectrum, states."""
-    frame = _frame(p, root_policy)
+    frame = _frame(p)
     count = 1 if frame.kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO else p.m + 1
     return GBSSolution(
         params=p,
@@ -545,16 +545,14 @@ def solve(p: GBSParams, root_policy: str = "principal") -> GBSSolution:
     )
 
 
-def binomial_phase_parameters(
-    p: GBSParams, root_policy: str = "principal"
-) -> tuple[float, float, float]:
+def binomial_phase_parameters(p: GBSParams) -> tuple[float, float, float]:
     """(eta', theta0, theta+) of the top rotated-frame eigenstate.
 
     The k = m eigenstate, before displacing back, is a binomial state with
     probability eta' = |A0|^2 / (|A0|^2 + |A+|^2) and phases e^{i n (theta0
     - theta+)}, where theta0 and theta+ are the arguments of A0 and A+.
     """
-    triple = _generic_frame(p, root_policy).triple
+    triple = _generic_frame(p).triple
     a0 = abs(triple.a_zero)
     ap = abs(triple.a_plus)
     eta_prime = a0 * a0 / (a0 * a0 + ap * ap)

@@ -148,7 +148,7 @@ def test_number_limit_scan_monotone():
 
 
 def test_number_limit_scan_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="eigenstate index 9 outside 0..6"):
         number_limit_scan(1.0, 0.0, 6, 9, [0.5])
     with pytest.raises(ValueError):
         number_limit_scan(1.0, 0.0, 6, 2, [1.5])

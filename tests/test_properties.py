@@ -2,7 +2,7 @@
 or is rejected with ValueError, eigenstate(p, k) is solve's k-th state, and on
 the generic branch it agrees with the finite-sum form; over the frame's domain
 the constraint roots and the coefficient triple are M's eigenvector ratios and
-Schur entries."""
+Schur entries; the secondary root's frame only relabels state k as m - k."""
 
 import cmath
 import math
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gbstates.displacement import delta_to_zeta, displacement
 from gbstates.fock import fidelity
 from gbstates.solver import (
     GBSParams,
@@ -91,3 +92,38 @@ def test_frame_is_the_schur_form_of_m(p):
     if abs(disc) > 1e-14 * (p.eta + 4.0 * (1.0 - p.eta) * abs(p.mu) * abs(p.nu)):
         a_zero = coefficient_triple(p, principal).a_zero
         assert abs(a_zero - cmath.sqrt(disc + 0j)) <= 1e-13 * p.scale
+
+
+@st.composite
+def verify_points(draw):
+    """The domain of verification.random_parameter_draws, generic or Hermitian:
+    |mu| in [0.05, 2], |nu| <= 2 or nu = mu*, eta in [0.05, 0.95], m in 1..12."""
+    mu = draw(st.floats(0.05, 2.0)) * cmath.exp(1j * draw(phases))
+    if draw(st.booleans()):
+        nu = mu.conjugate()
+    else:
+        nu = draw(st.floats(0.0, 2.0)) * cmath.exp(1j * draw(phases))
+    return GBSParams(mu=mu, nu=nu, eta=draw(st.floats(0.05, 0.95)), m=draw(st.integers(1, 12)))
+
+
+@given(verify_points())
+def test_the_secondary_root_reverses_the_principal_ladder(p):
+    # the frame of the secondary root, built here from the public API, has
+    # A0 -> -A0, so its state k is the solver's state m - k
+    principal, secondary = constraint_roots(p)
+    a_zero = coefficient_triple(p, principal).a_zero
+    triple = coefficient_triple(p, secondary)
+    assert abs(triple.a_zero + a_zero) <= 1e-13 * p.scale
+    kind = solve(p).kind
+    if kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO:
+        return
+    m = p.m
+    d = displacement(delta_to_zeta(secondary, m))
+    for k in range(m + 1):
+        if kind is SolutionKind.GENERIC:
+            x = triple.a_zero / triple.a_plus
+            core = [x**n * math.comb(k, n) / math.sqrt(math.comb(m, n)) for n in range(k + 1)]
+            state = d[:, : k + 1] @ np.array(core)
+        else:
+            state = d[:, k]
+        assert 1.0 - fidelity(state, eigenstate(p, m - k)) <= 1e-12

@@ -80,14 +80,13 @@ def test_params_reject_magnitudes_past_the_bound(mu, nu, bound):
         GBSParams(mu=mu, nu=nu, eta=0.4, m=3)
 
 
-@pytest.mark.parametrize("root_policy", ["principal", "secondary"])
 @pytest.mark.parametrize(
     "mu, nu, eta",
     [(1e-50, 1e50, 0.4), (1e50, 1e50, 0.4), (1e50j, -1e50, 0.5), (1e-50, 1e50, 1e-300)],
 )
-def test_params_at_the_magnitude_bounds_solve(mu, nu, eta, root_policy):
+def test_params_at_the_magnitude_bounds_solve(mu, nu, eta):
     p = GBSParams(mu=mu, nu=nu, eta=eta, m=8)
-    assert compare(p, solve(p, root_policy)).passed
+    assert compare(p, solve(p)).passed
 
 
 def test_params_accept_numpy_integer_cap():
@@ -163,11 +162,11 @@ def test_constraint_roots_match_independent_closed_form():
 
 
 def test_select_root_policies():
+    # the principal root, constraint_roots(p)[0]: no rotation at nu = 0
     p = GBSParams(1.0, 0.0, 0.25, 2)
-    assert select_root(p, "principal") == 0.0
-    assert select_root(p, "secondary") != 0.0
-    with pytest.raises(ValueError):
-        select_root(p, "smallest")
+    assert select_root(p) == 0.0
+    q = GBSParams(0.7j, 1.2, 0.6, 5)
+    assert select_root(q) == constraint_roots(q)[0]
 
 
 @pytest.mark.parametrize("mu, nu, eta", [(1.0, -1.0, 0.5), (1.0, -2.0, 0.4), (0.5j, 1.5j, 0.3)])
@@ -246,25 +245,6 @@ def test_spectrum_matches_oracle_on_random_draws():
             used[j] = True
             worst = max(worst, float(d[j]))
         assert worst <= 1e-9 * (1 + np.abs(closed).max())
-
-
-def test_spectrum_root_independence():
-    # A0 may flip sign between the two roots; the symmetric ladder of
-    # eigenvalues absorbs that, so the multisets must coincide
-    rng = np.random.default_rng(31)
-    for _ in range(25):
-        p = random_params(rng)
-        s1 = np.sort_complex(spectrum(p, "principal"))
-        s2 = np.sort_complex(spectrum(p, "secondary"))
-        used = np.zeros(len(s2), dtype=bool)
-        worst = 0.0
-        for z in s1:
-            d = np.abs(s2 - z)
-            d[used] = np.inf
-            j = int(np.argmin(d))
-            used[j] = True
-            worst = max(worst, float(d[j]))
-        assert worst <= 1e-9 * (1 + np.abs(s1).max())
 
 
 def test_undisplaced_eigenstate_support():
@@ -409,10 +389,9 @@ def test_eigenstate_is_the_solve_entry_on_every_branch():
         GBSParams(1.0, 0.3j, 0.4, 6),
     )
     for p in points:
-        for policy in ("principal", "secondary"):
-            sol = solve(p, policy)
-            for k, v in enumerate(sol.eigenstates):
-                np.testing.assert_array_equal(eigenstate(p, k, policy), v)
+        sol = solve(p)
+        for k, v in enumerate(sol.eigenstates):
+            np.testing.assert_array_equal(eigenstate(p, k), v)
 
 
 def test_eigenstate_rejects_indices_the_branch_lacks():
