@@ -27,7 +27,7 @@ from .analysis import (
 from .binomial import BinomialParams, binomial_amplitudes, ladder_residual
 from .fock import basis_state, fidelity
 from .oracle import NonConvergenceError, compare
-from .solver import GBSParams, constraint_roots, eigenstate, eigenstate_sum, solve
+from .solver import GBSParams, _check_index, constraint_roots, eigenstate, eigenstate_sum, solve
 from .verification import (
     DEFAULT_DEGENERATE_DRAWS,
     DEFAULT_DISENTANGLE_DRAWS,
@@ -116,9 +116,10 @@ def cmd_gbs(args) -> int:
         eta=args.eta,
         m=args.m,
     )
-    if args.k is not None and not 0 <= args.k <= args.m:
-        raise ValueError(f"eigenstate index {args.k} outside 0..{args.m}")
     sol = solve(p)
+    if args.k is not None:
+        # before the oracle, which costs far more than the solve
+        _check_index(p, args.k, sol.kind)
     report = compare(p, sol)
     results = {
         "delta_roots": [_cnum(r) for r in constraint_roots(p)],
@@ -133,11 +134,6 @@ def cmd_gbs(args) -> int:
         "eigenvalues": _cvec(sol.eigenvalues),
     }
     if args.k is not None:
-        if args.k >= len(sol.eigenstates):
-            raise ValueError(
-                f"the {sol.kind.value} branch carries only "
-                f"{len(sol.eigenstates)} eigenstate(s); k = {args.k} unavailable"
-            )
         results["eigenstate_k"] = args.k
         results["eigenstate"] = _cvec(sol.eigenstates[args.k])
     payload = _record(

@@ -23,6 +23,12 @@ without D(zeta); eigenstate_sum builds the same state as D(zeta) core_k, the
 paper's finite-sum form, so the two check each other.  The other branches
 read columns of D(zeta).
 
+eigenstate_sum and eigenstate_exponential, which are asked for one k at a
+time, share the D(zeta) of the last point either was called at: one
+(m+1)^2 complex matrix, 16 MB at m = 1000, stays alive until a different
+point is asked for.  solve, eigenstate and displacement() never fill it,
+so a large solve leaves nothing behind.
+
 Branches:
   * generic          -- A+ away from zero; full closed-form eigenbasis,
                         equal to D(zeta) core_k.
@@ -37,6 +43,7 @@ Branches:
 """
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -233,11 +240,16 @@ def _frame(p: GBSParams) -> _Frame:
     return _Frame(delta, delta_to_zeta(delta, p.m), triple, branch_kind(p, triple))
 
 
-def _check_index(p: GBSParams, k: int) -> None:
+def _check_index(p: GBSParams, k: int, kind: SolutionKind | None = None) -> None:
+    """Raise ValueError for a k that is not an integer in 0..m, or, given the
+    point's branch, that the branch does not carry: k > 0 when defective."""
     if not isinstance(k, numbers.Integral):
         raise ValueError(f"eigenstate index must be an integer, got {k!r}")
     if not 0 <= k <= p.m:
         raise ValueError(f"eigenstate index {k} outside 0..{p.m}")
+    if kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO and k > 0:
+        raise ValueError(f"the {kind.value} branch carries only the eigenstate k = 0; "
+                         f"k = {k} unavailable")
 
 
 def _generic_frame(p: GBSParams, k: int | None = None) -> _Frame:
@@ -454,9 +466,6 @@ def _eigenstates(p: GBSParams, frame: _Frame, ks) -> list[np.ndarray]:
     """
     if frame.kind is SolutionKind.GENERIC:
         return _twisted_states(p, frame.triple.a_zero, ks)
-    if frame.kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO and max(ks) > 0:
-        raise ValueError(f"the {frame.kind.value} branch carries only the eigenstate k = 0; "
-                         f"k = {max(ks)} unavailable")
     # A+ = 0 leaves the diagonal -A0 J0, A0 = 0 the nilpotent A+ J+ (a single
     # Jordan chain headed by |0>); either way the eigenvector is |k> and the
     # eigenstate is column k of D
@@ -477,13 +486,29 @@ def eigenstate(p: GBSParams, k: int) -> np.ndarray:
     does not carry: not an integer, outside 0..m, or k > 0 on the defective
     branch.
     """
-    _check_index(p, k)
-    return _eigenstates(p, _frame(p), [k])[0]
+    frame = _frame(p)
+    _check_index(p, k, frame.kind)
+    return _eigenstates(p, frame, [k])[0]
 
 
 def undisplaced_eigenstate(p: GBSParams, k: int) -> np.ndarray:
     """Eigenstate of the rotated operator A+ J+ - A0 J0, before displacing back."""
     return normalize_state(_core(_generic_frame(p, k).triple, k, p.m))
+
+
+@functools.lru_cache(maxsize=1)
+def _rotation(zeta: DisplacementParams) -> np.ndarray:
+    """displacement(zeta), read-only, kept for the last point asked for.
+
+    Only eigenstate_sum and eigenstate_exponential read it: they are called
+    once per k at one point, and so build D(zeta) once for all m+1 states.
+    Equal keys differ at most in the sign of a zero theta (delta_to_zeta
+    gives theta = -0.0 for a real positive delta), and displacement reads
+    theta only through theta + pi/2, so equal keys build identical matrices.
+    """
+    d = displacement(zeta)
+    d.setflags(write=False)
+    return d
 
 
 def eigenstate_sum(p: GBSParams, k: int) -> np.ndarray:
@@ -495,7 +520,7 @@ def eigenstate_sum(p: GBSParams, k: int) -> np.ndarray:
     """
     frame = _generic_frame(p, k)
     core = _core(frame.triple, k, p.m)
-    return normalize_state(displacement(frame.zeta)[:, : k + 1] @ core[: k + 1])
+    return normalize_state(_rotation(frame.zeta)[:, : k + 1] @ core[: k + 1])
 
 
 def _exponential_form_core(triple: CoefficientTriple, k: int, m: int) -> np.ndarray:
@@ -527,7 +552,7 @@ def eigenstate_exponential(p: GBSParams, k: int) -> np.ndarray:
     """Eigenstate via the exponential form; equal to eigenstate_sum."""
     frame = _generic_frame(p, k)
     core = _exponential_form_core(frame.triple, k, p.m)
-    return normalize_state(displacement(frame.zeta) @ core)
+    return normalize_state(_rotation(frame.zeta) @ core)
 
 
 def solve(p: GBSParams) -> GBSSolution:

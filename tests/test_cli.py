@@ -97,6 +97,26 @@ def test_gbs_degenerate_branch_still_serves_eigenstates(capsys):
     assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--mu-re", "1", "--eta", "0.3", "--m", "4", "--k", "9"],
+         "eigenstate index 9 outside 0..4"),
+        (["--mu-re", "1", "--eta", "0.3", "--m", "4", "--k", "-1"],
+         "eigenstate index -1 outside 0..4"),
+        (["--mu-re", "1", "--nu-re", "-0.25", "--eta", "0.5", "--m", "4", "--k", "1"],
+         "the defective-a-zero-zero branch carries only the eigenstate k = 0; k = 1 unavailable"),
+    ],
+    ids=["above-m", "negative", "defective-k1"],
+)
+def test_gbs_k_messages_are_the_solvers(capsys, argv, message):
+    # gbs --k speaks with eigenstate's words, and writes no record
+    code, out, err = run_cli(capsys, ["gbs", *argv])
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: {message}"]
+
+
 def test_gbs_defective_branch_limits_k(capsys):
     code, _, err = run_cli(
         capsys,

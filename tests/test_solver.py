@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gbstates.binomial import BinomialParams, binomial_amplitudes
-from gbstates.displacement import delta_to_zeta, displacement
+from gbstates.displacement import DisplacementParams, delta_to_zeta, displacement
 from gbstates.fock import basis_state, fidelity, hp_generators, normalize_state
 from gbstates.oracle import compare, dense_spectrum
 from gbstates.solver import (
@@ -26,7 +26,7 @@ from gbstates.solver import (
     spectrum,
     undisplaced_eigenstate,
 )
-from gbstates.solver import _exponential_form_core
+from gbstates.solver import _core, _exponential_form_core, _rotation
 from gbstates.verification import run_all
 
 
@@ -643,3 +643,93 @@ def test_twisted_states_in_the_overflow_and_edge_regimes(p):
     assert residuals.max() <= 1e-10 * np.linalg.norm(op)
     for k in (0, 1, p.m // 2, p.m):
         np.testing.assert_array_equal(eigenstate(p, k), sol.eigenstates[k])
+
+
+# generic points for the rotation memo; (1, 0.3, 0.4) has a real positive
+# delta, so its theta is -0.0
+MEMO_POINTS = [
+    GBSParams(1.0, 0.3, 0.4, 12),
+    GBSParams(0.7 + 0.2j, 0.3 - 0.5j, 0.4, 20),
+    GBSParams(-1.3 + 0.4j, 0.8j, 0.7, 20),
+    GBSParams(0.2 - 0.1j, 1.5 + 0.3j, 0.15, 40),
+    GBSParams(1.1j, 0.6, 0.85, 7),
+]
+FORMS = (eigenstate_sum, eigenstate_exponential)
+
+
+def _fresh(p, k, form):
+    """form(p, k) from a fresh displacement(): the memo-free formula."""
+    delta = select_root(p)
+    zeta, triple = delta_to_zeta(delta, p.m), coefficient_triple(p, delta)
+    if form is eigenstate_sum:
+        return normalize_state(displacement(zeta)[:, : k + 1] @ _core(triple, k, p.m)[: k + 1])
+    return normalize_state(displacement(zeta) @ _exponential_form_core(triple, k, p.m))
+
+
+def test_eigenstate_forms_do_not_depend_on_the_memo():
+    cold = {}
+    for i, p in enumerate(MEMO_POINTS):
+        for k in range(p.m + 1):
+            for f in FORMS:
+                _rotation.cache_clear()
+                cold[i, k, f] = f(p, k)
+                assert np.array_equal(cold[i, k, f], _fresh(p, k, f)), (i, k, f.__name__)
+    for order in ("up", "down"):
+        for i, p in enumerate(MEMO_POINTS):
+            ks = range(p.m + 1) if order == "up" else range(p.m, -1, -1)
+            for f in FORMS:
+                for k in ks:
+                    assert np.array_equal(f(p, k), cold[i, k, f]), (order, i, k, f.__name__)
+    # two points interleaved: the one-entry memo is replaced on every call
+    for (i, p), (j, q) in zip(enumerate(MEMO_POINTS), list(enumerate(MEMO_POINTS))[1:]):
+        for k in range(max(p.m, q.m) + 1):
+            for at, point in ((i, p), (j, q)):
+                if k <= point.m:
+                    for f in FORMS:
+                        assert np.array_equal(f(point, k), cold[at, k, f]), (at, k, f.__name__)
+
+
+def test_displacement_stays_fresh_and_writable():
+    zeta = delta_to_zeta(select_root(MEMO_POINTS[1]), MEMO_POINTS[1].m)
+    first, second = displacement(zeta), displacement(zeta)
+    assert first is not second and not np.shares_memory(first, second)
+    assert first.flags.writeable and second.flags.writeable
+    first[0, 0] = 7.0
+    assert np.array_equal(displacement(zeta), second)
+
+
+def test_the_memo_is_read_only():
+    p = MEMO_POINTS[1]
+    eigenstate_sum(p, 3)
+    d = _rotation(delta_to_zeta(select_root(p), p.m))
+    assert _rotation.cache_info().currsize == 1
+    with pytest.raises(ValueError, match="read-only"):
+        d[0, 0] = 1.0
+
+
+def test_a_signed_zero_theta_builds_the_same_rotation():
+    # equal memo keys may differ in the sign of a zero theta
+    assert delta_to_zeta(0.5 + 0j, 6).theta == 0.0
+    assert math.copysign(1.0, delta_to_zeta(0.5 + 0j, 6).theta) == -1.0
+    for m in (5, 6, 40):
+        plus, minus = DisplacementParams(0.4, 0.0, m), DisplacementParams(0.4, -0.0, m)
+        assert plus == minus and hash(plus) == hash(minus)
+        assert displacement(plus).tobytes() == displacement(minus).tobytes()
+
+
+@pytest.mark.parametrize(
+    "p, kind",
+    [
+        (GBSParams(0.9 + 0.4j, 0.9 - 0.4j, 0.55, 6), SolutionKind.DEGENERATE_A_PLUS_ZERO),
+        (GBSParams(0.9 + 0.4j, 0.9 - 0.4j, 0.55, 800), SolutionKind.DEGENERATE_A_PLUS_ZERO),
+        (GBSParams(1.0, -0.25, 0.5, 4), SolutionKind.DEFECTIVE_A_ZERO_ZERO),
+        (GBSParams(1.0, 0.3, 0.4, 12), SolutionKind.GENERIC),
+    ],
+    ids=["hermitian-m6", "hermitian-m800", "defective", "generic"],
+)
+def test_solve_and_eigenstate_leave_the_memo_empty(p, kind):
+    # a kept m = 800 rotation would add ~10 MiB to every large solve's peak
+    _rotation.cache_clear()
+    assert solve(p).kind is kind
+    eigenstate(p, 0)
+    assert _rotation.cache_info().currsize == 0
