@@ -31,11 +31,9 @@ from .fock import (
     annihilation_operator,
     basis_state,
     commutator,
-    creation_operator,
     fidelity,
     hp_generators,
     normalize_state,
-    number_operator,
 )
 from .oracle import NonConvergenceError, SpectrumReport, compare, dense_spectrum
 from .solver import (
@@ -77,7 +75,6 @@ __all__ = [
     "commutator",
     "compare",
     "constraint_roots",
-    "creation_operator",
     "delta_to_zeta",
     "dense_spectrum",
     "disentangled_displacement",
@@ -90,7 +87,6 @@ __all__ = [
     "ladder_residual",
     "normalize_state",
     "number_limit_scan",
-    "number_operator",
     "photon_statistics",
     "solve",
     "spectrum",

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .displacement import DisplacementParams, displacement
-from .fock import basis_state, hp_generators, number_operator
+from .fock import basis_state
+from .solver import GBSParams, bands
 
 # math.comb is exact and C(m, m/2) stays inside double range this far;
 # beyond it the log-gamma route avoids overflow at some cost in ulps.
@@ -34,11 +35,14 @@ class BinomialParams:
             raise ValueError(f"photon cap must be >= 0, got {self.m}")
 
 
-def _sqrt_binomial_pmf(eta: float, m: int) -> np.ndarray:
-    if eta == 0.0:
-        return basis_state(0, m + 1)
-    if eta == 1.0:
-        return basis_state(m, m + 1)
+def binomial_amplitudes(p: BinomialParams) -> np.ndarray:
+    """Nonnegative real amplitudes whose squares are the binomial pmf.
+
+    eta = 0 and eta = 1 return the exact number states |0> and |m>.
+    """
+    eta, m = p.eta, p.m
+    if eta in (0.0, 1.0):
+        return basis_state(0 if eta == 0.0 else m, m + 1)
     n = np.arange(m + 1)
     if m <= _EXACT_COMB_MAX:
         comb = np.array([math.comb(m, int(k)) for k in n], dtype=float)
@@ -51,26 +55,20 @@ def _sqrt_binomial_pmf(eta: float, m: int) -> np.ndarray:
     return amps.astype(complex)
 
 
-def binomial_amplitudes(p: BinomialParams) -> np.ndarray:
-    """Nonnegative real amplitudes whose squares are the binomial pmf.
-
-    eta = 0 and eta = 1 return the exact number states |0> and |m>.
-    """
-    return _sqrt_binomial_pmf(p.eta, p.m)
-
-
 def ladder_residual(p: BinomialParams) -> float:
     """Norm of (sqrt(eta) N + sqrt(1-eta) J+ - sqrt(eta) m) applied to the state.
 
-    Zero in exact arithmetic: the binomial state is the eigenvalue-
-    sqrt(eta)*m eigenstate of that operator.  Stays below 1e-12 for m <= 60.
+    Zero in exact arithmetic, and below 1e-12 for m <= 60: the operator is
+    L - sqrt(eta) m/2 at mu = 1, nu = 0 (N = m/2 - J0), whose top eigenstate,
+    the nu = 0 generalized binomial state k = m, is the binomial state.
     """
     if not 0.0 < p.eta < 1.0:
         raise ValueError(f"ladder form needs 0 < eta < 1, got {p.eta}")
     v = binomial_amplitudes(p)
-    _, jp, _ = hp_generators(p.m)
-    op = math.sqrt(p.eta) * number_operator(p.m) + math.sqrt(1.0 - p.eta) * jp
-    return float(np.linalg.norm(op @ v - math.sqrt(p.eta) * p.m * v))
+    _, diag, sup = bands(GBSParams(1.0, 0.0, p.eta, p.m))  # nu = 0: no subdiagonal
+    res = (diag - math.sqrt(p.eta) * p.m / 2) * v
+    res[:-1] += sup * v[1:]
+    return float(np.linalg.norm(res))
 
 
 def binomial_displacement_form(p: BinomialParams) -> np.ndarray:

@@ -1,17 +1,12 @@
-"""Truncated Fock-space kernel: dense operators, su(2) generators, fidelity.
+"""Truncated Fock-space kernel: states, fidelity and dense reference operators.
 
 Everything lives on the (M+1)-dimensional space spanned by the number states
-|0>, ..., |M>.  States are complex 1-d numpy arrays, operators are dense
-complex 2-d arrays.  All functions are pure and never mutate their inputs.
-
-Truncation leaves [a, a+] = I - (M+1)|M><M| rather than the identity; that
-defect is inherent to the cut and deliberately not patched.  The su(2)
-generators built here are polynomial in the truncated ladder operators and
-satisfy their algebra exactly at every M, so nothing downstream relies on the
-bosonic commutator.
-
-Storage is dense double precision throughout; the dimensions used anywhere in
-this package stay in the thousands, so no sparse path is provided.
+|0>, ..., |M>: states are complex 1-d numpy arrays, operators dense complex
+2-d arrays, and no function mutates its inputs.  The dense a and su(2)
+generators are references for the tests and verify's su(2) check; the solver
+and the oracle read L's entries from solver.bands.  Truncation leaves
+[a, a+] = I - (M+1)|M><M|, a defect of the cut that is not patched; the su(2)
+generators satisfy their algebra exactly at every M.
 """
 
 import math
@@ -27,18 +22,6 @@ def annihilation_operator(m: int) -> np.ndarray:
     for n in range(1, m + 1):
         a[n - 1, n] = math.sqrt(n)
     return a
-
-
-def creation_operator(m: int) -> np.ndarray:
-    """Adjoint of the truncated annihilation operator."""
-    return annihilation_operator(m).conj().T
-
-
-def number_operator(m: int) -> np.ndarray:
-    """N = diag(0, 1, ..., m)."""
-    if m < 0:
-        raise ValueError(f"photon cap must be >= 0, got {m}")
-    return np.diag(np.arange(m + 1)).astype(complex)
 
 
 def hp_generators(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,21 +1,22 @@
 """Independent eigensolver on L's three bands, used to verify the closed form.
 
-L is tridiagonal, and the oracle reads only its sub-, main and superdiagonal:
-an exact radix-2 balancing of the two off-diagonals, LAPACK's eigenvalues of
-the balanced matrix (`np.linalg.eigvals`) as starting values, and two Newton
-steps on det(L - z), evaluated by the three-term continuant of its leading
-minors.  Nothing here reads the root, the rotation or the coefficient triple;
-the closed form calls no `eigvals`; and the polish, not LAPACK, sets the final
-accuracy, so LAPACK's values only have to lie in each root's basin.  Cost on
-an n x n tridiagonal: O(n) to balance, O(n^3) in LAPACK, O(n) per eigenvalue
-and Newton step, and O(n) per state for the residuals.
+compare takes L's sub-, main and superdiagonal from the parameters
+(solver.bands) and never builds L; dense_spectrum reads them off a matrix.
+Then: an exact radix-2 balancing of the two off-diagonals, LAPACK's
+eigenvalues of the balanced matrix (`np.linalg.eigvals`) as starting values,
+and two Newton steps on det(L - z), by the three-term continuant of its
+leading minors.  Nothing here reads the root, the rotation or the coefficient
+triple; the closed form calls no `eigvals`; and the polish, not LAPACK, sets
+the final accuracy, so LAPACK's values only have to lie in each root's basin.
+Cost on an n x n tridiagonal: O(n) to balance, O(n^3) in LAPACK, O(n) per
+eigenvalue and Newton step, and O(n) per state for the residuals.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import GBSParams, GBSSolution, SolutionKind, build_operator, operator_norm
+from .solver import GBSParams, GBSSolution, SolutionKind, _tridiagonal, bands, operator_norm
 
 # LAPACK's starting values carry a forward error amplified by the eigenvalue
 # condition number; inside a root's basin Newton converges quadratically, so
@@ -143,6 +144,18 @@ def _newton_polish(sub, diag, sup, eigenvalues: np.ndarray) -> np.ndarray:
     return z
 
 
+def _band_spectrum(sub, diag, sup) -> np.ndarray:
+    """All eigenvalues of the tridiagonal with these bands: balance, LAPACK, polish."""
+    sub, sup = _balance(sub, sup)
+    try:
+        values = np.linalg.eigvals(_tridiagonal(sub, diag, sup))
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(
+            f"LAPACK eigenvalue iteration failed on a {len(diag)}x{len(diag)} matrix: {exc}"
+        ) from exc
+    return _newton_polish(sub, diag, sup, values)
+
+
 def dense_spectrum(op: np.ndarray) -> np.ndarray:
     """All eigenvalues of a tridiagonal complex matrix, with algebraic multiplicity.
 
@@ -152,18 +165,7 @@ def dense_spectrum(op: np.ndarray) -> np.ndarray:
     whose balancing leaves the double range, and NonConvergenceError when
     LAPACK's iteration fails; never returns a silently truncated spectrum.
     """
-    sub, diag, sup = _bands(op)
-    sub, sup = _balance(sub, sup)
-    n = len(diag)
-    h = np.zeros((n, n), dtype=complex)
-    h.flat[:: n + 1], h.flat[1 :: n + 1], h.flat[n :: n + 1] = diag, sup, sub
-    try:
-        values = np.linalg.eigvals(h)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(
-            f"LAPACK eigenvalue iteration failed on a {n}x{n} matrix: {exc}"
-        ) from exc
-    return _newton_polish(sub, diag, sup, values)
+    return _band_spectrum(*_bands(op))
 
 
 def _greedy_pairing(
@@ -187,7 +189,7 @@ def _greedy_pairing(
 
 
 def compare(p: GBSParams, solution: GBSSolution) -> SpectrumReport:
-    """Check a closed-form solution against this module's eigensolver.
+    """Check a closed-form solution against this module's eigensolver, run on bands(p).
 
     Pairs the two eigenvalue lists and records the worst pair distance and
     the worst eigenstate residual |L v - lambda v|, with the bounds each must
@@ -196,8 +198,8 @@ def compare(p: GBSParams, solution: GBSSolution) -> SpectrumReport:
     """
     if solution.params != p:
         raise ValueError("solution was produced from different parameters")
-    op = build_operator(p)
-    oracle_vals = dense_spectrum(op)
+    sub, diag, sup = bands(p)
+    oracle_vals = _band_spectrum(sub, diag, sup)
     closed_vals = np.asarray(solution.eigenvalues, dtype=complex)
     if len(oracle_vals) != len(closed_vals):
         raise ValueError(
@@ -214,7 +216,6 @@ def compare(p: GBSParams, solution: GBSSolution) -> SpectrumReport:
     else:
         report.pairing, report.max_pair_error = _greedy_pairing(closed_vals, oracle_vals)
     # |L v - lambda v| from the three bands, one state per row
-    sub, diag, sup = _bands(op)
     states = np.array(solution.eigenstates)
     res = (diag - (0.0 if report.multiplicity_collapse else closed_vals[:, None])) * states
     res[:, 1:] += sub * states[:, :-1]

@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .displacement import DisplacementParams, delta_to_zeta, displacement
-from .fock import hp_generators, normalize_state
+from .fock import normalize_state
 
 # fraction of |L|_F the dropped A+ J+ term may leave in a Hermitian-branch
 # residual: a hundredth of the 1e-10 |L|_F residual contract
@@ -139,10 +139,31 @@ class GBSSolution:
     kind: SolutionKind
 
 
+def bands(p: GBSParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sub, diag, sup) of L in O(m), the one definition of its entries.
+
+    J+ moves |n+1> to |n> with sqrt((n+1)(m-n)), the product formed on the
+    integers; J- is its transpose and J0 = m/2 - N.  Each entry rounds as in
+    the dense sum of the three generators.
+    """
+    n = np.arange(p.m + 1)
+    s = math.sqrt(1.0 - p.eta)
+    hop = np.sqrt((n[1:] * (p.m + 1 - n[1:])).astype(float))
+    diag = (math.sqrt(p.eta) * (n - p.m / 2)).astype(complex)
+    return s * (complex(p.nu) * hop), diag, s * (complex(p.mu) * hop)
+
+
+def _tridiagonal(sub, diag, sup) -> np.ndarray:
+    """The dense square matrix with these three bands and zeros elsewhere."""
+    n = len(diag)
+    op = np.zeros((n, n), dtype=complex)
+    op.flat[:: n + 1], op.flat[1 :: n + 1], op.flat[n :: n + 1] = diag, sup, sub
+    return op
+
+
 def build_operator(p: GBSParams) -> np.ndarray:
-    """Dense (m+1)x(m+1) matrix sqrt(1-eta)(mu J+ + nu J-) - sqrt(eta) J0."""
-    j0, jp, jm = hp_generators(p.m)
-    return math.sqrt(1.0 - p.eta) * (p.mu * jp + p.nu * jm) - math.sqrt(p.eta) * j0
+    """Dense (m+1)x(m+1) matrix sqrt(1-eta)(mu J+ + nu J-) - sqrt(eta) J0: bands(p) laid out."""
+    return _tridiagonal(*bands(p))
 
 
 def operator_norm(p: GBSParams) -> float:

@@ -1,4 +1,9 @@
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -74,3 +79,37 @@ def test_thread_settings_flags_sides_that_differ(change):
     settings = bench_pairs.thread_settings({"large-m-scan": {"runs": runs}})
     assert settings["sides_differ"]
     assert len(settings["parent"]) == 1 and len(settings["change"]) == 2
+
+
+# main with the parent's unpacking reduced to a marker file, a benchmark run
+# that blocks, and a fixed parent revision (no git call)
+_BLOCKED_MAIN = """
+import importlib.util, subprocess, sys, time
+spec = importlib.util.spec_from_file_location("bench_pairs", sys.argv[1])
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+bench_pairs.unpack = lambda rev, dest: (dest / "unpacked").write_text(rev)
+bench_pairs.run_bench = lambda *args: time.sleep(120)
+bench_pairs.subprocess.run = lambda cmd, **kw: subprocess.CompletedProcess(cmd, 0, stdout="0" * 40)
+sys.exit(bench_pairs.main(["--parent", "HEAD", "--out", sys.argv[2], "--pairs", "small-m-mix=1"]))
+"""
+
+
+def test_sigterm_removes_the_parent_tree(tmp_path):
+    env = {**os.environ, "TMPDIR": str(tmp_path)}
+    proc = subprocess.Popen([sys.executable, "-c", _BLOCKED_MAIN, str(_PATH), str(tmp_path / "out.json")],
+                            env=env, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob("bench-parent-*/unpacked")):
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline, "the parent tree never appeared"
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert not list(tmp_path.glob("bench-parent-*"))
+    assert not (tmp_path / "out.json").exists()

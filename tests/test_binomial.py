@@ -10,7 +10,7 @@ from gbstates.binomial import (
     binomial_displacement_form,
     ladder_residual,
 )
-from gbstates.fock import basis_state, fidelity, hp_generators, number_operator
+from gbstates.fock import basis_state, fidelity, hp_generators
 
 
 def test_params_validation():
@@ -64,12 +64,13 @@ def test_ladder_residual_small():
 def test_ladder_residual_equals_su2_form():
     # N = m/2 - J0 turns the ladder operator into the (negated) su(2) form,
     # so the two residual norms coincide
-    p = BinomialParams(0.35, 12)
-    v = binomial_amplitudes(p)
-    j0, jp, _ = hp_generators(p.m)
-    se, sq = math.sqrt(p.eta), math.sqrt(1 - p.eta)
-    su2_residual = np.linalg.norm((se * j0 - sq * jp) @ v + se * p.m / 2 * v)
-    assert abs(su2_residual - ladder_residual(p)) <= 1e-13
+    for m in (1, 12, 60):
+        p = BinomialParams(0.35, m)
+        v = binomial_amplitudes(p)
+        j0, jp, _ = hp_generators(p.m)
+        se, sq = math.sqrt(p.eta), math.sqrt(1 - p.eta)
+        su2_residual = np.linalg.norm((se * j0 - sq * jp) @ v + se * p.m / 2 * v)
+        assert abs(su2_residual - ladder_residual(p)) <= 1e-13
 
 
 def test_ladder_residual_needs_open_interval():
@@ -124,6 +125,5 @@ def test_number_operator_expectation_consistency():
     # <N> computed two ways on the same state
     p = BinomialParams(0.6, 9)
     v = binomial_amplitudes(p)
-    n_op = number_operator(p.m)
-    mean = float(np.real(np.vdot(v, n_op @ v)))
+    mean = float(np.real(np.vdot(v, np.arange(p.m + 1) * v)))
     assert mean == pytest.approx(p.m * p.eta, abs=1e-12)

@@ -16,8 +16,8 @@ def random_tridiagonal(rng, n):
     return np.triu(np.tril(full, 1), -1)
 
 
-def lapack_input(monkeypatch, op):
-    """The matrix dense_spectrum hands to np.linalg.eigvals."""
+def lapack_input(monkeypatch, run, *args):
+    """The matrix run(*args) hands to np.linalg.eigvals."""
     seen = []
     eigvals = np.linalg.eigvals
 
@@ -25,8 +25,9 @@ def lapack_input(monkeypatch, op):
         seen.append(np.array(a, copy=True))
         return eigvals(a)
 
-    monkeypatch.setattr(np.linalg, "eigvals", spy)
-    dense_spectrum(op)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvals", spy)
+        run(*args)
     return seen[0]
 
 
@@ -111,7 +112,7 @@ def test_log_det_derivative_matches_dense_trace(n, zero_subdiagonals):
 )
 def test_balance_is_an_exact_power_of_two_similarity(p, monkeypatch):
     op = build_operator(p)
-    b = lapack_input(monkeypatch, op)
+    b = lapack_input(monkeypatch, dense_spectrum, op)
     # every entry is its input times 2^integer, and zeros stay zero
     assert np.array_equal(b == 0, op == 0)
     nz = op != 0
@@ -156,7 +157,31 @@ def test_lapack_sees_the_exact_power_of_two_balancing_of_l(monkeypatch):
     want = np.diag(np.diagonal(op)).astype(complex)
     want += np.diag(np.ldexp(sub.real, -s) + 1j * np.ldexp(sub.imag, -s), -1)
     want += np.diag(np.ldexp(sup.real, s) + 1j * np.ldexp(sup.imag, s), 1)
-    assert np.array_equal(lapack_input(monkeypatch, op), want)
+    assert np.array_equal(lapack_input(monkeypatch, dense_spectrum, op), want)
+
+
+# the benchmark's verified-solve points (mu, nu, eta): near-normal, Hermitian,
+# defective and nu = 0
+VERIFIED_POINTS = (
+    (1.0, 0.7 * np.exp(0.03j), 0.4),
+    (0.9 + 0.4j, 0.9 - 0.4j, 0.55),
+    (1.0, -0.25, 0.5),
+    (1.2, 0.0, 0.35),
+)
+
+
+@pytest.mark.parametrize("m", [20, 60, 120])
+@pytest.mark.parametrize("point", VERIFIED_POINTS, ids=["near-normal", "hermitian", "defective", "nu-zero"])
+def test_compare_hands_lapack_the_matrix_of_the_dense_operator(point, m, monkeypatch):
+    # compare reads bands(p) and never builds L, yet LAPACK sees the same
+    # balanced matrix, bit for bit, as from dense_spectrum(build_operator(p))
+    mu, nu, eta = point
+    p = GBSParams(complex(mu), complex(nu), eta, m)
+    want = lapack_input(monkeypatch, dense_spectrum, build_operator(p))
+    got = lapack_input(monkeypatch, compare, p, solve(p))
+    assert got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(compare(p, solve(p)).oracle_eigenvalues,
+                                  dense_spectrum(build_operator(p)))
 
 
 def test_non_tridiagonal_matrix_is_rejected():

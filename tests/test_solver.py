@@ -12,6 +12,7 @@ from gbstates.oracle import compare, dense_spectrum
 from gbstates.solver import (
     GBSParams,
     SolutionKind,
+    bands,
     binomial_phase_parameters,
     branch_kind,
     build_operator,
@@ -27,7 +28,7 @@ from gbstates.solver import (
     undisplaced_eigenstate,
 )
 from gbstates.solver import _core, _exponential_form_core, _rotation
-from gbstates.verification import run_all
+from gbstates.verification import DEFAULT_SEED, random_parameter_draws, run_all
 
 
 def random_params(rng, hermitian=False, m_max=12):
@@ -198,6 +199,30 @@ def test_coefficient_triple_kills_a_minus_at_both_roots():
         for delta in constraint_roots(p):
             t = coefficient_triple(p, delta)
             assert abs(t.a_minus) <= 1e-10 * p.scale
+
+
+def _dense_reference(p):
+    """L = sqrt(1-eta)(mu J+ + nu J-) - sqrt(eta) J0 from the dense generators."""
+    j0, jp, jm = hp_generators(p.m)
+    return math.sqrt(1.0 - p.eta) * (p.mu * jp + p.nu * jm) - math.sqrt(p.eta) * j0
+
+
+def test_bands_are_the_diagonals_of_the_dense_generator_sum():
+    rng = np.random.default_rng(8)
+    q = random_params(rng)
+    # verify's draws: 200 generic and 50 Hermitian
+    points = [*random_parameter_draws(200, DEFAULT_SEED),
+              *random_parameter_draws(50, DEFAULT_SEED + 1, hermitian=True)]
+    points += [GBSParams(q.mu, q.nu, q.eta, m) for m in (0, 1, 2, 400, 1000)]
+    points += [GBSParams(1.0, 0.0, 0.3, 3), GBSParams(0.7j, 1.2, 0.6, 60)]
+    for p in points:
+        ref = _dense_reference(p)
+        got = bands(p)
+        assert [len(b) for b in got] == [p.m, p.m + 1, p.m]
+        for band, j in zip(got, (-1, 0, 1)):
+            assert band.dtype == complex
+            assert np.array_equal(band, np.diagonal(ref, j))
+        assert np.array_equal(build_operator(p), ref)
 
 
 def test_coefficient_triple_is_the_rotated_operator():

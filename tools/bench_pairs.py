@@ -15,11 +15,14 @@ end-to-end metrics with the BLAS/OpenMP thread settings and the usable CPU
 count its worker reported, and per workload the medians, the inclusive
 quartiles and the count of pairs the change wins.  "blas_threads" lists the
 distinct settings each side ran with and flags the file when the two sides
-differ.  The benchmark itself is only run, never imported.
+differ.  The benchmark itself is only run, never imported.  SIGTERM stops the
+runner like SystemExit: the running benchmark is killed and the parent's
+temporary tree removed.
 """
 
 import argparse
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -33,6 +36,12 @@ END_TO_END = ("setup_s", "run_s", "op_median_s", "peak_rss_mib")
 ENV_KEYS = ("threads", "cpus_usable")
 SIDES = ("parent", "change")
 RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+
+
+def _exit_on_sigterm(signum, frame):
+    # an exception, unlike the default action, runs the cleanup of every open
+    # `with` block: subprocess.run kills its child, TemporaryDirectory removes itself
+    raise SystemExit(128 + signum)
 
 
 def unpack(rev: str, dest: Path) -> None:
@@ -133,6 +142,7 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, default=1001, help="seed of the first pair and the traced runs")
     args = parser.parse_args(argv)
     counts = parse_pairs(args.pairs)
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
 
     out = {"change": args.change,
            "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {RUN_SECONDS} --trace 0; "
