@@ -9,6 +9,7 @@ deterministic for identical inputs except the wall times (`wall_s` per check,
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -20,6 +21,7 @@ from . import __version__
 from .analysis import (
     KRule,
     LimitSchedule,
+    _number_scan_states,
     photon_statistics,
     squeezed_limit_scan,
     time_evolve,
@@ -27,7 +29,7 @@ from .analysis import (
 from .binomial import BinomialParams, binomial_amplitudes, ladder_residual
 from .fock import basis_state, fidelity
 from .oracle import NonConvergenceError, compare
-from .solver import GBSParams, _check_index, constraint_roots, eigenstate, eigenstate_sum, solve
+from .solver import GBSParams, _check_index, constraint_roots, eigenstate_sum, solve
 from .verification import (
     DEFAULT_DEGENERATE_DRAWS,
     DEFAULT_DISENTANGLE_DRAWS,
@@ -184,13 +186,11 @@ def cmd_limit(args) -> int:
         etas = _parse_floats(args.etas, "--etas")
         mu = complex(args.mu_re, args.mu_im)
         nu = complex(args.nu_re, args.nu_im)
-        rows = []
-        for eta in etas:
-            # the eigenstate first, so that the solver's index check names a bad k
-            state = eigenstate(GBSParams(mu=mu, nu=nu, eta=eta, m=args.m), args.k)
-            # |(N - k) v|, N diagonal
-            residual = float(np.linalg.norm((np.arange(args.m + 1) - args.k) * state))
-            rows.append((eta, fidelity(state, basis_state(args.k, args.m + 1)), residual))
+        rows = [
+            (eta, fidelity(state, basis_state(args.k, args.m + 1)),
+             float(np.linalg.norm((np.arange(args.m + 1) - args.k) * state)))  # |(N - k) v|
+            for eta, state in _number_scan_states(mu, nu, args.m, args.k, etas)
+        ]
         params = {
             "mode": "number",
             "mu": _cnum(mu),
@@ -410,9 +410,15 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process: parse_args leaves the parser as it
+    was and gives each call a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    args = _parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except ValueError as exc:

@@ -2,16 +2,23 @@
 
 compare takes L's sub-, main and superdiagonal from the parameters
 (solver.bands) and never builds L; dense_spectrum reads them off a matrix.
-Then: an exact radix-2 balancing of the two off-diagonals, LAPACK's
-eigenvalues of the balanced matrix (`np.linalg.eigvals`) as starting values,
-and two Newton steps on det(L - z), by the three-term continuant of its
-leading minors.  Nothing here reads the root, the rotation or the coefficient
-triple; the closed form calls no `eigvals`; and the polish, not LAPACK, sets
-the final accuracy, so LAPACK's values only have to lie in each root's basin.
-Cost on an n x n tridiagonal: O(n) to balance, O(n^3) in LAPACK, O(n) per
-eigenvalue and Newton step, and O(n) per state for the residuals.
+Then: the symmetrized T' = tridiag(e, d, e), e_n = sqrt(sub_n sup_n), which
+has the same continuant and so the same characteristic polynomial; LAPACK's
+eigenvalues (`np.linalg.eigvals`) as starting values; and two Newton steps
+on det(L - z), by the three-term continuant of its leading minors.  L's
+bands have d[::-1] == -d and e[::-1] == e exactly, so its spectrum comes in
++-lambda pairs, and LAPACK only sees the h x h matrix of T'^2 folded on that
+symmetry, h = floor((m+1)/2): the starting values are +-sqrt of its
+eigenvalues, with an exact 0 for even m.  A tridiagonal without the exact
+symmetry hands LAPACK T' itself.  Nothing here reads the root, the rotation
+or the coefficient triple; the closed form calls no `eigvals`; and the
+polish, not LAPACK, sets the final accuracy, so LAPACK's values only have
+to lie in each root's basin.  Cost on an n x n tridiagonal: O(n) to
+symmetrize and fold, O((n/2)^3) in LAPACK (O(n^3) without the symmetry),
+O(n) per eigenvalue and Newton step, and O(n) per state for the residuals.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,37 +82,84 @@ def _bands(op: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return bands
 
 
-def _balance(sub: np.ndarray, sup: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The off-diagonals of D^-1 T D, the exact radix-2 similarity equalizing them.
+def _symmetrized(sub, sup) -> tuple[np.ndarray, np.ndarray]:
+    """(e, prods) with e_n = sqrt(sub_n) sqrt(sup_n) and prods_n = sub_n sup_n.
 
-    D = diag(2^e), e = rint(cumsum(1/2 log2 |sub_i| / |sup_i|)) with e_0 = 0
-    and step 0 where either entry is zero.  With s = diff(e) the subdiagonal
-    scales by 2^-s and the superdiagonal by 2^s: nothing rounds, zeros stay
-    zero, and each |sub| / |sup| ends within a factor of 4 of 1.  Closed form,
-    no sweeps: L's pairs drift by (|nu|/|mu|)^(m/2) end to end, beyond a
-    sweep-capped iterative balancing, and LAPACK then starts too far off.
-    Raises ValueError, naming the span max(e) - min(e), when a scaled entry
-    leaves the double range; L's balanced entries stay bounded.
+    tridiag(e, d, e) has the continuant, so the characteristic polynomial, of
+    tridiag(sub, d, sup), since e_n^2 = sub_n sup_n; e multiplies the square
+    roots, so it stays finite and nonzero where the product underflows.
+    Raises ValueError, naming the product, where sub_n sup_n overflows.
     """
-    a, b = np.abs(sub), np.abs(sup)
-    both = (a > 0.0) & (b > 0.0)
-    step = np.zeros(len(a))
-    step[both] = 0.5 * np.log2(a[both] / b[both])
-    e = np.rint(np.concatenate([[0.0], np.cumsum(step)])).astype(np.int64)
-    shift = np.diff(e) * np.array([[-1], [1]])
-    pair = np.array([sub, sup])
     with np.errstate(over="ignore", invalid="ignore"):
-        balanced = np.ldexp(pair.real, shift) + 1j * np.ldexp(pair.imag, shift)
-    if not np.all(np.isfinite(balanced)):
+        prods = sub * sup
+    bad = np.flatnonzero(~np.isfinite(prods))
+    if len(bad):
+        n = int(bad[0])
         raise ValueError(
-            f"balancing exponents span 2^{int(e.max() - e.min())}: the balanced "
-            f"{len(e)}x{len(e)} tridiagonal overflows the double range"
+            f"the off-diagonal product sub[{n}] * sup[{n}] = ({sub[n]:.3g}) * ({sup[n]:.3g}) "
+            f"overflows the double range"
         )
-    return balanced[0], balanced[1]
+    return np.sqrt(sub) * np.sqrt(sup), prods
 
 
-def _log_det_derivative(sub, diag, sup, z: np.ndarray) -> np.ndarray:
-    """d/dz log det(T - z) = f'_n / f_n at every z, for the tridiagonal T.
+def _folded_square(diag, e) -> np.ndarray:
+    """W, T'^2 on the smaller eigenspace of J as an h x h matrix, T' = tridiag(e, d, e).
+
+    Needs d[::-1] == -d and e[::-1] == e.  Then J|n> = (-1)^(m-n) |m-n>
+    anticommutes with T' and J^2 = (-1)^m, so T'^2 commutes with J, and on
+    either eigenspace of J its eigenvalues are the squares of T''s +-lambda
+    pairs.  The eigenspace of omega is spanned by |i> + c_i |m-i>, i < h,
+    c_i = omega (-1)^i: h = (m+1)/2 and omega = i for odd m; h = m/2 and
+    omega = -(-1)^(m/2), the eigenspace without |m/2>, for even m.  In that
+    basis W_ij = (T'^2)_ij + c_j (T'^2)_{i,m-j}: pentadiagonal, with the fold
+    term only in the bottom-right 2 x 2 corner.
+    """
+    n = len(diag)
+    m, h = n - 1, n // 2
+    ep = np.concatenate([[0.0], e, [0.0]])
+    sq = (
+        diag**2 + ep[:-1] ** 2 + ep[1:] ** 2,  # (T'^2)_{i,i}
+        e * (diag[:-1] + diag[1:]),  # (T'^2)_{i,i+1}, also (T'^2)_{i+1,i}
+        e[:-1] * e[1:],  # (T'^2)_{i,i+2}, also (T'^2)_{i+2,i}
+    )
+    w = np.zeros((h, h), dtype=complex)
+    for k, band in enumerate(sq):
+        i = np.arange(max(h - k, 0))
+        w[i, i + k] = w[i + k, i] = band[i]
+    omega = 1j if m % 2 else -((-1) ** (m // 2))
+    for i in range(max(h - 2, 0), h):
+        for j in range(max(h - 2, 0), h):
+            k = m - j - i  # (T'^2)_{i,m-j} = (T'^2)_{i,i+k}, and k >= 1 here
+            if k <= 2:
+                w[i, j] += omega * (-1) ** j * sq[k][i]
+    return w
+
+
+def _lapack_eigvals(a: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(
+            f"LAPACK eigenvalue iteration failed on a {len(a)}x{len(a)} matrix: {exc}"
+        ) from exc
+
+
+def _starting_values(diag, e) -> np.ndarray:
+    """LAPACK's eigenvalues of T' = tridiag(e, d, e), from the h x h W where T'
+    has the +-lambda symmetry of _folded_square, else from T' itself."""
+    if not (np.array_equal(diag[::-1], -diag) and np.array_equal(e[::-1], e)):
+        return _lapack_eigvals(_tridiagonal(e, diag, e))
+    # T' / 2^s has entries below 1 in modulus, so T'^2's neither overflow
+    # nor, unless T' spans half the double range, underflow; 2^s stays normal
+    peak = max(np.abs(diag).max(initial=0.0), np.abs(e).max(initial=0.0))
+    scale = math.ldexp(1.0, max(int(np.frexp(peak)[1]), -1000))
+    root = np.sqrt(_lapack_eigvals(_folded_square(diag / scale, e / scale))) * scale
+    return np.concatenate([root, -root, np.zeros(len(diag) % 2)])
+
+
+def _log_det_derivative(diag, prods, z: np.ndarray) -> np.ndarray:
+    """d/dz log det(T - z) = f'_n / f_n at every z, for a tridiagonal T with
+    this diagonal and these products sub_i sup_i of its off-diagonals.
 
     The leading principal minors of T - z obey the continuant
     f_{i+1} = (d_i - z) f_i - sub_{i-1} sup_{i-1} f_{i-1}, f_0 = 1, f_{-1} = 0
@@ -115,7 +169,7 @@ def _log_det_derivative(sub, diag, sup, z: np.ndarray) -> np.ndarray:
     underflows.  No step divides by an off-diagonal entry.  O(n) per z.
     """
     gap = np.subtract.outer(diag, z)
-    minus_prods = np.concatenate([[0.0], -(sub * sup)])
+    minus_prods = np.concatenate([[0.0], -prods])
     y = np.zeros((4, len(z)), dtype=complex)
     old, new = y[:2], y[2:]  # (f, f') of minors i - 1 and i
     new[0] = 1.0
@@ -128,42 +182,38 @@ def _log_det_derivative(sub, diag, sup, z: np.ndarray) -> np.ndarray:
     return new[1] / new[0]
 
 
-def _newton_polish(sub, diag, sup, eigenvalues: np.ndarray) -> np.ndarray:
+def _newton_polish(diag, prods, eigenvalues: np.ndarray) -> np.ndarray:
     """_NEWTON_STEPS steps z <- z - 1/(d/dz log det(T - z)), all eigenvalues at once.
 
-    A step that is non-finite or larger than 0.5 |T|_F + 1 is skipped, which
+    A step that is non-finite or larger than 0.5 |T'|_F + 1 is skipped, which
     leaves that value where it was.
     """
-    cap = 0.5 * np.linalg.norm(np.concatenate([sub, diag, sup])) + 1.0
+    cap = 0.5 * math.hypot(*np.abs(diag), *np.sqrt(2.0 * np.abs(prods))) + 1.0
     z = np.array(eigenvalues, dtype=complex)
     for _ in range(_NEWTON_STEPS):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = -1.0 / _log_det_derivative(sub, diag, sup, z)
+            step = -1.0 / _log_det_derivative(diag, prods, z)
         ok = np.isfinite(step) & (np.abs(step) <= cap)
         z[ok] += step[ok]
     return z
 
 
 def _band_spectrum(sub, diag, sup) -> np.ndarray:
-    """All eigenvalues of the tridiagonal with these bands: balance, LAPACK, polish."""
-    sub, sup = _balance(sub, sup)
-    try:
-        values = np.linalg.eigvals(_tridiagonal(sub, diag, sup))
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(
-            f"LAPACK eigenvalue iteration failed on a {len(diag)}x{len(diag)} matrix: {exc}"
-        ) from exc
-    return _newton_polish(sub, diag, sup, values)
+    """All eigenvalues of the tridiagonal with these bands: symmetrize, LAPACK, polish."""
+    e, prods = _symmetrized(sub, sup)
+    return _newton_polish(diag, prods, _starting_values(diag, e))
 
 
 def dense_spectrum(op: np.ndarray) -> np.ndarray:
     """All eigenvalues of a tridiagonal complex matrix, with algebraic multiplicity.
 
-    Reads op's three bands: the closed-form balancing, LAPACK's eigenvalues
-    of the balanced matrix and two Newton steps on the continuant.  Raises
-    ValueError for a matrix that is not square, finite and tridiagonal, or
-    whose balancing leaves the double range, and NonConvergenceError when
-    LAPACK's iteration fails; never returns a silently truncated spectrum.
+    Reads op's three bands, symmetrizes the off-diagonals, takes LAPACK's
+    eigenvalues of the folded half-size matrix (of the symmetrized one when
+    op lacks the +-lambda symmetry) and polishes them by two Newton steps on
+    the continuant.  Raises ValueError for a matrix that is not square,
+    finite and tridiagonal, or with an off-diagonal product sub_n sup_n
+    beyond the double range, and NonConvergenceError when LAPACK's iteration
+    fails; never returns a silently truncated spectrum.
     """
     return _band_spectrum(*_bands(op))
 

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbstates.oracle import NonConvergenceError, _log_det_derivative, compare, dense_spectrum
 from gbstates.solver import GBSParams, SolutionKind, build_operator, solve
@@ -94,70 +96,23 @@ def test_log_det_derivative_matches_dense_trace(n, zero_subdiagonals):
     z = rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40)
     z = z[np.abs(eig[:, None] - z[None, :]).min(axis=0) > 0.05]
     assert len(z) >= 20
-    got = _log_det_derivative(np.diagonal(h, -1), np.diagonal(h), np.diagonal(h, 1), z)
+    got = _log_det_derivative(np.diagonal(h), np.diagonal(h, -1) * np.diagonal(h, 1), z)
     eye = np.eye(n)
     for zi, gi in zip(z, got):
         ref = -np.trace(np.linalg.solve(h - zi * eye, eye))
         assert abs(gi - ref) <= 1e-10 * abs(ref)
 
 
-@pytest.mark.parametrize(
-    "p",
-    [
-        GBSParams(1.0, 0.3, 0.4, 400),
-        GBSParams(1.0, 0.3j, 0.4, 120),
-        GBSParams(0.8 * np.exp(0.9j), 1.2 * np.exp(-0.3j), 0.7, 60),
-        GBSParams(1.0, 0.0, 0.25, 20),
-    ],
-)
-def test_balance_is_an_exact_power_of_two_similarity(p, monkeypatch):
-    op = build_operator(p)
-    b = lapack_input(monkeypatch, dense_spectrum, op)
-    # every entry is its input times 2^integer, and zeros stay zero
-    assert np.array_equal(b == 0, op == 0)
-    nz = op != 0
-    k = np.rint(np.log2(np.abs(b[nz]) / np.abs(op[nz]))).astype(int)
-    assert np.array_equal(b[nz], np.ldexp(op.real[nz], k) + 1j * np.ldexp(op.imag[nz], k))
-    # a tridiagonal stays tridiagonal, with each sub/super pair within a factor of 4
-    assert not np.any(np.triu(b, 2)) and not np.any(np.tril(b, -2))
-    sub, sup = np.abs(np.diagonal(b, -1)), np.abs(np.diagonal(b, 1))
-    both = (sub > 0) & (sup > 0)
-    ratio = sub[both] / sup[both]
-    assert np.all((ratio >= 0.25) & (ratio <= 4.0))
-
-
 @pytest.mark.parametrize("m", [200, 400])
 @pytest.mark.parametrize("nu", [0.3, 0.7 * np.exp(0.03j)])
 def test_balancing_keeps_near_normal_points_exact(nu, m):
     # (|nu|/|mu|)^(m/2) spans far more than a capped iterative balancing can
-    # equalize; without the closed-form balancing these points fail at m = 400
+    # equalize; the symmetrized tridiag(e, d, e), e_n = sqrt(sub_n sup_n), is
+    # balanced exactly, and without it these points fail at m = 400
     p = GBSParams(1.0, complex(nu), 0.4, m)
     report = compare(p, solve(p))
     assert report.passed
     assert report.max_pair_error <= 1e-12
-
-
-def test_balancing_past_the_double_range_names_the_span():
-    # five sub/super ratios of 1e300 need scale factors 2^2491 apart; the
-    # exponent of the (1.5e308, 1.7e308) pair rounds one step off its ratio,
-    # which doubles its subdiagonal past the double range
-    sub = np.array([1e150, 1e150, 1.5e308, 1e150, 1e150, 1e150])
-    sup = np.array([1e-150, 1e-150, 1.7e308, 1e-150, 1e-150, 1e-150])
-    h = (np.eye(7) + np.diag(sub, -1) + np.diag(sup, 1)).astype(complex)
-    with pytest.raises(ValueError, match=r"span 2\^2491"):
-        dense_spectrum(h)
-
-
-def test_lapack_sees_the_exact_power_of_two_balancing_of_l(monkeypatch):
-    # e_j = rint(sum_{i<j} 1/2 log2 |sub_i/sup_i|), entry (i, j) scaled by 2^(e_j - e_i)
-    op = build_operator(GBSParams(0.8 * np.exp(0.9j), 1.2 * np.exp(-0.3j), 0.7, 40))
-    sub, sup = np.diagonal(op, -1), np.diagonal(op, 1)
-    e = np.rint(np.cumsum([0.0, *(0.5 * np.log2(np.abs(sub) / np.abs(sup)))])).astype(int)
-    s = np.diff(e)
-    want = np.diag(np.diagonal(op)).astype(complex)
-    want += np.diag(np.ldexp(sub.real, -s) + 1j * np.ldexp(sub.imag, -s), -1)
-    want += np.diag(np.ldexp(sup.real, s) + 1j * np.ldexp(sup.imag, s), 1)
-    assert np.array_equal(lapack_input(monkeypatch, dense_spectrum, op), want)
 
 
 # the benchmark's verified-solve points (mu, nu, eta): near-normal, Hermitian,
@@ -174,7 +129,7 @@ VERIFIED_POINTS = (
 @pytest.mark.parametrize("point", VERIFIED_POINTS, ids=["near-normal", "hermitian", "defective", "nu-zero"])
 def test_compare_hands_lapack_the_matrix_of_the_dense_operator(point, m, monkeypatch):
     # compare reads bands(p) and never builds L, yet LAPACK sees the same
-    # balanced matrix, bit for bit, as from dense_spectrum(build_operator(p))
+    # folded matrix, bit for bit, as from dense_spectrum(build_operator(p))
     mu, nu, eta = point
     p = GBSParams(complex(mu), complex(nu), eta, m)
     want = lapack_input(monkeypatch, dense_spectrum, build_operator(p))
@@ -182,6 +137,57 @@ def test_compare_hands_lapack_the_matrix_of_the_dense_operator(point, m, monkeyp
     assert got.tobytes() == want.tobytes()
     np.testing.assert_array_equal(compare(p, solve(p)).oracle_eigenvalues,
                                   dense_spectrum(build_operator(p)))
+
+
+@pytest.mark.parametrize("m, h", [(1, 1), (2, 1), (7, 4), (40, 20), (41, 21), (120, 60)])
+def test_lapack_sees_an_h_by_h_matrix_for_l(m, h, monkeypatch):
+    # L's bands have the exact +-lambda symmetry, so LAPACK only sees the
+    # folded square of T' on the smaller eigenspace of J
+    p = GBSParams(0.8 * np.exp(0.9j), 1.2 * np.exp(-0.3j), 0.7, m)
+    assert lapack_input(monkeypatch, compare, p, solve(p)).shape == (h, h)
+
+
+def test_lapack_sees_the_full_symmetrized_matrix_without_the_symmetry(monkeypatch):
+    def symmetrized(op):
+        e = np.sqrt(np.diagonal(op, -1)) * np.sqrt(np.diagonal(op, 1))
+        return np.diag(np.diagonal(op)) + np.diag(e, -1) + np.diag(e, 1)
+
+    a = random_tridiagonal(np.random.default_rng(8), 9)
+    assert np.array_equal(lapack_input(monkeypatch, dense_spectrum, a), symmetrized(a))
+    # one ulp off the antisymmetric diagonal of L is enough to lose the fold
+    op = build_operator(GBSParams(1.0, 0.3j, 0.4, 12))
+    op[0, 0] = np.nextafter(op[0, 0].real, 0.0)
+    assert np.array_equal(lapack_input(monkeypatch, dense_spectrum, op), symmetrized(op))
+
+
+def test_an_overflowing_off_diagonal_product_is_named():
+    h = np.eye(5, dtype=complex)
+    h[2, 1], h[1, 2] = 1e200, -1e200j
+    with pytest.raises(ValueError, match=r"sub\[1\] \* sup\[1\] .* overflows the double range"):
+        dense_spectrum(h)
+
+
+def test_the_fold_takes_a_diagonal_past_the_square_root_of_the_double_range():
+    # T'^2 would hold 1e400 on its diagonal without the power-of-two scaling
+    op = np.diag([-1e200, 0.0, 1e200]) + np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1)
+    got = sorted_c(dense_spectrum(op.astype(complex)))
+    np.testing.assert_allclose(got, [-1e200, 0.0, 1e200], rtol=1e-15, atol=0.0)
+
+
+@settings(max_examples=40)
+@given(
+    st.floats(0.05, 2.0),
+    st.floats(1e-3, 2.0),
+    st.floats(-np.pi, np.pi),
+    st.floats(0.05, 0.95),
+    st.integers(1, 300),
+)
+def test_compare_passes_when_mu_nu_is_real_and_positive(abs_mu, abs_nu, phase, eta, m):
+    # e_n = sqrt((1 - eta) mu nu (n + 1)(m - n)) is then real, so T' is real
+    # symmetric and every eigenvalue has condition number 1, however
+    # non-normal L is
+    p = GBSParams(abs_mu * np.exp(1j * phase), abs_nu * np.exp(-1j * phase), eta, m)
+    assert compare(p, solve(p)).passed
 
 
 def test_non_tridiagonal_matrix_is_rejected():
