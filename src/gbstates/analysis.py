@@ -183,21 +183,19 @@ def time_evolve(v: np.ndarray, omega: float, t: float) -> np.ndarray:
     return v * np.exp(-1j * omega * t * (n + 0.5))
 
 
-def _number_scan_states(mu: complex, nu: complex, m: int, k: int, eta_schedule):
-    """(eta, k-th eigenstate) at each eta of the schedule, one at a time."""
+def _number_scan(mu: complex, nu: complex, m: int, k: int, eta_schedule):
+    """(eta, fidelity against |k>, k-th eigenstate) at each eta of the schedule."""
     for eta in eta_schedule:
-        yield float(eta), eigenstate(GBSParams(mu=mu, nu=nu, eta=eta, m=m), k)
+        # the eigenstate first, so that the solver's index check names a bad k
+        state = eigenstate(GBSParams(mu=mu, nu=nu, eta=eta, m=m), k)
+        yield float(eta), fidelity(state, basis_state(k, m + 1)), state
 
 
 def number_limit_scan(
     mu: complex, nu: complex, m: int, k: int, eta_schedule
 ) -> list[tuple[float, float]]:
     """Fidelity of the k-th eigenstate against |k> along an eta -> 1 schedule."""
-    # each eigenstate before |k>, so that the solver's index check names a bad k
-    return [
-        (eta, fidelity(state, basis_state(k, m + 1)))
-        for eta, state in _number_scan_states(mu, nu, m, k, eta_schedule)
-    ]
+    return [(eta, fid) for eta, fid, _ in _number_scan(mu, nu, m, k, eta_schedule)]
 
 
 def _limit_target(mu: complex, nu: complex, alpha: float, rule: KRule) -> complex:

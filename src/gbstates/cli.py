@@ -9,7 +9,6 @@ deterministic for identical inputs except the wall times (`wall_s` per check,
 """
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -21,13 +20,13 @@ from . import __version__
 from .analysis import (
     KRule,
     LimitSchedule,
-    _number_scan_states,
+    _number_scan,
     photon_statistics,
     squeezed_limit_scan,
     time_evolve,
 )
 from .binomial import BinomialParams, binomial_amplitudes, ladder_residual
-from .fock import basis_state, fidelity
+from .fock import fidelity
 from .oracle import NonConvergenceError, compare
 from .solver import GBSParams, _check_index, constraint_roots, eigenstate_sum, solve
 from .verification import (
@@ -187,9 +186,9 @@ def cmd_limit(args) -> int:
         mu = complex(args.mu_re, args.mu_im)
         nu = complex(args.nu_re, args.nu_im)
         rows = [
-            (eta, fidelity(state, basis_state(args.k, args.m + 1)),
-             float(np.linalg.norm((np.arange(args.m + 1) - args.k) * state)))  # |(N - k) v|
-            for eta, state in _number_scan_states(mu, nu, args.m, args.k, etas)
+            # |(N - k) v|, N diagonal
+            (eta, fid, float(np.linalg.norm((np.arange(args.m + 1) - args.k) * state)))
+            for eta, fid, state in _number_scan(mu, nu, args.m, args.k, etas)
         ]
         params = {
             "mode": "number",
@@ -410,15 +409,9 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser(), once per process: parse_args leaves the parser as it
-    was and gives each call a fresh namespace."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    parser = build_parser()
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except ValueError as exc:

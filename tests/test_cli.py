@@ -142,28 +142,6 @@ def test_limit_number_csv_monotone(capsys):
     assert residuals[0] > residuals[1] > residuals[2]
 
 
-def test_main_builds_one_parser_and_each_call_starts_from_the_defaults(capsys, monkeypatch):
-    builds = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
-    cli._parser.cache_clear()
-    try:
-        gbs = ["gbs", "--mu-re", "1", "--eta", "0.25", "--m", "2"]
-        with_k = run_json(capsys, [*gbs, "--k", "1"])
-        code, _, err = run_cli(capsys, ["limit", "--mode", "number", "--m", "2", "--k", "1", "--etas", "0.9"])
-        assert code == 0, err
-        without_k = run_json(capsys, gbs)
-        code, _, err = run_cli(capsys, ["limit", "--mode", "number", "--m", "2", "--etas", "0.9"])
-        parsed = cli._parser().parse_args(gbs)
-    finally:
-        cli._parser.cache_clear()
-    assert len(builds) == 1
-    assert with_k["results"]["eigenstate_k"] == 1
-    assert "eigenstate_k" not in without_k["results"]
-    assert code == 2 and "needs --m, --k and --etas" in err
-    assert parsed.k is None and parsed.subcommand == "gbs" and parsed.func is cli.cmd_gbs
-
-
 def test_gbs_near_number_limit_at_m100_exits_0(capsys):
     # the eigenstate cores here used to overflow into an IndexError, exit 1
     doc = run_json(capsys, ["gbs", "--mu-re", "1", "--nu-re", "0", "--eta", "0.9999", "--m", "100"])
