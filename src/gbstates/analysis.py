@@ -3,7 +3,9 @@
 The closed-form eigenstates interpolate between number states (eta -> 1) and
 coherent/squeezed states (m -> inf, eta = alpha^2/m).  This module provides
 the reference states, the fidelity/residual scans that probe those limits at
-finite resolution, and the free-field time evolution.
+finite resolution, and the free-field time evolution.  A reference state
+sizes its own truncation from its amplitude and raises ValueError when that
+exceeds REFERENCE_DIM_CAP amplitudes; embed pads it to a larger dimension.
 """
 
 import cmath
@@ -13,11 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .displacement import delta_to_zeta, displacement
+from .binomial import BinomialParams, binomial_displacement_form
 from .fock import basis_state, fidelity
 from .solver import GBSParams, eigenstate
 
 K_RULE_MODES = ("center", "top-offset", "bottom")
+
+# the largest truncation of a reference state: 2^26 complex amplitudes, 1 GiB
+REFERENCE_DIM_CAP = 2**26
 
 
 @dataclass
@@ -79,33 +84,39 @@ class LimitSchedule:
         if list(self.m_values) != sorted(self.m_values):
             raise ValueError("m values must be ascending")
         for m in self.m_values:
-            eta = self.alpha ** 2 / m
+            if m < 1:
+                raise ValueError(f"m values must be >= 1, got {m}")
+            eta = self.eta(m)
             if not 0.0 < eta < 1.0:
                 raise ValueError(
                     f"eta = alpha^2/m = {eta} outside (0, 1) at m = {m}"
                 )
 
     def eta(self, m: int) -> float:
-        return self.alpha ** 2 / m
+        # a product, not alpha ** 2, which raises OverflowError past 1e154
+        return self.alpha * self.alpha / m
 
 
-def _reference_dim(effective_alpha_sq: float, requested: int) -> int:
+def _reference_dim(effective_alpha_sq: float) -> int:
     # Poisson/squeezed tails die super-exponentially past ~4 alpha^2
-    return max(4 * math.ceil(effective_alpha_sq) + 60, requested)
+    d = 4 * math.ceil(effective_alpha_sq) + 60 if math.isfinite(effective_alpha_sq) else math.inf
+    if d > REFERENCE_DIM_CAP:
+        raise ValueError(f"reference state needs dimension {d}, above the cap {REFERENCE_DIM_CAP}")
+    return d
 
 
-def coherent_state(alpha: complex, dim: int = 0) -> np.ndarray:
+def coherent_state(alpha: complex) -> np.ndarray:
     """Truncated coherent state e^{-|a|^2/2} a^n/sqrt(n!) with tail mass <= 1e-12.
 
-    The working dimension is at least 4 ceil(|alpha|^2) + 60; raises if even
-    the requested dimension cannot hold the tail.
+    The working dimension is 4 ceil(|alpha|^2) + 60, at most REFERENCE_DIM_CAP.
     """
     alpha = complex(alpha)
     if not cmath.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    d = _reference_dim(abs(alpha) ** 2, dim)
+    alpha_sq = abs(alpha) * abs(alpha)
+    d = _reference_dim(alpha_sq)
     amps = np.zeros(d, dtype=complex)
-    amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    amps[0] = math.exp(-alpha_sq / 2.0)
     for n in range(d - 1):
         amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1)
     tail = 1.0 - float(np.sum(np.abs(amps) ** 2))
@@ -114,12 +125,14 @@ def coherent_state(alpha: complex, dim: int = 0) -> np.ndarray:
     return amps
 
 
-def squeezed_eigenstate(mu: complex, nu: complex, lam: complex, dim: int = 0) -> np.ndarray:
+def squeezed_eigenstate(mu: complex, nu: complex, lam: complex) -> np.ndarray:
     """Normalized eigenstate of mu a + nu a^dag with eigenvalue lam.
 
     Solves the two-term recursion mu sqrt(n+1) C_{n+1} = lam C_n - nu sqrt(n)
-    C_{n-1}; needs |nu/mu| < 1 for the coefficients to decay.  Raises when
-    the truncation cannot hold the tail (residual floor 1e-9).
+    C_{n-1}; needs |nu/mu| < 1 for the coefficients to decay.  The working
+    dimension is 4 ceil(e^2) + 60 with e = |lam/mu| / (1 - |nu/mu|), at most
+    REFERENCE_DIM_CAP.  Raises when the truncation cannot hold the tail
+    (residual floor 1e-9).
     """
     mu = complex(mu)
     nu = complex(nu)
@@ -132,7 +145,7 @@ def squeezed_eigenstate(mu: complex, nu: complex, lam: complex, dim: int = 0) ->
     if abs(nu / mu) >= 1.0:
         raise ValueError(f"|nu/mu| = {abs(nu / mu)} must be < 1 for convergence")
     eff = abs(lam / mu) / (1.0 - abs(nu / mu))
-    d = _reference_dim(eff * eff, dim)
+    d = _reference_dim(eff * eff)
     c = np.zeros(d + 1, dtype=complex)
     c[0] = 1.0
     c[1] = lam / mu
@@ -230,10 +243,11 @@ def squeezed_limit_scan(
     if abs(nu / mu) >= 1.0:
         raise ValueError(f"|nu/mu| = {abs(nu / mu)} must be < 1")
     target = _limit_target(mu, nu, schedule.alpha, schedule.k_rule)
+    # the points first: GBSParams names an out-of-range mu before the reference sizes itself
+    points = [GBSParams(mu=mu, nu=nu, eta=schedule.eta(m), m=m) for m in schedule.m_values]
     reference = squeezed_eigenstate(mu, nu, target)
     rows = []
-    for m in schedule.m_values:
-        p = GBSParams(mu=mu, nu=nu, eta=schedule.eta(m), m=m)
+    for m, p in zip(schedule.m_values, points):
         state = eigenstate(p, schedule.k_rule.index(m))
         dim = max(m + 1, len(reference))
         v = embed(state, dim)
@@ -250,36 +264,29 @@ def su2_coherent_form(eta: float, phi: float, m: int) -> np.ndarray:
     """Rotated vacuum exp(xi J+ - xi* J-)|0> with xi = -arctan(sqrt(eta/(1-eta))) e^{i phi}.
 
     Reproduces the top (k = m) eigenstate of the nu = 0 family with
-    mu = e^{i phi}, i.e. the binomial state dressed with phases e^{-i n phi}.
+    mu = e^{i phi}, i.e. the binomial state dressed with phases e^{-i n phi}:
+    binomial_displacement_form times those phases, n phi reduced mod 2 pi.
     """
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must lie strictly inside (0, 1), got {eta}")
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
-    # xi = r e^{i(phi + pi)} with tan r = sqrt(eta/(1-eta)), i.e. the rotation
-    # encoded by delta = e^{-i(phi + pi)} tan r
-    delta = -math.sqrt(eta / (1.0 - eta)) * complex(math.cos(phi), -math.sin(phi))
-    return displacement(delta_to_zeta(delta, m)) @ basis_state(0, m + 1)
+    state = binomial_displacement_form(BinomialParams(eta, m))
+    return state * np.exp(-1j * ((np.arange(m + 1) * phi) % (2 * math.pi)))
 
 
-def coherent_amplitude_discrepancy(
-    alpha: float, m_values, phi: float = 0.0
-) -> dict:
+def coherent_amplitude_discrepancy(alpha: float, m_values) -> dict:
     """Settle the center-rule limit amplitude: alpha/2 versus alpha/sqrt(2).
 
-    Follows the nu = 0, mu = e^{i phi} center eigenstate along the schedule
-    and reports its fidelity against coherent states of both candidate
+    Follows the nu = 0, mu = 1 center eigenstate along the schedule and
+    reports its fidelity against coherent states of both candidate
     amplitudes; the verdict names whichever converges to 1.
     """
-    mu = complex(math.cos(phi), math.sin(phi))
     half = []
     root2 = []
     for m in m_values:
-        eta = alpha ** 2 / m
-        p = GBSParams(mu=mu, nu=0.0, eta=eta, m=m)
+        p = GBSParams(mu=1 + 0j, nu=0.0, eta=alpha * alpha / m, m=m)
         state = eigenstate(p, m // 2)
         for target, out in ((alpha / 2.0, half), (alpha / math.sqrt(2.0), root2)):
-            ref = coherent_state(target * mu.conjugate())
+            ref = coherent_state(target)
             dim = max(len(state), len(ref))
             out.append(fidelity(embed(state, dim), embed(ref, dim)))
     verdict = "alpha/2" if half[-1] >= root2[-1] else "alpha/sqrt(2)"

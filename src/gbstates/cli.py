@@ -1,11 +1,12 @@
 """Command-line front end: machine-readable access to every pipeline.
 
-Single solves emit JSON run records, scans emit CSV (one row per schedule
-point), and `verify` runs the whole property battery.  Exit codes: 0 success,
-2 invalid input, 3 a verification check failed or the oracle did not
-converge.  Complex numbers are encoded as [re, im] pairs.  Output is
-deterministic for identical inputs except the wall times (`wall_s` per check,
-`total_s`) in the diagnostics of `verify --format json`.
+Single solves (`binomial`, `gbs`, `evolve`) always emit JSON run records and
+take no `--format`; scans emit CSV (one row per schedule point) or JSON, and
+`verify` runs the whole property battery as a text table or JSON.  Exit
+codes: 0 success, 2 invalid input, 3 a verification check failed or the
+oracle did not converge.  Complex numbers are encoded as [re, im] pairs.
+Output is deterministic for identical inputs except the wall times (`wall_s`
+per check, `total_s`) in the diagnostics of `verify --format json`.
 """
 
 import argparse
@@ -314,11 +315,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFICATION
 
 
-def _add_complex_flags(sp, mu_default=(1.0, 0.0), nu_default=(0.0, 0.0)):
-    sp.add_argument("--mu-re", type=float, default=mu_default[0])
-    sp.add_argument("--mu-im", type=float, default=mu_default[1])
-    sp.add_argument("--nu-re", type=float, default=nu_default[0])
-    sp.add_argument("--nu-im", type=float, default=nu_default[1])
+def _add_complex_flags(sp):
+    sp.add_argument("--mu-re", type=float, default=1.0)
+    sp.add_argument("--mu-im", type=float, default=0.0)
+    sp.add_argument("--nu-re", type=float, default=0.0)
+    sp.add_argument("--nu-im", type=float, default=0.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bin = sub.add_parser("binomial", help="binomial state amplitudes and statistics")
     p_bin.add_argument("--eta", type=float, required=True, help="probability in [0, 1]")
     p_bin.add_argument("--m", type=int, required=True, help="photon cap")
-    p_bin.add_argument("--format", choices=["json"], default="json")
     p_bin.add_argument("--out", default="-")
     p_bin.set_defaults(func=cmd_binomial)
 
@@ -341,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gbs.add_argument("--eta", type=float, required=True, help="probability in (0, 1)")
     p_gbs.add_argument("--m", type=int, required=True, help="photon cap")
     p_gbs.add_argument("--k", type=int, default=None, help="also emit eigenstate k")
-    p_gbs.add_argument("--format", choices=["json"], default="json")
     p_gbs.add_argument("--out", default="-")
     p_gbs.set_defaults(func=cmd_gbs)
 
@@ -367,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--phi", type=float, default=0.0, help="mu phase at t = 0")
     p_ev.add_argument("--omega", type=float, required=True)
     p_ev.add_argument("--t", type=float, required=True)
-    p_ev.add_argument("--format", choices=["json"], default="json")
     p_ev.add_argument("--out", default="-")
     p_ev.set_defaults(func=cmd_evolve)
 

@@ -266,7 +266,7 @@ def compare(p: GBSParams, solution: GBSSolution) -> SpectrumReport:
     else:
         report.pairing, report.max_pair_error = _greedy_pairing(closed_vals, oracle_vals)
     # |L v - lambda v| from the three bands, one state per row
-    states = np.array(solution.eigenstates)
+    states = np.asarray(solution.eigenstates)
     res = (diag - (0.0 if report.multiplicity_collapse else closed_vals[:, None])) * states
     res[:, 1:] += sub * states[:, :-1]
     res[:, :-1] += sup * states[:, 1:]

@@ -135,7 +135,7 @@ class GBSSolution:
     zeta: DisplacementParams
     triple: CoefficientTriple
     eigenvalues: np.ndarray
-    eigenstates: list[np.ndarray]
+    eigenstates: np.ndarray  # (count, m+1), one state per row
     kind: SolutionKind
 
 
@@ -368,7 +368,7 @@ def _sweep(diag, lam, c, d) -> None:
         np.add(d1, _PIVOT_FLOOR, d1)
 
 
-def _twisted_states(p: GBSParams, a_zero: complex, ks) -> list[np.ndarray]:
+def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
     """Eigenstates ks of L at lambda_k = A0 (2k - m)/2, from L's three bands.
 
     Fernando's twisted factorization (Parlett & Dhillon, LAA 267, 1997), in
@@ -474,10 +474,10 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> list[np.ndarray]:
         z *= phase
         del log_z
         states[at] = normalize_state(z.T)
-    return list(states)
+    return states
 
 
-def _eigenstates(p: GBSParams, frame: _Frame, ks) -> list[np.ndarray]:
+def _eigenstates(p: GBSParams, frame: _Frame, ks) -> np.ndarray:
     """The eigenstates ks on the frame's branch, solve's and eigenstate's one route.
 
     Generic states come from L's three bands by the twisted recurrence
@@ -495,7 +495,7 @@ def _eigenstates(p: GBSParams, frame: _Frame, ks) -> list[np.ndarray]:
     states = np.empty((len(ks), p.m + 1), dtype=complex)
     for at in _chunks(len(ks), p.m):
         states[at] = normalize_state(d[:, ks[at]].T)
-    return list(states)
+    return states
 
 
 def eigenstate(p: GBSParams, k: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from .analysis import (
     coherent_amplitude_discrepancy,
     number_limit_scan,
     squeezed_limit_scan,
+    time_evolve,
 )
 from .binomial import BinomialParams, binomial_amplitudes, binomial_displacement_form, ladder_residual
 from .displacement import DisplacementParams, disentangled_displacement, displacement
@@ -169,8 +170,8 @@ def check_degenerate_branch(
             all_degenerate = False
             continue
         worst_imag = max(worst_imag, float(np.abs(sol.eigenvalues.imag).max()))
-        basis = np.column_stack(sol.eigenstates)
-        gram_defect = np.abs(basis.conj().T @ basis - np.eye(p.m + 1)).max()
+        states = sol.eigenstates
+        gram_defect = np.abs(states.conj() @ states.T - np.eye(p.m + 1)).max()
         worst_gram = max(worst_gram, float(gram_defect))
         report = compare(p, sol)
         worst_resid_ratio = max(worst_resid_ratio, report.max_residual / report.residual_bound)
@@ -274,8 +275,6 @@ def check_disentangling(
 def check_time_evolution(seed: int = DEFAULT_SEED + 3) -> list[CheckResult]:
     """Free evolution of a nu = 0 eigenstate equals the state rebuilt with the
     shifted mu phase, up to a global phase."""
-    from .analysis import time_evolve
-
     rng = np.random.default_rng(seed)
     eta, m = 0.3, 8
     worst = 0.0

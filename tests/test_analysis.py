@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from gbstates.analysis import (
+    REFERENCE_DIM_CAP,
     KRule,
     LimitSchedule,
+    _reference_dim,
     coherent_amplitude_discrepancy,
     coherent_state,
     embed,
@@ -28,7 +30,7 @@ def test_coherent_vacuum():
 
 
 def test_coherent_mean_photon_number():
-    v = coherent_state(1.0, 40)
+    v = coherent_state(1.0)
     stats = photon_statistics(v)
     assert stats.mean == pytest.approx(1.0, abs=1e-10)
     assert stats.mandel_q == pytest.approx(0.0, abs=1e-8)
@@ -57,7 +59,7 @@ def test_squeezed_vacuum_parity():
 
 def test_squeezed_residual():
     mu, nu, lam = 1.0, 0.5, 0.4
-    v = squeezed_eigenstate(mu, nu, lam, 80)
+    v = squeezed_eigenstate(mu, nu, lam)
     a = annihilation_operator(len(v) - 1)
     op = mu * a + nu * a.conj().T
     assert np.linalg.norm(op @ v - lam * v) <= 1e-9
@@ -109,6 +111,29 @@ def test_photon_statistics_vacuum_mandel_undefined():
 def test_helpers_name_the_bad_input(call, bound):
     with pytest.raises(ValueError, match=bound):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, dim",
+    [
+        (lambda: coherent_state(1e200), "inf"),
+        (lambda: coherent_state(1e5), "40000000060"),
+        (lambda: squeezed_eigenstate(1e-300, 0.0, 0.5), "inf"),
+        (lambda: squeezed_eigenstate(1e-8, 0.0, 0.5), "10000000000000060"),
+    ],
+    ids=["coherent-overflow", "coherent-596GiB", "squeezed-overflow", "squeezed-142PiB"],
+)
+def test_reference_states_name_the_dimension_cap(call, dim):
+    # each used to raise OverflowError or MemoryError, or to try a huge allocation
+    with pytest.raises(ValueError, match=f"needs dimension {dim}, above the cap {REFERENCE_DIM_CAP}"):
+        call()
+
+
+def test_reference_dim_cap_boundary():
+    assert REFERENCE_DIM_CAP == 2**26
+    assert _reference_dim(16777201.0) == REFERENCE_DIM_CAP  # 4 * 16777201 + 60
+    with pytest.raises(ValueError, match="needs dimension 67108868"):
+        _reference_dim(16777201.5)
 
 
 def test_embed_rejects_shrinking():

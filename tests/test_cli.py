@@ -341,6 +341,53 @@ def test_limit_m_values_must_be_finite_integers(capsys, m_values):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--mode", "squeezed", "--alpha", "1", "--m-values", "0"], "m values must be >= 1, got 0"),
+        (["--mode", "coherent", "--alpha", "1", "--m-values=-2,50"], "m values must be >= 1, got -2"),
+        (["--mode", "squeezed", "--alpha", "1e200", "--m-values", "50"],
+         "eta = alpha^2/m = inf outside (0, 1) at m = 50"),
+        (["--mode", "coherent", "--alpha", "1e200", "--m-values", "50"],
+         "eta = alpha^2/m = inf outside (0, 1) at m = 50"),
+        (["--mode", "squeezed", "--alpha", "1", "--m-values", "50", "--mu-re", "1e-300"],
+         "|mu| must lie in [1e-50, 1e50], got 1e-300"),
+    ],
+    ids=["m-zero", "m-negative", "squeezed-huge-alpha", "coherent-huge-alpha", "tiny-mu"],
+)
+def test_limit_names_the_violated_bound(capsys, argv, message):
+    # each used to exit 1 with a ZeroDivisionError, OverflowError or an
+    # infinite reference dimension
+    code, out, err = run_cli(capsys, ["limit"] + argv)
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: {message}"]
+
+
+@settings(max_examples=40)
+@given(
+    mode=st.sampled_from(["squeezed", "coherent"]),
+    alpha=st.one_of(st.floats(0.05, 3.0), st.sampled_from([1e200, 1.5e154, 0.0, -1.0])),
+    m_values=st.lists(st.integers(-3, 300), min_size=1, max_size=3).map(sorted),
+    mu=st.builds(_modulus_and_phase, st.floats(math.log10(0.5), math.log10(2.0)), st.floats(-math.pi, math.pi)),
+    ratio=st.floats(0.0, 0.9),
+    nu_phase=st.floats(-math.pi, math.pi),
+)
+def test_limit_never_shows_a_traceback(mode, alpha, m_values, mu, ratio, nu_phase):
+    # alpha <= 3, |mu| >= 1/2 and |nu/mu| <= 0.9 keep every reference state
+    # below 4 * 30^2 + 60 entries; the huge alphas fail on eta before any is built
+    nu = mu * ratio * complex(math.cos(nu_phase), math.sin(nu_phase))
+    argv = ["limit", f"--mode={mode}", f"--alpha={alpha!r}", "--m-values=" + ",".join(map(str, m_values)),
+            f"--mu-re={mu.real!r}", f"--mu-im={mu.imag!r}", f"--nu-re={nu.real!r}", f"--nu-im={nu.imag!r}"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+
+
 @pytest.mark.parametrize("phi", ["inf", "nan"])
 def test_limit_coherent_phi_must_be_finite(capsys, phi):
     argv = ["limit", "--mode", "coherent", "--alpha", "1", "--m-values", "50", "--phi", phi]
@@ -395,6 +442,23 @@ def test_limit_and_evolve_name_the_eigenstate_index(capsys, argv):
     assert out == ""
     k = argv[argv.index("--k") + 1]
     assert err.strip().splitlines() == [f"error: eigenstate index {k} outside 0..4"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["binomial", "--eta", "0.5", "--m", "2"],
+        ["gbs", "--eta", "0.25", "--m", "2"],
+        ["evolve", "--eta", "0.3", "--m", "8", "--k", "4", "--omega", "1.0", "--t", "0.0"],
+    ],
+    ids=["binomial", "gbs", "evolve"],
+)
+def test_single_solves_have_no_format_flag(capsys, argv):
+    # their only output is JSON
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 def test_gbs_root_is_an_unknown_option(capsys):

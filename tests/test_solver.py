@@ -758,3 +758,15 @@ def test_solve_and_eigenstate_leave_the_memo_empty(p, kind):
     assert solve(p).kind is kind
     eigenstate(p, 0)
     assert _rotation.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "p, count",
+    [(GBSParams(1.0, 0.3j, 0.4, 6), 7), (GBSParams(1.0, 1.0, 0.4, 6), 7), (GBSParams(1.0, -0.25, 0.5, 6), 1)],
+    ids=["generic", "hermitian", "defective"],
+)
+def test_solve_returns_its_states_as_one_array(p, count):
+    # one state per row, the block the solver fills; compare reads it in place
+    states = solve(p).eigenstates
+    assert isinstance(states, np.ndarray)
+    assert states.shape == (count, p.m + 1)
