@@ -12,7 +12,6 @@ from .analysis import (
     KRule,
     LimitSchedule,
     PhotonStatistics,
-    coherent_state,
     number_limit_scan,
     photon_statistics,
     squeezed_eigenstate,
@@ -71,7 +70,6 @@ __all__ = [
     "binomial_phase_parameters",
     "build_operator",
     "coefficient_triple",
-    "coherent_state",
     "commutator",
     "compare",
     "constraint_roots",

@@ -3,9 +3,11 @@
 The closed-form eigenstates interpolate between number states (eta -> 1) and
 coherent/squeezed states (m -> inf, eta = alpha^2/m).  This module provides
 the reference states, the fidelity/residual scans that probe those limits at
-finite resolution, and the free-field time evolution.  A reference state
-sizes its own truncation from its amplitude and raises ValueError when that
-exceeds REFERENCE_DIM_CAP amplitudes; embed pads it to a larger dimension.
+finite resolution, and the free-field time evolution.  Every reference state
+comes from one recursion, squeezed_eigenstate: the eigenstate of
+mu a + nu a^dag, whose nu = 0 case is the coherent state.  It sizes its own
+truncation from its amplitude and raises ValueError when that exceeds
+REFERENCE_DIM_CAP amplitudes; embed pads it to a larger dimension.
 """
 
 import cmath
@@ -16,13 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binomial import BinomialParams, binomial_displacement_form
-from .fock import basis_state, fidelity
+from .fock import AMPLITUDE_CAP as REFERENCE_DIM_CAP, basis_state, fidelity
 from .solver import GBSParams, eigenstate
 
 K_RULE_MODES = ("center", "top-offset", "bottom")
-
-# the largest truncation of a reference state: 2^26 complex amplitudes, 1 GiB
-REFERENCE_DIM_CAP = 2**26
 
 
 @dataclass
@@ -105,34 +104,15 @@ def _reference_dim(effective_alpha_sq: float) -> int:
     return d
 
 
-def coherent_state(alpha: complex) -> np.ndarray:
-    """Truncated coherent state e^{-|a|^2/2} a^n/sqrt(n!) with tail mass <= 1e-12.
-
-    The working dimension is 4 ceil(|alpha|^2) + 60, at most REFERENCE_DIM_CAP.
-    """
-    alpha = complex(alpha)
-    if not cmath.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    alpha_sq = abs(alpha) * abs(alpha)
-    d = _reference_dim(alpha_sq)
-    amps = np.zeros(d, dtype=complex)
-    amps[0] = math.exp(-alpha_sq / 2.0)
-    for n in range(d - 1):
-        amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1)
-    tail = 1.0 - float(np.sum(np.abs(amps) ** 2))
-    if tail > 1e-12:
-        raise ValueError(f"dimension {d} leaves coherent tail mass {tail:.3e} > 1e-12")
-    return amps
-
-
 def squeezed_eigenstate(mu: complex, nu: complex, lam: complex) -> np.ndarray:
     """Normalized eigenstate of mu a + nu a^dag with eigenvalue lam.
 
     Solves the two-term recursion mu sqrt(n+1) C_{n+1} = lam C_n - nu sqrt(n)
-    C_{n-1}; needs |nu/mu| < 1 for the coefficients to decay.  The working
-    dimension is 4 ceil(e^2) + 60 with e = |lam/mu| / (1 - |nu/mu|), at most
-    REFERENCE_DIM_CAP.  Raises when the truncation cannot hold the tail
-    (residual floor 1e-9).
+    C_{n-1} from C_0 = 1; needs |nu/mu| < 1 for the coefficients to
+    decay.  At nu = 0 it is the coherent state of amplitude lam/mu.  The
+    working dimension is 4 ceil(e^2) + 60 with e = |lam/mu| / (1 - |nu/mu|),
+    at most REFERENCE_DIM_CAP.  Raises when the truncation cannot hold the
+    tail (residual floor 1e-9).
     """
     mu = complex(mu)
     nu = complex(nu)
@@ -142,21 +122,37 @@ def squeezed_eigenstate(mu: complex, nu: complex, lam: complex) -> np.ndarray:
             raise ValueError(f"{name} must be finite, got {value}")
     if mu == 0:
         raise ValueError("mu must be nonzero")
-    if abs(nu / mu) >= 1.0:
-        raise ValueError(f"|nu/mu| = {abs(nu / mu)} must be < 1 for convergence")
-    eff = abs(lam / mu) / (1.0 - abs(nu / mu))
+    ratio_lam, ratio_nu = lam / mu, nu / mu
+    if abs(ratio_nu) >= 1.0:
+        raise ValueError(f"|nu/mu| = {abs(ratio_nu)} must be < 1 for convergence")
+    eff = abs(ratio_lam) / (1.0 - abs(ratio_nu))
     d = _reference_dim(eff * eff)
-    c = np.zeros(d + 1, dtype=complex)
-    c[0] = 1.0
-    c[1] = lam / mu
+    c = np.empty(d + 1, dtype=complex)
+    prev, cur = 1.0 + 0j, ratio_lam
+    c[0], c[1] = prev, cur
+    root = 1.0  # sqrt(n)
     for n in range(1, d):
-        c[n + 1] = (lam * c[n] - nu * math.sqrt(n) * c[n - 1]) / (mu * math.sqrt(n + 1))
+        root_next = math.sqrt(n + 1)
+        prev, cur = cur, (ratio_lam * cur - ratio_nu * root * prev) / root_next
+        root = root_next
+        big = abs(cur)
+        # C_n grows like |lam/mu|^n / sqrt(n!) before it decays: rescale the
+        # entries so far before they overflow; the earliest may underflow to 0
+        if big > 1e200:
+            c[: n + 1] /= big
+            prev /= big
+            cur /= big
+        c[n + 1] = cur
+    # divide by the largest modulus, at least 1, before the norm: the squared
+    # norm of entries above ~1e154 would overflow
+    c /= np.abs(c).max()
     body = c[:d]
     nrm = float(np.linalg.norm(body))
     # the would-be coefficient beyond the cut is the entire residual
     residual = abs(mu) * math.sqrt(d) * abs(c[d]) / nrm
     tail = (abs(c[d]) / nrm) ** 2
-    if residual > 1e-9 or tail > 1e-12:
+    # written so that a NaN fails it
+    if not (residual <= 1e-9 and tail <= 1e-12):
         raise ValueError(
             f"dimension {d} too small: truncation residual {residual:.3e}, "
             f"tail mass {tail:.3e}"
@@ -238,10 +234,6 @@ def squeezed_limit_scan(
     """
     mu = complex(mu)
     nu = complex(nu)
-    if mu == 0:
-        raise ValueError("mu must be nonzero")
-    if abs(nu / mu) >= 1.0:
-        raise ValueError(f"|nu/mu| = {abs(nu / mu)} must be < 1")
     target = _limit_target(mu, nu, schedule.alpha, schedule.k_rule)
     # the points first: GBSParams names an out-of-range mu before the reference sizes itself
     points = [GBSParams(mu=mu, nu=nu, eta=schedule.eta(m), m=m) for m in schedule.m_values]
@@ -280,13 +272,14 @@ def coherent_amplitude_discrepancy(alpha: float, m_values) -> dict:
     reports its fidelity against coherent states of both candidate
     amplitudes; the verdict names whichever converges to 1.
     """
+    points = [GBSParams(mu=1 + 0j, nu=0.0, eta=alpha * alpha / m, m=m) for m in m_values]
+    # the coherent references are the nu = 0 squeezed eigenstates
+    references = [squeezed_eigenstate(1, 0, alpha / 2.0), squeezed_eigenstate(1, 0, alpha / math.sqrt(2.0))]
     half = []
     root2 = []
-    for m in m_values:
-        p = GBSParams(mu=1 + 0j, nu=0.0, eta=alpha * alpha / m, m=m)
-        state = eigenstate(p, m // 2)
-        for target, out in ((alpha / 2.0, half), (alpha / math.sqrt(2.0), root2)):
-            ref = coherent_state(target)
+    for p in points:
+        state = eigenstate(p, p.m // 2)
+        for ref, out in zip(references, (half, root2)):
             dim = max(len(state), len(ref))
             out.append(fidelity(embed(state, dim), embed(ref, dim)))
     verdict = "alpha/2" if half[-1] >= root2[-1] else "alpha/sqrt(2)"

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    K_RULE_MODES,
     KRule,
     LimitSchedule,
     _number_scan,
@@ -352,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lim.add_argument("--etas", default=None, help="comma-separated eta schedule (number mode)")
     p_lim.add_argument("--alpha", type=float, default=None, help="fixed sqrt(eta m)")
     p_lim.add_argument("--m-values", default=None, help="comma-separated ascending m schedule")
-    p_lim.add_argument("--rule", choices=["center", "top-offset", "bottom"], default="center")
+    p_lim.add_argument("--rule", choices=K_RULE_MODES, default="center")
     p_lim.add_argument("--offset", type=int, default=0)
     p_lim.add_argument("--phi", type=float, default=0.0, help="mu phase (coherent mode)")
     p_lim.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -381,26 +382,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_number(token: str) -> bool:
+def _is_numbers(token: str) -> bool:
+    """True for one number or a comma-separated list of numbers."""
     try:
-        float(token)
+        for part in token.split(","):
+            float(part)
     except ValueError:
         return False
     return True
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Write `--flag -1e-3` as `--flag=-1e-3`.
+    """Write `--flag -1e-3` as `--flag=-1e-3`, and `--m-values -2,50` as `--m-values=-2,50`.
 
     argparse reads a token that starts with '-' as an option unless it
-    matches its negative-number pattern, which has no exponent, so
-    `--nu-re -1e-3` would leave --nu-re without its value.  A number that
-    follows a long option without '=' is attached to it instead.
+    matches its negative-number pattern, which has no exponent and no comma,
+    so `--nu-re -1e-3` would leave --nu-re without its value.  A number, or
+    a comma-separated list of them, that follows a long option without '='
+    is attached to it instead.
     """
     out = []
     for token in argv:
         prev = out[-1] if out else ""
-        if prev.startswith("--") and "=" not in prev and token.startswith("-") and _is_number(token):
+        if prev.startswith("--") and "=" not in prev and token.startswith("-") and _is_numbers(token):
             out[-1] = f"{prev}={token}"
         else:
             out.append(token)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fock import AMPLITUDE_CAP
+
 
 @dataclass(frozen=True)
 class DisplacementParams:
@@ -106,8 +108,12 @@ def displacement(p: DisplacementParams) -> np.ndarray:
 
     Cost: one eigh and two gemm of size m/2 for odd m; one batched SVD and
     three batched gemm of size about m/4 for even m; plus O(m^2) copies and
-    the phases.
+    the phases.  Raises ValueError, before it allocates, when the (m+1)^2
+    entries would exceed fock.AMPLITUDE_CAP, i.e. for m >= 8192.
     """
+    size = (p.m + 1) * (p.m + 1)
+    if size > AMPLITUDE_CAP:
+        raise ValueError(f"D(zeta) at m = {p.m} needs {size} amplitudes, above the cap {AMPLITUDE_CAP}")
     if p.r == 0.0 or p.m == 0:
         # at m = 0 the generators vanish, and there is no pair to index
         return np.eye(p.m + 1, dtype=complex)

@@ -13,6 +13,9 @@ import math
 
 import numpy as np
 
+# the most complex amplitudes one state or block of states may hold: 2^26, 1 GiB
+AMPLITUDE_CAP = 2**26
+
 
 def annihilation_operator(m: int) -> np.ndarray:
     """Truncated annihilation operator, a|n> = sqrt(n)|n-1>, on dim m+1."""

@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .displacement import DisplacementParams, delta_to_zeta, displacement
-from .fock import normalize_state
+from .fock import AMPLITUDE_CAP, normalize_state
 
 # fraction of |L|_F the dropped A+ J+ term may leave in a Hermitian-branch
 # residual: a hundredth of the 1e-10 |L|_F residual contract
@@ -78,7 +78,7 @@ class SolutionKind(Enum):
 @dataclass(frozen=True)
 class GBSParams:
     """Operator parameters {mu, nu, eta, m}: 1e-50 <= |mu| <= 1e50, |nu| <= 1e50,
-    0 < eta < 1, integer m >= 0.
+    0 < eta < 1, integer 0 <= m < fock.AMPLITUDE_CAP.
 
     The magnitude bounds keep the frame inside the double range at every eta
     and either root: |delta| <= 1/(s |mu|) + sqrt(|nu/mu|) < 1e58, with
@@ -105,6 +105,9 @@ class GBSParams:
             raise ValueError(f"photon cap must be an integer, got {self.m!r}")
         if self.m < 0:
             raise ValueError(f"photon cap must be >= 0, got {self.m}")
+        if self.m + 1 > AMPLITUDE_CAP:
+            raise ValueError(f"photon cap m = {self.m} needs {self.m + 1} amplitudes per state, "
+                             f"above the cap {AMPLITUDE_CAP}")
 
     @property
     def scale(self) -> float:
@@ -577,7 +580,15 @@ def eigenstate_exponential(p: GBSParams, k: int) -> np.ndarray:
 
 
 def solve(p: GBSParams) -> GBSSolution:
-    """Full closed-form solution: root, rotation, coefficients, spectrum, states."""
+    """Full closed-form solution: root, rotation, coefficients, spectrum, states.
+
+    Raises ValueError, before it allocates, when its (m+1)^2 amplitudes would
+    exceed fock.AMPLITUDE_CAP, i.e. for m >= 8192: the m+1 states, or on the
+    defective branch the D(zeta) its one state is read from.
+    """
+    block = (p.m + 1) * (p.m + 1)
+    if block > AMPLITUDE_CAP:
+        raise ValueError(f"a solve at m = {p.m} needs {block} amplitudes, above the cap {AMPLITUDE_CAP}")
     frame = _frame(p)
     count = 1 if frame.kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO else p.m + 1
     return GBSSolution(

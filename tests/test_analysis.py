@@ -1,7 +1,11 @@
+import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbstates.analysis import (
     REFERENCE_DIM_CAP,
@@ -9,7 +13,6 @@ from gbstates.analysis import (
     LimitSchedule,
     _reference_dim,
     coherent_amplitude_discrepancy,
-    coherent_state,
     embed,
     number_limit_scan,
     photon_statistics,
@@ -23,14 +26,36 @@ from gbstates.fock import annihilation_operator, basis_state, fidelity
 from gbstates.solver import GBSParams, eigenstate, solve
 
 
+def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
+    """e^{-|alpha|^2/2} alpha^n / sqrt(n!), n < dim, at 40 digits."""
+    with mp.workdps(40):
+        a = mp.mpc(alpha)
+        t = mp.exp(-abs(a) ** 2 / 2)
+        amps = []
+        for n in range(dim):
+            amps.append(complex(t))
+            t = t * a / mp.sqrt(n + 1)
+    return np.array(amps)
+
+
+def _ladder_residual(mu, nu, lam, v) -> float:
+    """|(mu a + nu a^dag - lam) v| on the truncation, read off the two bands."""
+    root = np.sqrt(np.arange(1, len(v)))
+    r = -lam * v
+    r[:-1] += mu * root * v[1:]
+    r[1:] += nu * root * v[:-1]
+    return float(np.linalg.norm(r))
+
+
+# coherent references are the nu = 0 squeezed eigenstates: mu a v = lam v
 def test_coherent_vacuum():
-    v = coherent_state(0.0)
+    v = squeezed_eigenstate(1.0, 0.0, 0.0)
     assert v[0] == pytest.approx(1.0, abs=1e-15)
     assert np.abs(v[1:]).max() == 0.0
 
 
 def test_coherent_mean_photon_number():
-    v = coherent_state(1.0)
+    v = squeezed_eigenstate(1.0, 0.0, 1.0)
     stats = photon_statistics(v)
     assert stats.mean == pytest.approx(1.0, abs=1e-10)
     assert stats.mandel_q == pytest.approx(0.0, abs=1e-8)
@@ -38,7 +63,7 @@ def test_coherent_mean_photon_number():
 
 def test_coherent_is_annihilation_eigenstate():
     alpha = 1.3 * np.exp(0.4j)
-    v = coherent_state(alpha)
+    v = squeezed_eigenstate(1.0, 0.0, alpha)
     a = annihilation_operator(len(v) - 1)
     assert np.linalg.norm(a @ v - alpha * v) <= 1e-10
 
@@ -46,9 +71,7 @@ def test_coherent_is_annihilation_eigenstate():
 def test_squeezed_reduces_to_coherent_when_nu_zero():
     lam = 0.8 - 0.2j
     got = squeezed_eigenstate(2.0, 0.0, 2.0 * lam)  # mu a v = 2 lam v -> a v = lam v
-    ref = coherent_state(lam)
-    dim = max(len(got), len(ref))
-    assert fidelity(embed(got, dim), embed(ref, dim)) >= 1 - 1e-12
+    np.testing.assert_allclose(got, _coherent_amplitudes(lam, len(got)), rtol=0, atol=1e-15)
 
 
 def test_squeezed_vacuum_parity():
@@ -99,8 +122,8 @@ def test_photon_statistics_vacuum_mandel_undefined():
     "call, bound",
     [
         (lambda: su2_coherent_form(0.3, math.nan, 3), "phi must be finite"),
-        (lambda: coherent_state(math.nan), "alpha must be finite"),
-        (lambda: coherent_state(complex(0.5, math.inf)), "alpha must be finite"),
+        (lambda: squeezed_eigenstate(1.0, 0.0, math.nan), "lam must be finite"),
+        (lambda: squeezed_eigenstate(1.0, 0.0, complex(0.5, math.inf)), "lam must be finite"),
         (lambda: squeezed_eigenstate(1.0, 0.3, math.nan), "lam must be finite"),
         (lambda: squeezed_eigenstate(math.nan, 0.3, 0.5), "mu must be finite"),
         (lambda: photon_statistics([0.0, 0.0]), "finite nonzero norm"),
@@ -116,8 +139,8 @@ def test_helpers_name_the_bad_input(call, bound):
 @pytest.mark.parametrize(
     "call, dim",
     [
-        (lambda: coherent_state(1e200), "inf"),
-        (lambda: coherent_state(1e5), "40000000060"),
+        (lambda: squeezed_eigenstate(1.0, 0.0, 1e200), "inf"),
+        (lambda: squeezed_eigenstate(1.0, 0.0, 1e5), "40000000060"),
         (lambda: squeezed_eigenstate(1e-300, 0.0, 0.5), "inf"),
         (lambda: squeezed_eigenstate(1e-8, 0.0, 0.5), "10000000000000060"),
     ],
@@ -134,6 +157,56 @@ def test_reference_dim_cap_boundary():
     assert _reference_dim(16777201.0) == REFERENCE_DIM_CAP  # 4 * 16777201 + 60
     with pytest.raises(ValueError, match="needs dimension 67108868"):
         _reference_dim(16777201.5)
+
+
+@pytest.mark.parametrize(
+    "mu, nu, lam",
+    [(1.0, 0.5, 60.0), (1.0, 0.0, 39.0), (1.0, 0.0, 100.0)],
+    ids=["squeezed-overflow", "coherent-underflow", "coherent-d40060"],
+)
+def test_squeezed_eigenstate_rescales_as_it_climbs(mu, nu, lam):
+    # C_n passes 1e200 on the way up at each point, and the closed form's
+    # e^{-|alpha|^2/2} underflows to 0 from |alpha| = 39 up; a NaN or zero
+    # state must not pass the truncation check
+    v = squeezed_eigenstate(mu, nu, lam)
+    assert np.isfinite(v).all()
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert _ladder_residual(mu, nu, lam, v) <= 1e-9
+    if nu == 0.0:
+        mean = float(np.sum(np.arange(len(v)) * np.abs(v) ** 2))
+        assert mean == pytest.approx(lam * lam, rel=1e-12)
+
+
+@settings(max_examples=60)
+@given(
+    mod_mu=st.floats(0.5, 2.0),
+    ratio_nu=st.floats(0.0, 0.95),
+    ratio_lam=st.floats(0.0, 60.0),
+    phases=st.tuples(*[st.floats(-math.pi, math.pi)] * 3),
+)
+def test_squeezed_eigenstate_solves_or_names_the_dimension(mod_mu, ratio_nu, ratio_lam, phases):
+    mu, nu, lam = (r * cmath.exp(1j * t) for r, t in zip((mod_mu, ratio_nu * mod_mu, ratio_lam * mod_mu), phases))
+    try:
+        v = squeezed_eigenstate(mu, nu, lam)
+    except ValueError as exc:
+        assert "dimension" in str(exc)
+        return
+    assert np.isfinite(v).all()
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert _ladder_residual(mu, nu, lam, v) <= 1e-9
+
+
+@settings(max_examples=40)
+@given(
+    mod_mu=st.floats(0.5, 2.0),
+    mod_alpha=st.floats(0.0, 20.0),
+    phases=st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+)
+def test_nu_zero_eigenstate_is_the_coherent_state(mod_mu, mod_alpha, phases):
+    mu = mod_mu * cmath.exp(1j * phases[0])
+    alpha = mod_alpha * cmath.exp(1j * phases[1])
+    v = squeezed_eigenstate(mu, 0.0, mu * alpha)
+    np.testing.assert_allclose(v, _coherent_amplitudes(alpha, len(v)), rtol=0, atol=1e-14)
 
 
 def test_embed_rejects_shrinking():

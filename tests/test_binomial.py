@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gbstates.analysis import coherent_state, embed
+from gbstates.analysis import embed, squeezed_eigenstate
 from gbstates.binomial import (
     BinomialParams,
     binomial_amplitudes,
@@ -114,7 +114,7 @@ def test_poisson_limit_toward_coherent_state():
     fids = []
     for m in (50, 100, 200, 400):
         amps = binomial_amplitudes(BinomialParams(1.0 / m, m))
-        ref = coherent_state(1.0)
+        ref = squeezed_eigenstate(1.0, 0.0, 1.0)  # the coherent state of amplitude 1
         dim = max(len(amps), len(ref))
         fids.append(fidelity(embed(amps, dim), embed(ref, dim)))
     assert all(b > a for a, b in zip(fids, fids[1:]))

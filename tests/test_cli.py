@@ -331,6 +331,17 @@ def test_limit_squeezed_validation(capsys):
     assert "nu/mu" in err
 
 
+def test_limit_squeezed_fidelity_is_finite_far_from_the_limit(capsys):
+    # |lam/mu| = 50: the reference's C_n pass 1e200 on the way up, and the
+    # recursion must rescale them to print a finite row
+    argv = ["limit", "--mode", "squeezed", "--alpha", "1", "--m-values", "50", "--mu-re", "0.01"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    (row,) = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert row[0] == "50"
+    assert all(math.isfinite(float(x)) for x in row)
+
+
 @pytest.mark.parametrize("m_values", ["50,inf", "nan", "50.6"])
 def test_limit_m_values_must_be_finite_integers(capsys, m_values):
     argv = ["limit", "--mode", "coherent", "--alpha", "1", "--m-values", m_values]
@@ -346,6 +357,7 @@ def test_limit_m_values_must_be_finite_integers(capsys, m_values):
     [
         (["--mode", "squeezed", "--alpha", "1", "--m-values", "0"], "m values must be >= 1, got 0"),
         (["--mode", "coherent", "--alpha", "1", "--m-values=-2,50"], "m values must be >= 1, got -2"),
+        (["--mode", "coherent", "--alpha", "1", "--m-values", "-2,50"], "m values must be >= 1, got -2"),
         (["--mode", "squeezed", "--alpha", "1e200", "--m-values", "50"],
          "eta = alpha^2/m = inf outside (0, 1) at m = 50"),
         (["--mode", "coherent", "--alpha", "1e200", "--m-values", "50"],
@@ -353,7 +365,7 @@ def test_limit_m_values_must_be_finite_integers(capsys, m_values):
         (["--mode", "squeezed", "--alpha", "1", "--m-values", "50", "--mu-re", "1e-300"],
          "|mu| must lie in [1e-50, 1e50], got 1e-300"),
     ],
-    ids=["m-zero", "m-negative", "squeezed-huge-alpha", "coherent-huge-alpha", "tiny-mu"],
+    ids=["m-zero", "m-negative", "m-negative-list", "squeezed-huge-alpha", "coherent-huge-alpha", "tiny-mu"],
 )
 def test_limit_names_the_violated_bound(capsys, argv, message):
     # each used to exit 1 with a ZeroDivisionError, OverflowError or an

@@ -7,7 +7,7 @@ import pytest
 
 from gbstates.binomial import BinomialParams, binomial_amplitudes
 from gbstates.displacement import DisplacementParams, delta_to_zeta, displacement
-from gbstates.fock import basis_state, fidelity, hp_generators, normalize_state
+from gbstates.fock import AMPLITUDE_CAP, basis_state, fidelity, hp_generators, normalize_state
 from gbstates.oracle import compare, dense_spectrum
 from gbstates.solver import (
     GBSParams,
@@ -92,6 +92,36 @@ def test_params_at_the_magnitude_bounds_solve(mu, nu, eta):
 
 def test_params_accept_numpy_integer_cap():
     assert GBSParams(mu=1.0, nu=0.0, eta=0.4, m=np.int64(5)).m == 5
+
+
+def test_params_amplitude_cap_boundary():
+    # m + 1 amplitudes per state; checked before anything is allocated
+    assert AMPLITUDE_CAP == 2**26
+    assert GBSParams(mu=1.0, nu=0.3, eta=0.4, m=AMPLITUDE_CAP - 1).m == AMPLITUDE_CAP - 1
+    with pytest.raises(ValueError, match="photon cap m = 67108864 needs 67108865 amplitudes per state, "
+                                         "above the cap 67108864"):
+        GBSParams(mu=1.0, nu=0.3, eta=0.4, m=AMPLITUDE_CAP)
+    # gbs --m 2000000000000 is named, not allocated
+    with pytest.raises(ValueError, match="photon cap m = 2000000000000 needs"):
+        GBSParams(mu=1.0, nu=0.3, eta=0.4, m=2_000_000_000_000)
+
+
+@pytest.mark.parametrize("nu", [0.3, -0.25, 1.0], ids=["generic", "defective", "hermitian"])
+def test_solve_amplitude_cap_boundary(monkeypatch, nu):
+    # (m+1)^2 amplitudes: m = 8191 fills the cap exactly; with the state
+    # builder stubbed out, nothing that size is allocated
+    monkeypatch.setattr("gbstates.solver._eigenstates", lambda p, frame, ks: None)
+    assert solve(GBSParams(1.0, nu, 0.5, 8191)).eigenstates is None
+    with pytest.raises(ValueError, match="a solve at m = 8192 needs 67125249 amplitudes, above the cap 67108864"):
+        solve(GBSParams(1.0, nu, 0.5, 8192))
+
+
+def test_displacement_names_the_amplitude_cap():
+    # D(zeta) has (m+1)^2 entries: the defective and Hermitian eigenstates read a column of it
+    with pytest.raises(ValueError, match=r"D\(zeta\) at m = 8192 needs 67125249 amplitudes, above the cap 67108864"):
+        displacement(DisplacementParams(r=0.3, theta=0.0, m=8192))
+    with pytest.raises(ValueError, match=r"D\(zeta\) at m = 9000 needs"):
+        eigenstate(GBSParams(1.0, -0.25, 0.5, 9000), 0)
 
 
 def test_build_operator_two_level_assembly():
