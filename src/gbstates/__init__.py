@@ -2,8 +2,8 @@
 
 Closed-form spectrum and eigenstates of sqrt(1-eta)(mu J+ + nu J-) -
 sqrt(eta) J0 on the truncated Fock space, the binomial states they extend,
-their number/coherent/squeezed limits, and an independent dense eigensolver
-that cross-checks every claim.
+their number/coherent/squeezed limits, and an independent eigensolver on the
+operator's three bands that cross-checks every claim.
 """
 
 __version__ = "0.1.0"

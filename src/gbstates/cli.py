@@ -150,6 +150,8 @@ def cmd_gbs(args) -> int:
                 "multiplicity_collapse": report.multiplicity_collapse,
                 "pair_error_bound": report.pair_bound,
                 "residual_bound": report.residual_bound,
+                "lapack_routine": report.lapack_routine,
+                "skipped_newton_steps": report.skipped_newton_steps,
             },
         },
     )

@@ -58,6 +58,15 @@ def test_gbs_spectrum_and_roots(capsys):
     assert doc["diagnostics"]["oracle"]["max_pair_error"] <= 1e-12
 
 
+@pytest.mark.parametrize("nu_im, routine", [("0", "eigvalsh"), ("0.3", "eigvals")])
+def test_gbs_reports_the_oracle_routine_and_skipped_steps(capsys, nu_im, routine):
+    # mu nu > 0 gives LAPACK a Hermitian matrix; mu nu = 0.3 + 0.3i does not
+    doc = run_json(capsys, ["gbs", "--mu-re", "1", "--nu-re", "0.3", "--nu-im", nu_im,
+                            "--eta", "0.4", "--m", "12"])
+    oracle = doc["diagnostics"]["oracle"]
+    assert (oracle["lapack_routine"], oracle["skipped_newton_steps"]) == (routine, 0)
+
+
 def test_gbs_degenerate_kind(capsys):
     doc = run_json(
         capsys, ["gbs", "--mu-re", "1", "--nu-re", "1", "--eta", "0.5", "--m", "3"]

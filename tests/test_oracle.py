@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbstates import oracle
 from gbstates.oracle import NonConvergenceError, _log_det_derivative, compare, dense_spectrum
 from gbstates.solver import GBSParams, SolutionKind, build_operator, solve
 
@@ -19,16 +20,35 @@ def random_tridiagonal(rng, n):
 
 
 def lapack_input(monkeypatch, run, *args):
-    """The matrix run(*args) hands to np.linalg.eigvals."""
+    """The matrix run(*args) hands to LAPACK, by np.linalg.eigvals or eigvalsh."""
     seen = []
-    eigvals = np.linalg.eigvals
 
-    def spy(a):
-        seen.append(np.array(a, copy=True))
-        return eigvals(a)
+    def spy_on(routine):
+        def spy(a):
+            seen.append(np.array(a, copy=True))
+            return routine(a)
+
+        return spy
 
     with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "eigvals", spy)
+        for name in ("eigvals", "eigvalsh"):
+            patch.setattr(np.linalg, name, spy_on(getattr(np.linalg, name)))
+        run(*args)
+    assert len(seen) == 1
+    return seen[0]
+
+
+def polished_count(monkeypatch, run, *args):
+    """How many values run(*args) hands to the Newton polish."""
+    seen = []
+    polish = oracle._newton_polish
+
+    def spy(diag, prods, eigenvalues):
+        seen.append(len(eigenvalues))
+        return polish(diag, prods, eigenvalues)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_newton_polish", spy)
         run(*args)
     return seen[0]
 
@@ -103,6 +123,55 @@ def test_log_det_derivative_matches_dense_trace(n, zero_subdiagonals):
         assert abs(gi - ref) <= 1e-10 * abs(ref)
 
 
+@pytest.mark.parametrize(
+    "case", ["zero-pivot", "minor-eigenvalue", "entries-near-1e150", "entries-near-2^-40"]
+)
+def test_log_det_derivative_at_hard_points(case):
+    # an exact zero pivot f_1 = 0 at z = d_0; a vanishing f_2 at an eigenvalue
+    # of the leading 2 x 2 minor; entries whose growth bound forces a
+    # rescaling on almost every row; and 30 rows that each shrink the pairs,
+    # which only the cap on the rows between rescalings catches
+    rng = np.random.default_rng(2100)
+    h = random_tridiagonal(rng, 30 if case == "entries-near-2^-40" else 12)
+    if case == "zero-pivot":
+        z = np.array([h[0, 0]])
+    elif case == "minor-eigenvalue":
+        z = np.linalg.eigvals(h[:2, :2])
+    else:
+        size = 1e150 if case == "entries-near-1e150" else 2.0**-40
+        eig = np.linalg.eigvals(h)
+        z = rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40)
+        z = z[np.abs(eig[:, None] - z[None, :]).min(axis=0) > 0.05] * size
+        h *= size
+    assert h[1, 0] * h[0, 1] != 0.0
+    got = _log_det_derivative(np.diagonal(h), np.diagonal(h, -1) * np.diagonal(h, 1), z)
+    eye = np.eye(len(h))
+    for zi, gi in zip(z, got):
+        ref = -np.trace(np.linalg.solve(h - zi * eye, eye))
+        assert abs(gi - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("scale", [2.0**-500, 2.0**450])
+def test_the_polish_keeps_a_scaled_matrix_in_range(scale):
+    # the continuant runs on T divided by a power of two near its largest
+    # entry; unscaled, entries of 1e-151 underflow it within three rows
+    a = random_tridiagonal(np.random.default_rng(9), 12)
+    values, routine, skipped = oracle._band_spectrum(*(np.diagonal(a * scale, j) for j in (-1, 0, 1)))
+    assert (routine, skipped) == ("eigvals", 0)
+    want = sorted_c(dense_spectrum(a))
+    np.testing.assert_allclose(sorted_c(values / scale), want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+def test_newton_polish_counts_the_steps_it_skips():
+    # at an exact root f = 0 and the step is NaN; 100 is far past the cap
+    # 0.5 |T|_F + 1 = 2.87; 1.1 takes both steps
+    diag = np.array([1.0, 2.0, 3.0], dtype=complex)
+    z, skipped = oracle._newton_polish(diag, np.zeros(2, dtype=complex), np.array([1.0, 1.1, 100.0]))
+    assert skipped == 4
+    assert (z[0], z[2]) == (1.0, 100.0)
+    assert abs(z[1] - 1.0) <= 1e-3
+
+
 @pytest.mark.parametrize("m", [200, 400])
 @pytest.mark.parametrize("nu", [0.3, 0.7 * np.exp(0.03j)])
 def test_balancing_keeps_near_normal_points_exact(nu, m):
@@ -147,6 +216,34 @@ def test_lapack_sees_an_h_by_h_matrix_for_l(m, h, monkeypatch):
     assert lapack_input(monkeypatch, compare, p, solve(p)).shape == (h, h)
 
 
+@pytest.mark.parametrize("m", [1, 2, 7, 40, 41, 120])
+def test_the_fold_polishes_h_values_and_returns_exact_pairs(m, monkeypatch):
+    # the bands' +-lambda symmetry is exact, so the polished roots' negatives
+    # and, for even m, an exact 0 are the rest of the spectrum
+    p = GBSParams(0.8 * np.exp(0.9j), 1.2 * np.exp(-0.3j), 0.7, m)
+    h = (m + 1) // 2
+    assert polished_count(monkeypatch, compare, p, solve(p)) == h
+    values = compare(p, solve(p)).oracle_eigenvalues
+    assert len(values) == m + 1
+    assert np.array_equal(values[h : 2 * h], -values[:h])
+    assert np.array_equal(values[2 * h :], np.zeros(1 - m % 2))
+
+
+@pytest.mark.parametrize("m", [20, 61, 120])
+def test_the_routine_follows_the_real_slice(m):
+    # mu nu > 0 makes W Hermitian up to the rounding of the gauge turn: eigvalsh;
+    # 0.03 rad off the slice its skew-Hermitian part is 2e14 eps |W|_F: eigvals
+    rng = np.random.default_rng(m)
+    for mu, nu in ((1.0, 0.3), (0.9 + 0.4j, 0.9 - 0.4j), (1.2, 0.0)):
+        turn = np.exp(1j * rng.uniform(-np.pi, np.pi))
+        p = GBSParams(mu * turn.conjugate(), nu * turn, 0.4, m)
+        report = compare(p, solve(p))
+        assert (report.lapack_routine, report.passed) == ("eigvalsh", True)
+    p = GBSParams(1.0, 0.7 * np.exp(0.03j), 0.4, m)
+    report = compare(p, solve(p))
+    assert (report.lapack_routine, report.passed) == ("eigvals", True)
+
+
 def test_lapack_sees_the_full_symmetrized_matrix_without_the_symmetry(monkeypatch):
     def symmetrized(op):
         e = np.sqrt(np.diagonal(op, -1)) * np.sqrt(np.diagonal(op, 1))
@@ -154,10 +251,12 @@ def test_lapack_sees_the_full_symmetrized_matrix_without_the_symmetry(monkeypatc
 
     a = random_tridiagonal(np.random.default_rng(8), 9)
     assert np.array_equal(lapack_input(monkeypatch, dense_spectrum, a), symmetrized(a))
-    # one ulp off the antisymmetric diagonal of L is enough to lose the fold
+    # one ulp off the antisymmetric diagonal of L is enough to lose the fold,
+    # and then every value is polished
     op = build_operator(GBSParams(1.0, 0.3j, 0.4, 12))
     op[0, 0] = np.nextafter(op[0, 0].real, 0.0)
     assert np.array_equal(lapack_input(monkeypatch, dense_spectrum, op), symmetrized(op))
+    assert polished_count(monkeypatch, dense_spectrum, op) == 13
 
 
 def test_an_overflowing_off_diagonal_product_is_named():
@@ -187,7 +286,9 @@ def test_compare_passes_when_mu_nu_is_real_and_positive(abs_mu, abs_nu, phase, e
     # symmetric and every eigenvalue has condition number 1, however
     # non-normal L is
     p = GBSParams(abs_mu * np.exp(1j * phase), abs_nu * np.exp(-1j * phase), eta, m)
-    assert compare(p, solve(p)).passed
+    report = compare(p, solve(p))
+    assert report.passed
+    assert report.lapack_routine == "eigvalsh"
 
 
 def test_non_tridiagonal_matrix_is_rejected():
@@ -222,6 +323,42 @@ def test_lapack_failure_is_loud(monkeypatch):
     a = random_tridiagonal(np.random.default_rng(123), 10)
     with pytest.raises(NonConvergenceError, match="10x10"):
         dense_spectrum(a)
+
+
+def greedy_pairing_loop(closed, oracle_vals):
+    """The pairing one closed-form value at a time: the reference."""
+    order_c = np.argsort(closed.real + 1e-12 * closed.imag)
+    order_o = np.argsort(oracle_vals.real + 1e-12 * oracle_vals.imag)
+    used = np.zeros(len(order_o), dtype=bool)
+    pairing, max_err = [], 0.0
+    for ci in order_c:
+        dist = np.abs(oracle_vals[order_o] - closed[ci])
+        dist[used] = np.inf
+        j = int(np.argmin(dist))
+        used[j] = True
+        pairing.append((int(ci), int(order_o[j])))
+        max_err = max(max_err, float(dist[j]))
+    return sorted(pairing), max_err
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 121])
+@pytest.mark.parametrize("kind", ["close", "unrelated", "ties", "collapsed", "nan"])
+def test_greedy_pairing_matches_the_loop_bit_for_bit(n, kind):
+    # close lists take the loop-free path; the others contend for partners
+    rng = np.random.default_rng(n)
+    closed = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    oracle_vals = closed + 1e-9 * rng.standard_normal(n)
+    if kind == "unrelated":
+        oracle_vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    elif kind == "ties":
+        closed = np.round(closed)
+        oracle_vals = np.round(closed + 0.3 * rng.standard_normal(n))
+    elif kind == "collapsed":
+        closed = np.zeros(n, dtype=complex)
+        oracle_vals = 1e-3 * rng.standard_normal(n) + 0j
+    elif kind == "nan":
+        oracle_vals[n // 2] = np.nan
+    assert oracle._greedy_pairing(closed, oracle_vals) == greedy_pairing_loop(closed, oracle_vals)
 
 
 def test_compare_nu_zero_is_tight():
