@@ -90,9 +90,14 @@ def normalize_state(v: np.ndarray) -> np.ndarray:
     such states up to phase, e.g. with fidelity().
 
     A 2-d array is a stack of states, one per row, each normalized on its
-    own with the same rule.  Every step is then elementwise or a reduction
-    along one contiguous row, so a row gets the same bits alone as in a
-    stack; the 1-d path keeps its fewer, cheaper calls for single states.
+    own with the same rule and no complex division: an exact power of two
+    takes the row's largest modulus into [0.5, 1), where no square
+    overflows and none that counts underflows; the norm is summed from the
+    squared moduli of the scaled entries, and one complex multiply by
+    conj(lead / |lead|) / norm turns and scales the row.  Every step is then
+    elementwise or a reduction along one contiguous row, so a row gets the
+    same bits alone as in a stack; the 1-d path keeps its fewer, cheaper
+    calls for single states.
     """
     v = np.asarray(v, dtype=complex)
     if v.ndim == 2:
@@ -118,12 +123,13 @@ def _normalize_rows(v: np.ndarray) -> np.ndarray:
     big = mags.max(axis=1, keepdims=True)
     if not big.all():
         raise ValueError("cannot normalize the zero vector")
-    u /= big
-    square = u.real * u.real
-    square += u.imag * u.imag
-    u /= np.sqrt(np.add.reduce(square, axis=1, keepdims=True))
     lead = (np.arange(len(u)), (mags > 1e-12 * big).argmax(axis=1))
+    shift = -np.frexp(big)[1]
+    parts = u.view(float)
+    np.ldexp(parts, shift, out=parts)
+    np.abs(u, out=mags)
+    norm = np.sqrt(np.add.reduce(np.multiply(mags, mags, out=mags), axis=1))
     top = u[lead]
-    u /= (top / abs(top))[:, None]
-    u[lead] = abs(top)
+    u *= (top.conj() / (np.abs(top) * norm))[:, None]
+    u[lead] = np.abs(u[lead])
     return u

@@ -198,7 +198,9 @@ def _log_det_derivative(diag, prods, z: np.ndarray) -> np.ndarray:
     Both pairs are divided by their largest modulus before the product of
     these bounds since the last division passes 2^_GROWTH_BITS, and after at
     most _RESCALE_ROWS rows: f'/f is unchanged and nothing overflows.  No
-    step divides by an off-diagonal entry.  O(n) per z.
+    step divides by an off-diagonal entry.  O(n) per z.  At a z with f = 0,
+    an eigenvalue of T, the log-derivative has a pole: the result there is
+    inf + 0j, not the inf + nan i or nan of a complex division by zero.
     """
     gap = np.subtract.outer(diag, z)
     minus_prods = np.concatenate([[0.0], -prods])
@@ -217,7 +219,8 @@ def _log_det_derivative(diag, prods, z: np.ndarray) -> np.ndarray:
         old += g * new
         old[1] -= new[0]
         old, new = new, old
-    return new[1] / new[0]
+    pole = np.full(len(z), np.inf, dtype=complex)
+    return np.divide(new[1], new[0], out=pole, where=new[0] != 0)
 
 
 def _newton_polish(diag, prods, eigenvalues: np.ndarray) -> tuple[np.ndarray, int]:
@@ -225,9 +228,11 @@ def _newton_polish(diag, prods, eigenvalues: np.ndarray) -> tuple[np.ndarray, in
     once, and the number of steps skipped.
 
     A step that is non-finite or larger than 0.5 |T'|_F + 1 is skipped, which
-    leaves that value where it was.  The continuant runs on T and z divided by
-    a power of two near T's largest entry, which is exact, so it meets entries
-    of modulus about 1 at most whatever the scale of T.
+    leaves that value where it was.  A value with det(T - z) = 0 exactly is
+    an eigenvalue: its step, -1/inf, is zero and is not counted as skipped.
+    The continuant runs on T and z divided by a power of two near T's
+    largest entry, which is exact, so it meets entries of modulus about 1 at
+    most whatever the scale of T.
     """
     cap = 0.5 * math.hypot(*np.abs(diag), *np.sqrt(2.0 * np.abs(prods))) + 1.0
     peak = max(np.abs(diag).max(initial=0.0), math.sqrt(np.abs(prods).max(initial=0.0)))

@@ -20,8 +20,13 @@ the ladder reversed, and its state k is the principal state m - k.  On the
 generic branch solve and eigenstate build each state from L's three bands at
 its exact eigenvalue, by a twisted factorization in O(m) per state and
 without D(zeta); eigenstate_sum builds the same state as D(zeta) core_k, the
-paper's finite-sum form, so the two check each other.  The other branches
-read columns of D(zeta).
+paper's finite-sum form, so the two check each other.  The factorization
+sweeps only downward: the spectrum is symmetric under k -> m - k, and with
+(Q x)_n = (nu/mu)^n (-1)^n x_{m-n}, Q L Q^-1 = -L, so the upward pivots of
+state k are the downward pivots of state m - k, reversed and negated.  In
+floating point this holds bit for bit, except for the tiny floor that
+keeps a pivot off zero, which enters with the other sign.  The other
+branches read columns of D(zeta).
 
 eigenstate_sum and eigenstate_exponential, which are asked for one k at a
 time, share the D(zeta) of the last point either was called at: one
@@ -318,61 +323,68 @@ def _core(triple: CoefficientTriple, k: int, m: int) -> np.ndarray:
     return np.exp(log_rho - log_rho.max()) * phase
 
 
-def _chunks(count: int, m: int) -> list[slice]:
-    """range(count) split evenly into slices of at most _SWEEP_ENTRIES (n, k) entries."""
-    pieces = math.ceil(count * (m + 1) / _SWEEP_ENTRIES)
+def _chunks(count: int, width: int) -> list[slice]:
+    """range(count) split evenly into the fewest slices whose items, of width
+    entries each, hold at most about _SWEEP_ENTRIES entries a slice."""
+    pieces = math.ceil(count * width / _SWEEP_ENTRIES)
     edges = [count * i // pieces for i in range(pieces + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _sweep_floats(er, ei, c, xs, ys) -> None:
-    """_sweep for one state and one direction, in Python floats: the same
-    operations in the same order as _sweep's numpy rows, so the same bits."""
-    x, y = er[0] + _PIVOT_FLOOR, ei[0] + _PIVOT_FLOOR
+def _with_mirrors(low: np.ndarray, m: int) -> np.ndarray:
+    """Ascending k <= m/2, then their mirrors m - k, ascending: the mirror of
+    entry j is entry -1 - j, and k = m/2, if present, is its own."""
+    return np.concatenate([low, (m - low[::-1])[int(2 * low[-1] == m) :]])
+
+
+def _sweep_floats(xs, ys, c) -> None:
+    """_sweep for one state, in Python floats, in place on the lists of its
+    diagonal's real and imaginary parts: the same operations in the same
+    order as _sweep's numpy rows, so the same bits."""
+    x, y = xs[0] + _PIVOT_FLOOR, ys[0] + _PIVOT_FLOOR
     xs[0], ys[0] = x, y
-    for j in range(len(c)):
+    for j, cj in enumerate(c):
         den = x * x + y * y
-        x = er[j + 1] - x * (c[j] / den) + _PIVOT_FLOOR
-        y = ei[j + 1] - y * (-c[j] / den) + _PIVOT_FLOOR
+        x = xs[j + 1] - x * (cj / den) + _PIVOT_FLOOR
+        y = ys[j + 1] - y * (-cj / den) + _PIVOT_FLOOR
         xs[j + 1], ys[j + 1] = x, y
 
 
-def _sweep(diag, lam, c, d) -> None:
-    """The pivots of the rotated, scaled L - lambda down and up, for a batch of k.
+def _sweep(d, c) -> None:
+    """The downward pivots of the rotated, scaled L - lambda, in place, for a batch of k.
 
-    Rows are in sweep order, [..., 0, :] down from row 0 and [..., 1, :] up
-    from row m, with the real and imaginary part on the axis before: diag is
-    (m+1, 2, 2, 1) and lam (2, 1, K), so row j of L - lambda_k is
-    diag[j] - lam, and c, (m, 2), holds the real products u_n l_n.  The
-    pivots d_0 = e_0, d_{j+1} = e_{j+1} - c_j / d_j go to d, (m+1, 2, 2, K),
-    with c_j / d_j = q (x - i y), q = c_j / |d_j|^2.  _PIVOT_FLOOR, added to
-    both parts, changes no part above 1e-74 and turns an exact zero pivot,
-    which would make the next quotient 0/0, into a tiny one.
+    On entry d, (m+1, 2, K), holds row j of L - lambda_k at [j, :, k], the
+    real and imaginary part on axis 1, and c, (m,), the real products
+    u_n l_n.  On exit it holds the pivots d_0 = e_0,
+    d_{j+1} = e_{j+1} - c_j / d_j, with c_j / d_j = q (x - i y),
+    q = c_j / |d_j|^2.  _PIVOT_FLOOR, added to both parts, changes no part
+    above 1e-74 and turns an exact zero pivot, which would make the next
+    quotient 0/0, into a tiny one.
 
+    There is no upward sweep: Q L Q^-1 = -L (see _twisted_states) makes the
+    upward pivots of k the downward ones of m - k, reversed and negated.
     Only real + - * /, each correctly rounded and elementwise over k:
     _sweep_floats repeats them in Python floats, and a state gets the same
     bits alone as in a batch.
     """
-    K = lam.shape[2]
-    cq = np.empty((len(c), 2, 2, 1))  # c_j and -c_j, per part
-    cq[:, 0, :, 0] = c
-    np.negative(c, out=cq[:, 1, :, 0])
-    e, sq, quot = np.empty((2, 2, K)), np.empty((2, 2, K)), np.empty((2, 2, K))
-    den = np.empty((2, K))
-    np.subtract(diag[0], lam, e)
-    np.add(e, _PIVOT_FLOOR, d[0])
-    for d0, d1, c0, g1 in zip(d, d[1:], cq, diag[1:]):
+    K = d.shape[2]
+    cq = np.empty((len(c), 2, 1))  # c_j and -c_j, per part
+    cq[:, 0, 0] = c
+    np.negative(c, out=cq[:, 1, 0])
+    sq, quot, den = np.empty((2, K)), np.empty((2, K)), np.empty(K)
+    d[0] += _PIVOT_FLOOR
+    for d0, d1, c0 in zip(d, d[1:], cq):
         np.multiply(d0, d0, sq)
         np.add(sq[0], sq[1], den)
         np.divide(c0, den, quot)
-        np.multiply(d0, quot, d1)
-        np.subtract(g1, lam, e)
-        np.subtract(e, d1, d1)
+        np.multiply(d0, quot, sq)
+        np.subtract(d1, sq, d1)
         np.add(d1, _PIVOT_FLOOR, d1)
 
 
 def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
-    """Eigenstates ks of L at lambda_k = A0 (2k - m)/2, from L's three bands.
+    """Eigenstates ks, distinct and ascending, of L at lambda_k = A0 (2k - m)/2,
+    from L's three bands.
 
     Fernando's twisted factorization (Parlett & Dhillon, LAA 267, 1997), in
     O(m) per state and without D(zeta).  With e_n the diagonal of L - lambda
@@ -381,22 +393,35 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
     the twist r minimizes |D+_r + D-_r - e_r|, and from z_r = 1 the state is
     z_n = -u_n z_{n+1} / D+_n below r and z_n = -l_{n-1} z_{n-1} / D-_n above.
 
+    Only the downward sweep runs.  With (Q x)_n = (nu/mu)^n (-1)^n x_{m-n},
+    Q L Q^-1 = -L: the pivots see only the products u_n l_n, which are the
+    same read in reverse, the diagonal is antisymmetric, e_{m-n} = -e_n, and
+    lambda_{m-k} = -lambda_k, all exactly in floating point.  So D-_n of k is
+    -D+_{m-n} of m - k bit for bit, but for the sign of the _PIVOT_FLOOR
+    each sweep adds, which touches only parts below about 2^-247.  Each
+    chunk sweeps its states together with their mirrors m - k, laid side
+    by side on one axis, and every later step runs once over both.  The
+    mirror's |pivots| and unit phases serve k reversed, the phases negated,
+    so k's upward running product of them is (-1)^(m-n) times the mirror's
+    downward one; the twist is found per state.
+
     The pivots see only u_n l_n = (1-eta) mu nu (n+1)(m-n), whose phase phi is
     the same for every n.  Rotating them by e^{-i phi/2} makes the products
     real, and dividing by sigma, the power of two at |A0|, keeps them near 1.
     Then -u_n / D+_n = v |u_n| / |D+_n| times the conjugate unit phase of
     D+_n, with v = -mu e^{-i phi/2} / |mu|, and above r the same holds with
     v* and |l_{n-1}|.  So the state is v^-n times a modulus and a phase
-    product.  The modulus is summed as log |band| - log |pivot| outward from
-    r, which sits at the state's large entries, and max-shifted before exp,
-    so nothing overflows at any |nu/mu|; the phase is the running product of
-    the pivots' unit phases, the downward one below r and the upward one
-    above, joined at r.  At nu = 0 L is upper bidiagonal: log |l| = -inf,
-    and the part above r vanishes.
+    product.  The modulus is summed, per state, as log |band| - log |pivot|
+    outward from r, which sits at the state's large entries, and max-shifted
+    before exp, so nothing overflows at any |nu/mu|; the phase is the
+    running product of the pivots' unit phases, the downward one below r and
+    the upward one above, joined at r.  At nu = 0 L is upper bidiagonal:
+    log |l| = -inf, and the part above r vanishes.
 
-    One state sweeps in Python floats, a batch in numpy rows, in chunks of at
-    most _SWEEP_ENTRIES (n, k) entries; all else is numpy and elementwise
-    over k, so a state gets the same bits alone as in a batch.
+    A single pair k, m - k sweeps in Python floats, a batch in numpy rows, in
+    chunks of at most _SWEEP_ENTRIES (n, k) swept entries; all else is numpy
+    and elementwise over k, so a state gets the same bits alone as in a
+    batch.
     """
     m = p.m
     s, se = math.sqrt(1.0 - p.eta), math.sqrt(p.eta)
@@ -405,10 +430,9 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
     n = np.arange(m + 1)
     diag = (se * (2 * n - m) * 0.5) * rot
     prods = (n[1:] * (m + 1 - n[1:])).astype(float)  # (n+1)(m-n), n < m
-    c = np.empty((m, 2))  # u_n l_n, rotated and scaled, in sweep order: down, up
-    # each factor scaled on its own: |rot|^2 alone overflows once |A0| < 1e-154
-    np.multiply((s * abs(mu) * abs(rot)) * (s * abs(nu) * abs(rot)), prods, out=c[:, 0])
-    c[:, 1] = c[::-1, 0]
+    # u_n l_n, rotated and scaled; each factor scaled on its own: |rot|^2
+    # alone overflows once |A0| < 1e-154
+    c = (s * abs(mu) * abs(rot)) * (s * abs(nu) * abs(rot)) * prods
     # log |u_n| at row n for the part below r, log |l_{n-1}| for the part
     # above (-inf at nu = 0, where that part vanishes)
     log_b = math.log(s * abs(rot)) + 0.5 * np.log(prods)
@@ -418,66 +442,71 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
         log_up[1:, 0] = math.log(abs(nu)) + log_b
     # v^-n, reduced mod 2 pi before exp
     phase = np.exp(-1j * ((n * cmath.phase(-mu * rot)) % (2 * math.pi)))[:, None]
-    sweep_diag = np.empty((m + 1, 2, 2, 1))  # parts on axis 1, down and up on axis 2
-    sweep_diag[:, 0, 0, 0], sweep_diag[:, 1, 0, 0] = diag.real, diag.imag
-    sweep_diag[:, :, 1] = sweep_diag[::-1, :, 0]
+    sign = np.ones((m + 1, 1))  # (-1)^(m-n)
+    sign[(m + 1) % 2 :: 2] = -1.0
+    diag_parts = np.empty((m + 1, 2, 1))
+    diag_parts[:, 0, 0], diag_parts[:, 1, 0] = diag.real, diag.imag
     ks = np.asarray(ks)
-    # one block for all states, filled chunk by chunk: the chunks' scratch
-    # arrays are then the only allocations that come and go
-    states = np.empty((len(ks), m + 1), dtype=complex)
-    for at in _chunks(len(ks), m):
-        k = ks[at]
+    lows = np.flatnonzero(np.bincount(np.minimum(ks, m - ks)))  # distinct, ascending
+    swept = _with_mirrors(lows, m)
+    # one block for all swept states, filled chunk by chunk: the chunks'
+    # scratch arrays are then the only allocations that come and go
+    states = np.empty((len(swept), m + 1), dtype=complex)
+    for at in _chunks(len(lows), 2 * (m + 1)):
+        k = _with_mirrors(lows[at], m)
         K = len(k)
         lam = (a_zero * rot) * ((2 * k - m) * 0.5)
-        lam_parts = lam.view(float).reshape(K, 2).T[:, None]
-        d = np.empty((m + 1, 2, 2, K))
-        if K == 1:
-            e = (sweep_diag - lam_parts)[..., 0]
-            for side in (0, 1):
-                out = [[0.0] * (m + 1), [0.0] * (m + 1)]
-                parts = (e[:, 0, side].tolist(), e[:, 1, side].tolist())
-                _sweep_floats(*parts, c[:, side].tolist(), *out)
-                d[:, 0, side, 0], d[:, 1, side, 0] = out
+        d = diag_parts - np.array([lam.real, lam.imag])
+        if at.stop - at.start == 1:  # one pair k, m - k
+            products = c.tolist()
+            for col in range(K):
+                xs, ys = d[:, 0, col].tolist(), d[:, 1, col].tolist()
+                _sweep_floats(xs, ys, products)
+                d[:, 0, col], d[:, 1, col] = xs, ys
         else:
-            _sweep(sweep_diag, lam_parts, c, d)
-        # pivots in row order, complex: [:, 0] the downward D+, [:, 1] the upward D-
-        piv = np.empty((m + 1, 2, K), dtype=complex)
-        piv.real[:, 0], piv.imag[:, 0] = d[:, 0, 0], d[:, 1, 0]
-        piv.real[:, 1], piv.imag[:, 1] = d[::-1, 0, 1], d[::-1, 1, 1]
-        del d
-        gap = piv[:, 0] + piv[:, 1]
+            _sweep(d, c)
+        piv = np.empty((m + 1, K), dtype=complex)  # the downward pivots D+
+        piv.real, piv.imag = d[:, 0], d[:, 1]
+        del d  # each array goes once read: that bounds a chunk's memory
+        # D+ + D- - e, with D- of k the mirror's D+ reversed and negated
+        gap = piv - piv[::-1, ::-1]
         gap -= np.subtract.outer(diag, lam)
         r = np.argmin(np.abs(gap), axis=0)
-        del gap  # each array goes once read: that bounds a chunk's memory
+        del gap
         below, up = n[:, None] < r, n[:, None] > r
         mods = np.abs(piv)
+        turns = np.divide(piv, mods, out=piv)  # unit phases of the pivots
+        logs = np.log(mods, out=mods)
+        del piv, mods
         # log |z_n / z_r|, summed outward from r
-        steps = np.log(mods)
-        np.subtract(log_down, steps[:, 0], out=steps[:, 0], where=below)
-        np.subtract(log_up, steps[:, 1], out=steps[:, 1], where=up)
-        log_z = np.cumsum(np.where(below, steps[:, 0], 0.0)[::-1], axis=0)[::-1]
-        log_z += np.cumsum(np.where(up, steps[:, 1], 0.0), axis=0)
+        log_z = np.where(below, log_down - logs, 0.0)
+        np.cumsum(log_z[::-1], axis=0, out=log_z[::-1])
+        steps = np.where(up, log_up - logs[::-1, ::-1], 0.0)
+        del logs
+        log_z += np.cumsum(steps, axis=0, out=steps)
         del steps
-        # unit phases of the pivots and their running products away from row
-        # 0 (down) and from row m (up), exclusive of the row itself
-        turns = np.divide(piv, mods, out=piv)
-        del mods
-        turns[1:, 0] = turns[:-1, 0]
-        turns[0, 0] = 1.0
-        turns[:-1, 1] = turns[1:, 1]
-        turns[-1, 1] = 1.0
-        np.multiply.accumulate(turns[:, 0], axis=0, out=turns[:, 0])
-        np.multiply.accumulate(turns[::-1, 1], axis=0, out=turns[::-1, 1])
+        # running products of the unit phases away from row 0, exclusive of
+        # the row itself; from row m they are the mirror's, signed
+        turns[1:] = turns[:-1]
+        turns[0] = 1.0
+        np.multiply.accumulate(turns, axis=0, out=turns)
+        z = turns[::-1, ::-1] * sign
         cols = np.arange(K)
-        join = turns[r, 0, cols] * turns[r, 1, cols].conj()
-        z = np.where(up, turns[:, 1] * join, turns[:, 0])
+        z *= turns[r, cols] * z[r, cols].conj()
+        np.copyto(z, turns, where=~up)
         del turns
         log_z -= log_z.max(axis=0)
         z *= np.exp(log_z, out=log_z)
         z *= phase
         del log_z
-        states[at] = normalize_state(z.T)
-    return states
+        z = normalize_state(z.T)
+        # the chunk's lows fill its slice of swept; their mirrors fill the
+        # rows as far in from the end
+        low_count, end = at.stop - at.start, len(swept) - at.start
+        states[at] = z[:low_count]
+        states[end - (K - low_count) : end] = z[low_count:]
+    # ks ascending: either all of swept or some rows of it
+    return states if len(ks) == len(swept) else states[np.searchsorted(swept, ks)]
 
 
 def _eigenstates(p: GBSParams, frame: _Frame, ks) -> np.ndarray:
@@ -496,7 +525,7 @@ def _eigenstates(p: GBSParams, frame: _Frame, ks) -> np.ndarray:
     d = displacement(frame.zeta)
     ks = np.asarray(ks)
     states = np.empty((len(ks), p.m + 1), dtype=complex)
-    for at in _chunks(len(ks), p.m):
+    for at in _chunks(len(ks), p.m + 1):
         states[at] = normalize_state(d[:, ks[at]].T)
     return states
 

@@ -40,6 +40,61 @@ def test_summarize_pairs_on_a_hand_made_record():
     assert summary["peak_rss_mib"]["change_pct"] == 0.0
 
 
+def _pairs(parent_run_s, change_run_s, **other):
+    """Hand-made pairs: run_s as given, every other metric equal on both sides
+    unless other maps it to (parent values, change values)."""
+    runs = []
+    for i, (p, c) in enumerate(zip(parent_run_s, change_run_s)):
+        run = {"seed": i, "first": "parent" if i % 2 == 0 else "change", "parent": _side(p), "change": _side(c)}
+        for name, (ps, cs) in other.items():
+            run["parent"][name], run["change"][name] = ps[i], cs[i]
+        runs.append(run)
+    return runs
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+
+
+def test_a_claim_is_met_by_nine_wins_in_ten_and_a_gap_past_the_spread():
+    faster = [0.80] * 9 + [1.05]  # the change loses one pair
+    verdict = bench_pairs.verdicts(_pairs(PARENT, faster), "run_s")
+    assert verdict["run_s"] == "met"
+    # the other metrics are equal on both sides
+    assert {name: verdict[name] for name in ("setup_s", "peak_rss_mib")} == {
+        "setup_s": "no worse", "peak_rss_mib": "no worse"}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [[0.80] * 8 + [1.05, 1.05], [p - 0.004 for p in PARENT]],
+    ids=["eight-wins", "gap-inside-the-spread"],
+)
+def test_a_claim_is_not_met_by_fewer_wins_or_a_gap_inside_the_spread(change):
+    # the parent's quartiles are 0.99 and 1.01: a 0.004 gap sits inside them
+    assert bench_pairs.verdicts(_pairs(PARENT, change), "run_s")["run_s"] == "not met"
+
+
+def test_a_metric_past_its_bound_is_worse():
+    # peak_rss_mib may worsen by 5 %, run_s by 25 %
+    rss = ([100.0] * 10, [106.0] * 10)
+    verdict = bench_pairs.verdicts(_pairs(PARENT, [1.2] * 10, peak_rss_mib=rss))
+    assert verdict["peak_rss_mib"] == "worse"
+    assert verdict["run_s"] == "no worse"
+    assert bench_pairs.verdicts(_pairs(PARENT, [1.3] * 10))["run_s"] == "worse"
+
+
+def test_a_parent_spread_past_the_bound_leaves_a_metric_unresolved():
+    # the parent's peak_rss_mib quartiles, 95 and 105, are 10 % apart
+    parent_rss = [90.0, 95.0, 95.0, 95.0, 100.0, 100.0, 105.0, 105.0, 105.0, 110.0]
+    unresolved = bench_pairs.verdicts(_pairs(PARENT, PARENT, peak_rss_mib=(parent_rss, [101.0] * 10)))
+    assert unresolved["peak_rss_mib"] == "unresolved"
+    # unless every change run reads better than every parent run
+    better = bench_pairs.verdicts(_pairs(PARENT, PARENT, peak_rss_mib=(parent_rss, [89.0] * 10)))
+    assert better["peak_rss_mib"] == "no worse"
+    # without a claim, run_s takes the bound rule too
+    assert bench_pairs.verdicts(_pairs(PARENT, PARENT), None)["run_s"] == "no worse"
+
+
 def test_run_record_takes_the_end_to_end_values():
     result = {"correct": True, "attempted": 46, "failed": 0,
               "metrics": {"setup_s": {"value": 0.16, "unit": "s"}, "run_s": {"value": 0.42, "unit": "s"},

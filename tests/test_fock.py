@@ -112,6 +112,42 @@ def test_normalize_state_survives_entries_beyond_square_overflow():
     np.testing.assert_allclose(u, [0.0, 0.6, 0.8j], atol=1e-16)
 
 
+@pytest.mark.parametrize("peak", [1e-310, 1e300, 1.0], ids=["subnormal", "huge", "unit"])
+def test_normalize_state_rows_at_every_scale(peak):
+    # the exact power-of-two scaling keeps a subnormal row's squares from
+    # underflowing and a huge row's from overflowing
+    rng = np.random.default_rng(7)
+    rows = (rng.normal(size=(3, 9)) + 1j * rng.normal(size=(3, 9))) * peak / 4.0
+    rows[:, rng.integers(0, 9)] = peak * np.exp(0.4j)
+    assert np.abs(rows).max() == pytest.approx(peak, rel=1e-12)
+    for u in (normalize_state(rows), normalize_state(rows[:1])):
+        assert np.all(np.isfinite(u))
+        np.testing.assert_allclose(np.linalg.norm(u, axis=1), 1.0, rtol=0, atol=4e-16)
+        assert np.all(u[:, 0].imag == 0.0) and np.all(u[:, 0].real > 0.0)
+
+
+def test_normalize_state_leads_with_the_first_entry_above_1e_minus_12():
+    # entries below 1e-12 of the largest are passed over for the phase
+    v = np.array([3e-13j, -9e-13, 2e-12 * np.exp(1.1j), -1.0j, 0.5])
+    for u in (normalize_state(v), normalize_state(np.stack([v, 2 * v]))[1]):
+        assert u[2].imag == 0.0 and u[2].real > 0.0
+        np.testing.assert_allclose(u * np.exp(1.1j) * np.linalg.norm(v), v, rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+        normalize_state(np.stack([v, np.zeros(5)]))
+
+
+def test_normalize_state_gives_a_row_the_same_bits_alone_as_in_a_stack():
+    # what lets eigenstate(p, k), a chunk of two rows, match solve's chunks
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 17, 64, 301):
+        scale = 10.0 ** rng.uniform(-300, 300, size=(6, 1))
+        stack = (rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))) * scale
+        stack[:, 0] *= 1e-14  # some rows lead with a later entry
+        rows = normalize_state(stack)
+        for i in range(len(stack)):
+            np.testing.assert_array_equal(normalize_state(stack[i : i + 1])[0], rows[i])
+
+
 def test_basis_state_bounds():
     with pytest.raises(ValueError):
         basis_state(3, 3)

@@ -163,13 +163,26 @@ def test_the_polish_keeps_a_scaled_matrix_in_range(scale):
 
 
 def test_newton_polish_counts_the_steps_it_skips():
-    # at an exact root f = 0 and the step is NaN; 100 is far past the cap
-    # 0.5 |T|_F + 1 = 2.87; 1.1 takes both steps
+    # at an exact root f = 0: a zero step, not a skip; 100 is far past the
+    # cap 0.5 |T|_F + 1 = 2.87, so both its steps are skipped; 1.1 takes both
     diag = np.array([1.0, 2.0, 3.0], dtype=complex)
     z, skipped = oracle._newton_polish(diag, np.zeros(2, dtype=complex), np.array([1.0, 1.1, 100.0]))
-    assert skipped == 4
+    assert skipped == 2
     assert (z[0], z[2]) == (1.0, 100.0)
     assert abs(z[1] - 1.0) <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "p",
+    [GBSParams(1.0, 0.3, 0.4, 2), GBSParams(1.0, 0.0, 1e-300, 10)],
+    ids=["m2", "diagonal-eta-1e-300"],
+)
+def test_exact_eigenvalues_take_no_skipped_newton_steps(p):
+    # LAPACK lands on exact zeros of det(T - z) here; f'/f used to give
+    # inf + nan i, and the polish counted each such value as a skipped step
+    report = compare(p, solve(p))
+    assert report.passed
+    assert report.skipped_newton_steps == 0
 
 
 @pytest.mark.parametrize("m", [200, 400])

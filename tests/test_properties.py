@@ -1,6 +1,7 @@
 """Properties: every point of the drawn domain solves within the residual bound
 or is rejected with ValueError, eigenstate(p, k) is solve's k-th state, and on
-the generic branch it agrees with the finite-sum form; over the frame's domain
+the generic branch it agrees with the finite-sum form; over |nu/mu| from 1e-3
+to 1e3 the mirror Q maps state k onto state m - k; over the frame's domain
 the constraint roots and the coefficient triple are M's eigenvector ratios and
 Schur entries; the secondary root's frame only relabels state k as m - k."""
 
@@ -9,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gbstates.displacement import delta_to_zeta, displacement
@@ -70,6 +71,52 @@ def test_eigenstate_and_the_sum_form_agree_on_the_generic_branch(point):
         return
     for k, v in enumerate(sol.eigenstates):
         assert 1.0 - fidelity(v, eigenstate_sum(p, k)) <= 1e-12
+
+
+@st.composite
+def mirror_points(draw):
+    """|mu| log-uniform over [1e-2, 1e2], |nu/mu| over [1e-3, 1e3] or nu = 0,
+    arg(mu nu) over the whole circle, m up to 300 of either parity."""
+    mu = 10 ** draw(st.floats(-2.0, 2.0)) * cmath.exp(1j * draw(phases))
+    ratio = 10 ** draw(st.floats(-3.0, 3.0))
+    # nu = |nu| e^{i (arg(mu nu) - arg mu)}
+    nu = draw(st.sampled_from([0.0, ratio])) * abs(mu) * cmath.exp(1j * (draw(phases) - cmath.phase(mu)))
+    eta = draw(st.floats(1e-6, 1.0 - 1e-6, exclude_min=True, exclude_max=True))
+    return GBSParams(mu=mu, nu=nu, eta=eta, m=draw(st.integers(1, 300)))
+
+
+def _mirrored(states: np.ndarray, t: complex) -> np.ndarray:
+    """(Q x)_n = t^n (-1)^n x_{m-n} for each row x, t = nu/mu, formed in logs
+    and scaled per row by its largest modulus, so that no t^n overflows."""
+    n = np.arange(states.shape[1])
+    with np.errstate(divide="ignore"):
+        logs = n * (cmath.log(t) + 1j * math.pi) + np.log(states[:, ::-1])
+    logs -= logs.real.max(axis=1, keepdims=True)
+    return np.exp(logs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mirror_points())
+def test_the_mirror_maps_state_k_onto_state_m_minus_k(p):
+    # Q L Q^-1 = -L, so Q x_k solves L for lambda_{m-k} = -lambda_k: the
+    # solver sweeps only downward and takes each state's upward pivots from
+    # its mirror, so state m - k must be Q x_k to rounding; at nu = 0 Q is
+    # singular and only the residual and single-state checks apply
+    sol = solve(p)
+    assume(sol.kind is SolutionKind.GENERIC)  # nu = mu* is the Hermitian branch
+    m, states = p.m, sol.eigenstates
+    op = build_operator(p)
+    residuals = np.linalg.norm(op @ states.T - states.T * sol.eigenvalues, axis=0)
+    assert residuals.max() <= 1e-10 * np.linalg.norm(op)
+    if p.nu:
+        # Q scales entry n by |nu/mu|^n, which can lift a state's entries that
+        # fell below the double range into its largest ones: compare where
+        # state k's entry is a normal double
+        normal = np.abs(states[:, ::-1]) >= np.finfo(float).tiny
+        for k, v in enumerate(_mirrored(states, p.nu / p.mu)):
+            assert fidelity(states[m - k][normal[k]], v[normal[k]]) >= 1.0 - 1e-12, k
+    for k in {0, m - 1, m} | ({m // 2} if m % 2 == 0 else set()):
+        np.testing.assert_array_equal(eigenstate(p, k), states[k])
 
 
 @st.composite

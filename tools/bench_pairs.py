@@ -13,11 +13,11 @@ alternates from pair to pair.  Then one traced run per side and workload, on
 the first seed, keeps every metric it reports.  The output holds each run's
 end-to-end metrics with the BLAS/OpenMP thread settings and the usable CPU
 count its worker reported, and per workload the medians, the inclusive
-quartiles and the count of pairs the change wins.  "blas_threads" lists the
-distinct settings each side ran with and flags the file when the two sides
-differ.  The benchmark itself is only run, never imported.  SIGTERM stops the
-runner like SystemExit: the running benchmark is killed and the parent's
-temporary tree removed.
+quartiles and the count of pairs the change wins, and a verdict on each
+metric (see verdicts).  "blas_threads" lists the distinct settings each side
+ran with and flags the file when the two sides differ.  The benchmark itself
+is only run, never imported.  SIGTERM stops the runner like SystemExit: the
+running benchmark is killed and the parent's temporary tree removed.
 """
 
 import argparse
@@ -35,7 +35,10 @@ END_TO_END = ("setup_s", "run_s", "op_median_s", "peak_rss_mib")
 # what each run's worker reports of its threads and CPUs
 ENV_KEYS = ("threads", "cpus_usable")
 SIDES = ("parent", "change")
-RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+RUN_SECONDS = BENCHMARK["run_seconds"]
+# how far, relative to the parent's median, each metric may worsen
+BOUNDS = {metric["name"]: metric["bound"] for metric in BENCHMARK["end_to_end"]}
 
 
 def _exit_on_sigterm(signum, frame):
@@ -88,11 +91,11 @@ def thread_settings(workloads: dict) -> dict:
     return {**seen, "sides_differ": seen["parent"] != seen["change"]}
 
 
-def _quartiles(values: list) -> list:
+def _quartiles(values: list) -> tuple[float, float]:
     if len(values) < 2:
-        return [round(values[0], 5)] * 2
+        return values[0], values[0]
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return [round(q1, 5), round(q3, 5)]
+    return q1, q3
 
 
 def summarize_pairs(runs: list) -> dict:
@@ -114,12 +117,45 @@ def summarize_pairs(runs: list) -> dict:
         summary[name] = {
             "parent": round(mid_p, 5),
             "change": round(mid_c, 5),
-            "parent_quartiles": _quartiles(parent),
-            "change_quartiles": _quartiles(change),
+            "parent_quartiles": [round(q, 5) for q in _quartiles(parent)],
+            "change_quartiles": [round(q, 5) for q in _quartiles(change)],
             "change_pct": round(100.0 * (mid_c - mid_p) / mid_p, 1) if mid_p else None,
             "change_wins": f"{sum(c < p for p, c in pairs)}/{len(pairs)}",
         }
     return summary
+
+
+def verdicts(runs: list, claimed: str | None = None) -> dict:
+    """Each end-to-end metric's verdict on one workload, from the raw pairs.
+
+    Every metric here is better when lower.  The claimed metric, if it is
+    one of them, is "met" when the change wins at least 9 in 10 pairs and
+    its median beats the parent's by more than the parent's interquartile
+    range, and "not met" otherwise.  Any other metric is "worse" when the
+    change's median exceeds the parent's by more than BOUNDS' share of it;
+    else "unresolved" when the parent's interquartile range exceeds that
+    share, unless every change run beats every parent run; else "no worse".
+    """
+    verdict = {}
+    for name in END_TO_END:
+        pairs = [(r["parent"][name], r["change"][name]) for r in runs
+                 if name in r["parent"] and name in r["change"]]
+        if not pairs:
+            continue
+        parent = [p for p, _ in pairs]
+        change = [c for _, c in pairs]
+        mid_p, mid_c = statistics.median(parent), statistics.median(change)
+        q1, q3 = _quartiles(parent)
+        if name == claimed:
+            wins = sum(c < p for p, c in pairs)
+            verdict[name] = "met" if wins >= 0.9 * len(pairs) and mid_p - mid_c > q3 - q1 else "not met"
+        elif mid_c - mid_p > BOUNDS[name] * mid_p:
+            verdict[name] = "worse"
+        elif q3 - q1 > BOUNDS[name] * mid_p and max(change) >= min(parent):
+            verdict[name] = "unresolved"
+        else:
+            verdict[name] = "no worse"
+    return verdict
 
 
 def parse_pairs(items: list) -> dict:
@@ -173,7 +209,11 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: run_s {run[side].get('run_s', float('nan')):.4f}",
                           file=sys.stderr, flush=True)
                 runs.append(run)
-            out["workloads"][workload] = {"seeds": seeds, "median": summarize_pairs(runs), "runs": runs}
+            claimed = out.get("claimed_metric", {})
+            out["workloads"][workload] = {
+                "seeds": seeds, "median": summarize_pairs(runs),
+                "verdict": verdicts(runs, claimed["metric"] if claimed.get("workload") == workload else None),
+                "runs": runs}
         out["blas_threads"] = thread_settings(out["workloads"])
         if out["blas_threads"]["sides_differ"]:
             print("warning: parent and change ran with different thread settings or CPU counts",
