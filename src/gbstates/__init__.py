@@ -16,7 +16,6 @@ from .analysis import (
     photon_statistics,
     squeezed_eigenstate,
     squeezed_limit_scan,
-    su2_coherent_form,
     time_evolve,
 )
 from .binomial import BinomialParams, binomial_amplitudes, binomial_displacement_form, ladder_residual
@@ -27,21 +26,19 @@ from .displacement import (
     displacement,
 )
 from .fock import (
-    annihilation_operator,
     basis_state,
     commutator,
     fidelity,
     hp_generators,
     normalize_state,
 )
-from .oracle import NonConvergenceError, SpectrumReport, compare, dense_spectrum
+from .oracle import NonConvergenceError, SpectrumReport, compare
 from .solver import (
     CoefficientTriple,
     GBSParams,
     GBSSolution,
     SolutionKind,
     binomial_phase_parameters,
-    build_operator,
     coefficient_triple,
     constraint_roots,
     eigenstate,
@@ -63,18 +60,15 @@ __all__ = [
     "PhotonStatistics",
     "SolutionKind",
     "SpectrumReport",
-    "annihilation_operator",
     "basis_state",
     "binomial_amplitudes",
     "binomial_displacement_form",
     "binomial_phase_parameters",
-    "build_operator",
     "coefficient_triple",
     "commutator",
     "compare",
     "constraint_roots",
     "delta_to_zeta",
-    "dense_spectrum",
     "disentangled_displacement",
     "displacement",
     "eigenstate",
@@ -90,6 +84,5 @@ __all__ = [
     "spectrum",
     "squeezed_eigenstate",
     "squeezed_limit_scan",
-    "su2_coherent_form",
     "time_evolve",
 ]

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binomial import BinomialParams, binomial_displacement_form
 from .fock import AMPLITUDE_CAP as REFERENCE_DIM_CAP, basis_state, fidelity
 from .solver import GBSParams, eigenstate
 
@@ -250,19 +249,6 @@ def squeezed_limit_scan(
         r[1:] += nu * root * v[:-1]
         rows.append((int(m), float(np.linalg.norm(r)), fidelity(v, ref)))
     return rows
-
-
-def su2_coherent_form(eta: float, phi: float, m: int) -> np.ndarray:
-    """Rotated vacuum exp(xi J+ - xi* J-)|0> with xi = -arctan(sqrt(eta/(1-eta))) e^{i phi}.
-
-    Reproduces the top (k = m) eigenstate of the nu = 0 family with
-    mu = e^{i phi}, i.e. the binomial state dressed with phases e^{-i n phi}:
-    binomial_displacement_form times those phases, n phi reduced mod 2 pi.
-    """
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi}")
-    state = binomial_displacement_form(BinomialParams(eta, m))
-    return state * np.exp(-1j * ((np.arange(m + 1) * phi) % (2 * math.pi)))
 
 
 def coherent_amplitude_discrepancy(alpha: float, m_values) -> dict:

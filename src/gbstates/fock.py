@@ -1,12 +1,11 @@
-"""Truncated Fock-space kernel: states, fidelity and dense reference operators.
+"""Truncated Fock-space kernel: states, fidelity and the dense su(2) generators.
 
 Everything lives on the (M+1)-dimensional space spanned by the number states
 |0>, ..., |M>: states are complex 1-d numpy arrays, operators dense complex
-2-d arrays, and no function mutates its inputs.  The dense a and su(2)
-generators are references for the tests and verify's su(2) check; the solver
-and the oracle read L's entries from solver.bands.  Truncation leaves
-[a, a+] = I - (M+1)|M><M|, a defect of the cut that is not patched; the su(2)
-generators satisfy their algebra exactly at every M.
+2-d arrays, and no function mutates its inputs.  The dense su(2) generators
+are references for the tests and verify's su(2) check; the solver and the
+oracle read L's entries from solver.bands.  The generators satisfy their
+algebra exactly at every M.
 """
 
 import math
@@ -16,15 +15,7 @@ import numpy as np
 # the most complex amplitudes one state or block of states may hold: 2^26, 1 GiB
 AMPLITUDE_CAP = 2**26
 
-
-def annihilation_operator(m: int) -> np.ndarray:
-    """Truncated annihilation operator, a|n> = sqrt(n)|n-1>, on dim m+1."""
-    if m < 0:
-        raise ValueError(f"photon cap must be >= 0, got {m}")
-    a = np.zeros((m + 1, m + 1), dtype=complex)
-    for n in range(1, m + 1):
-        a[n - 1, n] = math.sqrt(n)
-    return a
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 def hp_generators(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -106,6 +97,12 @@ def normalize_state(v: np.ndarray) -> np.ndarray:
     big = mags.max()
     if big == 0.0:
         raise ValueError("cannot normalize the zero vector")
+    if big < _SMALLEST_NORMAL:
+        # numpy's complex division by big forms 1/big, which overflows for a
+        # subnormal big: lift the state by an exact power of two first
+        v = v * 2.0**600
+        mags = np.abs(v)
+        big = mags.max()
     # scale by the largest magnitude first: the squared norm of a vector with
     # entries above ~1e154 would overflow
     u = v / big

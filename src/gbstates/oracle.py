@@ -1,26 +1,26 @@
 """Independent eigensolver on L's three bands, used to verify the closed form.
 
 compare takes L's sub-, main and superdiagonal from the parameters
-(solver.bands) and never builds L; dense_spectrum reads them off a matrix.
-Then: the symmetrized T' = tridiag(e, d, e), e_n = sqrt(sub_n sup_n), which
-has the same continuant and so the same characteristic polynomial; LAPACK's
-eigenvalues as starting values; and two Newton steps on det(L - z), by the
-three-term continuant of its leading minors.  L's bands have d[::-1] == -d
-and e[::-1] == e exactly, so its spectrum comes in +-lambda pairs, and
-LAPACK only sees the h x h matrix W of T'^2 folded on that symmetry,
+(solver.bands) and never builds L; dense_spectrum, which only the
+benchmark's dense replay calls, reads them off a dense L and rejects a
+matrix without L's +-lambda symmetry (below).  Then: the symmetrized
+T' = tridiag(e, d, e), e_n = sqrt(sub_n sup_n), which has the same
+continuant and so the same characteristic polynomial; LAPACK's eigenvalues
+as starting values; and two Newton steps on det(L - z), by the three-term
+continuant of its leading minors.  L's bands have d[::-1] == -d and
+e[::-1] == e exactly, so its spectrum comes in +-lambda pairs, and LAPACK
+only sees the h x h matrix W of T'^2 folded on that symmetry,
 h = floor((m+1)/2): the starting values are +sqrt of its eigenvalues, only
 those h are polished, and the spectrum is them, their negatives and, for
-even m, an exact 0.  A tridiagonal without the exact symmetry hands LAPACK
-T' itself and polishes all its values.  LAPACK's routine is `eigvalsh` where
-the matrix is Hermitian up to rounding, as W is wherever mu nu > 0 (the
-Hermitian branch among them), and `eigvals` otherwise.  Nothing here reads
-the root, the rotation or the coefficient triple; the closed form calls no
-`eigvals`; and the polish, not LAPACK, sets the final accuracy, so LAPACK's
-values only have to lie in each root's basin.  Cost on an n x n
-tridiagonal: O(n) to symmetrize and fold; O((n/2)^3) in LAPACK, several
-times less with `eigvalsh` (O(n^3) without the symmetry); O(n) per polished
-eigenvalue and Newton step, over n/2 eigenvalues with the symmetry; and O(n)
-per state for the residuals.
+even m, an exact 0.  LAPACK's routine is `eigvalsh` where W is Hermitian up
+to rounding, as it is wherever mu nu > 0 (the Hermitian branch among them),
+and `eigvals` otherwise.  Nothing here reads the root, the rotation or the
+coefficient triple; the closed form calls no `eigvals`; and the polish, not
+LAPACK, sets the final accuracy, so LAPACK's values only have to lie in
+each root's basin.  Cost on an n x n tridiagonal: O(n) to symmetrize and
+fold; O((n/2)^3) in LAPACK, several times less with `eigvalsh`; O(n) per
+polished eigenvalue and Newton step, over n/2 eigenvalues; and O(n) per
+state for the residuals.
 """
 
 import math
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import GBSParams, GBSSolution, SolutionKind, _tridiagonal, bands, operator_norm
+from .solver import GBSParams, GBSSolution, SolutionKind, bands, operator_norm
 
 # LAPACK's starting values carry a forward error amplified by the eigenvalue
 # condition number; inside a root's basin Newton converges quadratically, so
@@ -97,37 +97,15 @@ class SpectrumReport:
         return self.multiplicity_collapse or self.max_pair_error <= self.pair_bound
 
 
-def _bands(op: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sub, diag, sup) of a square, finite, tridiagonal matrix; ValueError otherwise."""
-    op = np.asarray(op, dtype=complex)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError(f"dense_spectrum needs a square matrix, got shape {op.shape}")
-    if not np.all(np.isfinite(op)):
-        raise ValueError("dense_spectrum needs finite entries")
-    bands = tuple(np.diagonal(op, j) for j in (-1, 0, 1))
-    if np.count_nonzero(op) != sum(map(np.count_nonzero, bands)):
-        raise ValueError("dense_spectrum needs a tridiagonal matrix, got an entry off the bands")
-    return bands
-
-
 def _symmetrized(sub, sup) -> tuple[np.ndarray, np.ndarray]:
     """(e, prods) with e_n = sqrt(sub_n) sqrt(sup_n) and prods_n = sub_n sup_n.
 
     tridiag(e, d, e) has the continuant, so the characteristic polynomial, of
     tridiag(sub, d, sup), since e_n^2 = sub_n sup_n; e multiplies the square
     roots, so it stays finite and nonzero where the product underflows.
-    Raises ValueError, naming the product, where sub_n sup_n overflows.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        prods = sub * sup
-    bad = np.flatnonzero(~np.isfinite(prods))
-    if len(bad):
-        n = int(bad[0])
-        raise ValueError(
-            f"the off-diagonal product sub[{n}] * sup[{n}] = ({sub[n]:.3g}) * ({sup[n]:.3g}) "
-            f"overflows the double range"
-        )
-    return np.sqrt(sub) * np.sqrt(sup), prods
+    # GBSParams' bounds keep |sub_n sup_n| <= (1-eta) |mu nu| (m+1)^2 / 4 < 1e116
+    return np.sqrt(sub) * np.sqrt(sup), sub * sup
 
 
 def _folded_square(diag, e) -> np.ndarray:
@@ -253,16 +231,12 @@ def _band_spectrum(sub, diag, sup) -> tuple[np.ndarray, str, int]:
     """All eigenvalues of the tridiagonal with these bands, the LAPACK routine
     that gave their starting values, and the Newton steps skipped.
 
-    Symmetrize; LAPACK on the h x h W of _folded_square where T' has the
-    exact +-lambda symmetry, else on T' itself; polish.  With the symmetry
-    only W's h roots are polished: the rest are their negatives and, for an
-    odd size, an exact 0.
+    Needs L's exact +-lambda symmetry, d[::-1] == -d and e[::-1] == e, which
+    bands(p) always has.  Symmetrize; LAPACK on the h x h W of
+    _folded_square; polish W's h roots: the rest are their negatives and,
+    for an odd size, an exact 0.
     """
     e, prods = _symmetrized(sub, sup)
-    if not (np.array_equal(diag[::-1], -diag) and np.array_equal(e[::-1], e)):
-        starts, routine = _lapack_eigenvalues(_tridiagonal(e, diag, e))
-        values, skipped = _newton_polish(diag, prods, starts)
-        return values, routine, skipped
     # T' / 2^s has entries below 1 in modulus, so T'^2's neither overflow
     # nor, unless T' spans half the double range, underflow
     scale = _power_of_two_near(max(np.abs(diag).max(initial=0.0), np.abs(e).max(initial=0.0)))
@@ -272,19 +246,33 @@ def _band_spectrum(sub, diag, sup) -> tuple[np.ndarray, str, int]:
 
 
 def dense_spectrum(op: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a tridiagonal complex matrix, with algebraic multiplicity.
+    """compare's spectrum of a dense L, read off its three bands.
 
-    Reads op's three bands, symmetrizes the off-diagonals, takes LAPACK's
-    eigenvalues of the folded half-size matrix (of the symmetrized one when
-    op lacks the +-lambda symmetry), by eigvalsh where that matrix is
-    Hermitian up to rounding, and polishes them by two Newton steps on the
-    continuant (one value of each +-lambda pair with the symmetry).  Raises
-    ValueError for a matrix that is not square, finite and tridiagonal, or
-    with an off-diagonal product sub_n sup_n beyond the double range, and
-    NonConvergenceError when LAPACK's iteration fails; never returns a
-    silently truncated spectrum.
+    The package never builds L: this and solver.build_operator serve only the
+    benchmark's dense replay (perfbench/calls.py), which times the two
+    together.  Raises ValueError for a matrix that is not square, finite and
+    tridiagonal, whose off-diagonal product sub_n sup_n overflows, or that
+    lacks L's exact +-lambda symmetry, and NonConvergenceError when LAPACK's
+    iteration fails.
     """
-    return _band_spectrum(*_bands(op))[0]
+    op = np.asarray(op, dtype=complex)
+    if op.ndim != 2 or op.shape[0] != op.shape[1]:
+        raise ValueError(f"dense_spectrum needs a square matrix, got shape {op.shape}")
+    if not np.all(np.isfinite(op)):
+        raise ValueError("dense_spectrum needs finite entries")
+    sub, diag, sup = op_bands = tuple(np.diagonal(op, j) for j in (-1, 0, 1))
+    if np.count_nonzero(op) != sum(map(np.count_nonzero, op_bands)):
+        raise ValueError("dense_spectrum needs a tridiagonal matrix, got an entry off the bands")
+    with np.errstate(over="ignore", invalid="ignore"):
+        e, prods = _symmetrized(sub, sup)
+    bad = np.flatnonzero(~np.isfinite(prods))
+    if len(bad):
+        n = int(bad[0])
+        raise ValueError(f"the off-diagonal product sub[{n}] * sup[{n}] = ({sub[n]:.3g}) * ({sup[n]:.3g}) "
+                         f"overflows the double range")
+    if not (np.array_equal(diag[::-1], -diag) and np.array_equal(e[::-1], e)):
+        raise ValueError("dense_spectrum needs L's exact +-lambda symmetry, d[::-1] == -d and e[::-1] == e")
+    return _band_spectrum(sub, diag, sup)[0]
 
 
 def _greedy_pairing(

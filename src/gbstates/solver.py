@@ -161,17 +161,17 @@ def bands(p: GBSParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s * (complex(p.nu) * hop), diag, s * (complex(p.mu) * hop)
 
 
-def _tridiagonal(sub, diag, sup) -> np.ndarray:
-    """The dense square matrix with these three bands and zeros elsewhere."""
-    n = len(diag)
+def build_operator(p: GBSParams) -> np.ndarray:
+    """Dense (m+1)x(m+1) L, bands(p) laid out.
+
+    The package never builds L: this and oracle.dense_spectrum serve only the
+    benchmark's dense replay, which times the two together.
+    """
+    sub, diag, sup = bands(p)
+    n = p.m + 1
     op = np.zeros((n, n), dtype=complex)
     op.flat[:: n + 1], op.flat[1 :: n + 1], op.flat[n :: n + 1] = diag, sup, sub
     return op
-
-
-def build_operator(p: GBSParams) -> np.ndarray:
-    """Dense (m+1)x(m+1) matrix sqrt(1-eta)(mu J+ + nu J-) - sqrt(eta) J0: bands(p) laid out."""
-    return _tridiagonal(*bands(p))
 
 
 def operator_norm(p: GBSParams) -> float:

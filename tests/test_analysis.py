@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import annihilation_operator
 from gbstates.analysis import (
     REFERENCE_DIM_CAP,
     KRule,
@@ -18,11 +19,10 @@ from gbstates.analysis import (
     photon_statistics,
     squeezed_eigenstate,
     squeezed_limit_scan,
-    su2_coherent_form,
     time_evolve,
 )
 from gbstates.binomial import BinomialParams, binomial_amplitudes
-from gbstates.fock import annihilation_operator, basis_state, fidelity
+from gbstates.fock import basis_state, fidelity
 from gbstates.solver import GBSParams, eigenstate, solve
 
 
@@ -121,7 +121,6 @@ def test_photon_statistics_vacuum_mandel_undefined():
 @pytest.mark.parametrize(
     "call, bound",
     [
-        (lambda: su2_coherent_form(0.3, math.nan, 3), "phi must be finite"),
         (lambda: squeezed_eigenstate(1.0, 0.0, math.nan), "lam must be finite"),
         (lambda: squeezed_eigenstate(1.0, 0.0, complex(0.5, math.inf)), "lam must be finite"),
         (lambda: squeezed_eigenstate(1.0, 0.3, math.nan), "lam must be finite"),
@@ -129,7 +128,7 @@ def test_photon_statistics_vacuum_mandel_undefined():
         (lambda: photon_statistics([0.0, 0.0]), "finite nonzero norm"),
         (lambda: photon_statistics([1.0, math.nan]), "finite nonzero norm"),
     ],
-    ids=["su2-phi", "coherent-nan", "coherent-inf", "squeezed-lam", "squeezed-mu", "stats-zero", "stats-nan"],
+    ids=["coherent-nan", "coherent-inf", "squeezed-lam", "squeezed-mu", "stats-zero", "stats-nan"],
 )
 def test_helpers_name_the_bad_input(call, bound):
     with pytest.raises(ValueError, match=bound):
@@ -356,32 +355,6 @@ def test_squeezed_limit_scan_top_rule_needs_nu_zero():
         squeezed_limit_scan(1.0, 0.2, schedule)
     with pytest.raises(ValueError):
         squeezed_limit_scan(1.0, 1.2, LimitSchedule(alpha=1.0, m_values=(30,), k_rule=KRule("center")))
-
-
-def test_su2_coherent_form_zero_phase_is_binomial():
-    v = su2_coherent_form(0.35, 0.0, 9)
-    assert fidelity(v, binomial_amplitudes(BinomialParams(0.35, 9))) >= 1 - 1e-12
-
-
-def test_su2_coherent_form_quarter_phase_two_level():
-    eta = 0.3
-    v = su2_coherent_form(eta, math.pi / 2, 1)
-    expected = np.array([math.sqrt(1 - eta), -1j * math.sqrt(eta)])
-    np.testing.assert_allclose(v, expected, atol=1e-14)
-
-
-def test_su2_coherent_form_matches_solver_family():
-    eta, phi, m = 0.42, -1.2, 7
-    v = su2_coherent_form(eta, phi, m)
-    top = solve(GBSParams(np.exp(1j * phi), 0.0, eta, m)).eigenstates[m]
-    assert fidelity(v, top) >= 1 - 1e-11
-
-
-def test_su2_coherent_form_vacuum_limit_and_validation():
-    v = su2_coherent_form(1e-10, 0.7, 5)
-    assert fidelity(v, basis_state(0, 6)) >= 1 - 1e-9
-    with pytest.raises(ValueError):
-        su2_coherent_form(0.0, 0.0, 5)
 
 
 def test_amplitude_discrepancy_verdict():

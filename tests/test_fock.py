@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import annihilation_operator
 from gbstates.fock import (
-    annihilation_operator,
     basis_state,
     commutator,
     fidelity,
@@ -115,7 +115,8 @@ def test_normalize_state_survives_entries_beyond_square_overflow():
 @pytest.mark.parametrize("peak", [1e-310, 1e300, 1.0], ids=["subnormal", "huge", "unit"])
 def test_normalize_state_rows_at_every_scale(peak):
     # the exact power-of-two scaling keeps a subnormal row's squares from
-    # underflowing and a huge row's from overflowing
+    # underflowing and a huge row's from overflowing; one state alone takes
+    # the 1-d path, which divides by its largest modulus, and must agree
     rng = np.random.default_rng(7)
     rows = (rng.normal(size=(3, 9)) + 1j * rng.normal(size=(3, 9))) * peak / 4.0
     rows[:, rng.integers(0, 9)] = peak * np.exp(0.4j)
@@ -124,6 +125,7 @@ def test_normalize_state_rows_at_every_scale(peak):
         assert np.all(np.isfinite(u))
         np.testing.assert_allclose(np.linalg.norm(u, axis=1), 1.0, rtol=0, atol=4e-16)
         assert np.all(u[:, 0].imag == 0.0) and np.all(u[:, 0].real > 0.0)
+    np.testing.assert_allclose(normalize_state(rows[0]), normalize_state(rows[:1])[0], rtol=0, atol=4e-16)
 
 
 def test_normalize_state_leads_with_the_first_entry_above_1e_minus_12():

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_reference
 from gbstates import oracle
-from gbstates.oracle import NonConvergenceError, _log_det_derivative, compare, dense_spectrum
-from gbstates.solver import GBSParams, SolutionKind, build_operator, solve
+from gbstates.oracle import NonConvergenceError, _band_spectrum, _log_det_derivative, compare, dense_spectrum
+from gbstates.solver import GBSParams, SolutionKind, bands, build_operator, solve
 
 
 def sorted_c(values):
@@ -17,6 +18,27 @@ def sorted_c(values):
 def random_tridiagonal(rng, n):
     full = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return np.triu(np.tril(full, 1), -1)
+
+
+def symmetric_bands(rng, n, hermitian=False):
+    """Random (sub, diag, sup) of size n with L's exact +-lambda symmetry:
+    an antisymmetric diagonal and palindromic off-diagonals."""
+    def draw(size):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    def palindrome(x):
+        return (x + x[::-1]) / 2
+
+    diag = draw(n)
+    if hermitian:
+        diag = diag.real + 0j
+    sup = palindrome(draw(n - 1))
+    sub = sup.conj() if hermitian else palindrome(draw(n - 1))
+    return sub, (diag - diag[::-1]) / 2, sup
+
+
+def tridiagonal(sub, diag, sup):
+    return np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
 
 
 def lapack_input(monkeypatch, run, *args):
@@ -54,28 +76,29 @@ def polished_count(monkeypatch, run, *args):
 
 
 def test_diagonal_matrix():
-    got = sorted_c(dense_spectrum(np.diag([1.0, 2.0, 3.0]).astype(complex)))
-    np.testing.assert_allclose(got, [1.0, 2.0, 3.0], atol=1e-13)
+    zeros = np.zeros(4, dtype=complex)
+    got = sorted_c(_band_spectrum(zeros, np.array([-3.0, -1.0, 0.0, 1.0, 3.0], dtype=complex), zeros)[0])
+    np.testing.assert_allclose(got, [-3.0, -1.0, 0.0, 1.0, 3.0], atol=1e-13)
 
 
 def test_triangular_spectrum_is_diagonal():
-    op = build_operator(GBSParams(1.0, 0.0, 0.25, 2))
-    got = sorted_c(dense_spectrum(op))
+    got = sorted_c(_band_spectrum(*bands(GBSParams(1.0, 0.0, 0.25, 2)))[0])
     np.testing.assert_allclose(got.real, [-0.5, 0.0, 0.5], atol=1e-12)
     np.testing.assert_allclose(got.imag, 0.0, atol=1e-12)
 
 
 def test_rotation_generator_pair():
-    op = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    got = sorted_c(dense_spectrum(op))
+    # [[0, 1], [-1, 0]]: e = sqrt(-1) sqrt(1) = i
+    got = sorted_c(_band_spectrum(np.array([-1.0 + 0j]), np.zeros(2, dtype=complex), np.array([1.0 + 0j]))[0])
     np.testing.assert_allclose(got, [-1j, 1j], atol=1e-13)
 
 
 def test_characteristic_polynomial_invariants():
     rng = np.random.default_rng(77)
     for n in (2, 4, 8):
-        a = random_tridiagonal(rng, n)
-        lam = dense_spectrum(a)
+        sub, diag, sup = symmetric_bands(rng, n)
+        a = tridiagonal(sub, diag, sup)
+        lam = _band_spectrum(sub, diag, sup)[0]
         assert abs(lam.sum() - np.trace(a)) <= 1e-11 * max(1.0, abs(np.trace(a)))
         det = np.linalg.det(a)
         assert abs(np.prod(lam) - det) <= 1e-9 * abs(det)
@@ -89,8 +112,8 @@ def test_dimension_64_accuracy_contract():
 
     for m in (63, 120):
         p = GBSParams(0.8 * np.exp(0.9j), 1.2 * np.exp(-0.3j), 0.7, m)
-        op = build_operator(p)
-        oracle_vals = sorted_c(dense_spectrum(op))
+        op = dense_reference(p)
+        oracle_vals = sorted_c(_band_spectrum(*bands(p))[0])
         used = np.zeros(len(oracle_vals), dtype=bool)
         worst = 0.0
         for z in sorted_c(spectrum(p)):
@@ -155,11 +178,16 @@ def test_log_det_derivative_at_hard_points(case):
 def test_the_polish_keeps_a_scaled_matrix_in_range(scale):
     # the continuant runs on T divided by a power of two near its largest
     # entry; unscaled, entries of 1e-151 underflow it within three rows
-    a = random_tridiagonal(np.random.default_rng(9), 12)
-    values, routine, skipped = oracle._band_spectrum(*(np.diagonal(a * scale, j) for j in (-1, 0, 1)))
+    sub, diag, sup = symmetric_bands(np.random.default_rng(9), 12)
+    values, routine, skipped = _band_spectrum(sub * scale, diag * scale, sup * scale)
     assert (routine, skipped) == ("eigvals", 0)
-    want = sorted_c(dense_spectrum(a))
+    want = sorted_c(np.linalg.eigvals(tridiagonal(sub, diag, sup)))
     np.testing.assert_allclose(sorted_c(values / scale), want, rtol=0, atol=1e-13 * np.abs(want).max())
+    # LAPACK's values are already that close; the polish must also pull in
+    # values 1e-6 off, which an underflowed continuant would leave in place
+    z, skipped = oracle._newton_polish(diag * scale, (sub * scale) * (sup * scale), want * scale * (1 + 1e-6))
+    assert skipped == 0
+    np.testing.assert_allclose(sorted_c(z / scale), want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 def test_newton_polish_counts_the_steps_it_skips():
@@ -211,14 +239,13 @@ VERIFIED_POINTS = (
 @pytest.mark.parametrize("point", VERIFIED_POINTS, ids=["near-normal", "hermitian", "defective", "nu-zero"])
 def test_compare_hands_lapack_the_matrix_of_the_dense_operator(point, m, monkeypatch):
     # compare reads bands(p) and never builds L, yet LAPACK sees the same
-    # folded matrix, bit for bit, as from dense_spectrum(build_operator(p))
+    # folded matrix, bit for bit, as from the dense generator sum
     mu, nu, eta = point
     p = GBSParams(complex(mu), complex(nu), eta, m)
-    want = lapack_input(monkeypatch, dense_spectrum, build_operator(p))
+    want = lapack_input(monkeypatch, dense_spectrum, dense_reference(p))
     got = lapack_input(monkeypatch, compare, p, solve(p))
     assert got.tobytes() == want.tobytes()
-    np.testing.assert_array_equal(compare(p, solve(p)).oracle_eigenvalues,
-                                  dense_spectrum(build_operator(p)))
+    np.testing.assert_array_equal(compare(p, solve(p)).oracle_eigenvalues, dense_spectrum(dense_reference(p)))
 
 
 @pytest.mark.parametrize("m, h", [(1, 1), (2, 1), (7, 4), (40, 20), (41, 21), (120, 60)])
@@ -257,19 +284,15 @@ def test_the_routine_follows_the_real_slice(m):
     assert (report.lapack_routine, report.passed) == ("eigvals", True)
 
 
-def test_lapack_sees_the_full_symmetrized_matrix_without_the_symmetry(monkeypatch):
-    def symmetrized(op):
-        e = np.sqrt(np.diagonal(op, -1)) * np.sqrt(np.diagonal(op, 1))
-        return np.diag(np.diagonal(op)) + np.diag(e, -1) + np.diag(e, 1)
-
-    a = random_tridiagonal(np.random.default_rng(8), 9)
-    assert np.array_equal(lapack_input(monkeypatch, dense_spectrum, a), symmetrized(a))
-    # one ulp off the antisymmetric diagonal of L is enough to lose the fold,
-    # and then every value is polished
+def test_a_matrix_without_the_symmetry_is_rejected():
+    # the oracle has no route for bands without L's exact +-lambda symmetry
+    with pytest.raises(ValueError, match="exact \\+-lambda symmetry"):
+        dense_spectrum(random_tridiagonal(np.random.default_rng(8), 9))
+    # one ulp off the antisymmetric diagonal of L is enough
     op = build_operator(GBSParams(1.0, 0.3j, 0.4, 12))
     op[0, 0] = np.nextafter(op[0, 0].real, 0.0)
-    assert np.array_equal(lapack_input(monkeypatch, dense_spectrum, op), symmetrized(op))
-    assert polished_count(monkeypatch, dense_spectrum, op) == 13
+    with pytest.raises(ValueError, match="exact \\+-lambda symmetry"):
+        dense_spectrum(op)
 
 
 def test_an_overflowing_off_diagonal_product_is_named():
@@ -281,8 +304,8 @@ def test_an_overflowing_off_diagonal_product_is_named():
 
 def test_the_fold_takes_a_diagonal_past_the_square_root_of_the_double_range():
     # T'^2 would hold 1e400 on its diagonal without the power-of-two scaling
-    op = np.diag([-1e200, 0.0, 1e200]) + np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1)
-    got = sorted_c(dense_spectrum(op.astype(complex)))
+    ones = np.ones(2, dtype=complex)
+    got = sorted_c(_band_spectrum(ones, np.array([-1e200, 0.0, 1e200], dtype=complex), ones)[0])
     np.testing.assert_allclose(got, [-1e200, 0.0, 1e200], rtol=1e-15, atol=0.0)
 
 
@@ -314,11 +337,11 @@ def test_non_tridiagonal_matrix_is_rejected():
 
 
 def test_hermitian_spectrum_is_real():
-    rng = np.random.default_rng(5)
-    a = random_tridiagonal(rng, 9)
-    h = (a + a.conj().T) / 2
-    lam = dense_spectrum(h)
-    assert np.abs(lam.imag).max() <= 1e-11 * np.linalg.norm(h)
+    for n in (8, 9):
+        bands_h = symmetric_bands(np.random.default_rng(5), n, hermitian=True)
+        lam, routine, _ = _band_spectrum(*bands_h)
+        assert routine == "eigvalsh"
+        assert np.abs(lam.imag).max() <= 1e-11 * np.linalg.norm(tridiagonal(*bands_h))
 
 
 def test_input_validation():
@@ -332,10 +355,12 @@ def test_lapack_failure_is_loud(monkeypatch):
     def fails(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    # off the real slice W goes to eigvals; m = 20 folds to h = 10
+    p = GBSParams(0.8 * np.exp(0.9j), 1.2 * np.exp(-0.3j), 0.7, 20)
+    sol = solve(p)
     monkeypatch.setattr(np.linalg, "eigvals", fails)
-    a = random_tridiagonal(np.random.default_rng(123), 10)
     with pytest.raises(NonConvergenceError, match="10x10"):
-        dense_spectrum(a)
+        compare(p, sol)
 
 
 def greedy_pairing_loop(closed, oracle_vals):
@@ -393,7 +418,7 @@ def test_compare_random_draws():
         sol = solve(p)
         report = compare(p, sol)
         assert report.max_pair_error <= 1e-9 * (1 + np.abs(sol.eigenvalues).max())
-        assert report.max_residual <= 1e-10 * np.linalg.norm(build_operator(p))
+        assert report.max_residual <= 1e-10 * np.linalg.norm(dense_reference(p))
 
 
 def test_compare_flags_defective_collapse():
@@ -404,7 +429,7 @@ def test_compare_flags_defective_collapse():
     assert report.multiplicity_collapse
     assert report.pairing == []
     assert report.max_pair_error is None
-    assert report.max_residual <= 1e-10 * np.linalg.norm(build_operator(p))
+    assert report.max_residual <= 1e-10 * np.linalg.norm(dense_reference(p))
 
 
 @pytest.mark.parametrize(
@@ -421,7 +446,7 @@ def test_compare_carries_its_verdict(p, kind):
     report = compare(p, sol)
     assert report.pair_bound == 1e-9 * (1.0 + float(np.abs(sol.eigenvalues).max()))
     assert report.residual_bound == pytest.approx(
-        1e-10 * np.linalg.norm(build_operator(p)), rel=1e-13
+        1e-10 * np.linalg.norm(dense_reference(p)), rel=1e-13
     )
     assert report.passed
     assert (report.max_pair_error is None) == (kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO)

@@ -3,7 +3,8 @@ or is rejected with ValueError, eigenstate(p, k) is solve's k-th state, and on
 the generic branch it agrees with the finite-sum form; over |nu/mu| from 1e-3
 to 1e3 the mirror Q maps state k onto state m - k; over the frame's domain
 the constraint roots and the coefficient triple are M's eigenvector ratios and
-Schur entries; the secondary root's frame only relabels state k as m - k."""
+Schur entries; the secondary root's frame only relabels state k as m - k;
+and L's bands have the exact +-lambda symmetry the oracle folds on."""
 
 import cmath
 import math
@@ -13,12 +14,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_reference
+from gbstates import oracle
 from gbstates.displacement import delta_to_zeta, displacement
 from gbstates.fock import fidelity
 from gbstates.solver import (
     GBSParams,
     SolutionKind,
-    build_operator,
+    bands,
     coefficient_triple,
     constraint_roots,
     eigenstate,
@@ -45,7 +48,7 @@ def test_solves_within_bound_or_rejects(point):
         sol = solve(p)
     except ValueError:
         return
-    op = build_operator(p)
+    op = dense_reference(p)
     states = np.column_stack(sol.eigenstates)
     lams = sol.eigenvalues[: len(sol.eigenstates)]
     residuals = np.linalg.norm(op @ states - states * lams[None, :], axis=0)
@@ -105,7 +108,7 @@ def test_the_mirror_maps_state_k_onto_state_m_minus_k(p):
     sol = solve(p)
     assume(sol.kind is SolutionKind.GENERIC)  # nu = mu* is the Hermitian branch
     m, states = p.m, sol.eigenstates
-    op = build_operator(p)
+    op = dense_reference(p)
     residuals = np.linalg.norm(op @ states.T - states.T * sol.eigenvalues, axis=0)
     assert residuals.max() <= 1e-10 * np.linalg.norm(op)
     if p.nu:
@@ -117,6 +120,31 @@ def test_the_mirror_maps_state_k_onto_state_m_minus_k(p):
             assert fidelity(states[m - k][normal[k]], v[normal[k]]) >= 1.0 - 1e-12, k
     for k in {0, m - 1, m} | ({m // 2} if m % 2 == 0 else set()):
         np.testing.assert_array_equal(eigenstate(p, k), states[k])
+
+
+@st.composite
+def band_points(draw):
+    """|mu| log-uniform over [1e-50, 1e50], |nu| over [1e-300, 1e50] or nu = 0,
+    both phases over the whole circle, eta anywhere in (0, 1) or next to
+    either end, m up to 3000."""
+    mu = min(max(10 ** draw(st.floats(-50.0, 50.0)), 1e-50), 1e50) * cmath.exp(1j * draw(phases))
+    nu = draw(st.one_of(st.just(0.0), st.floats(-300.0, 50.0).map(lambda x: min(10**x, 1e50))))
+    edges = st.sampled_from([5e-324, 1e-300, 1e-12, 1.0 - 1e-12, math.nextafter(1.0, 0.0)])
+    eta = draw(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), edges))
+    return GBSParams(mu=mu, nu=nu * cmath.exp(1j * draw(phases)), eta=eta, m=draw(st.integers(0, 3000)))
+
+
+@settings(max_examples=300)
+@given(band_points())
+def test_bands_have_the_exact_plus_minus_lambda_symmetry(p):
+    # the oracle folds T' = tridiag(e, d, e) on d[::-1] == -d and
+    # e[::-1] == e and has no route for bands without them; the products
+    # sub_n sup_n must stay finite
+    sub, diag, sup = bands(p)
+    e, prods = oracle._symmetrized(sub, sup)
+    assert np.array_equal(diag[::-1], -diag)
+    assert np.array_equal(e[::-1], e)
+    assert np.all(np.isfinite(prods)) and np.all(np.isfinite(e))
 
 
 @st.composite

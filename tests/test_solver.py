@@ -5,10 +5,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import dense_reference
 from gbstates.binomial import BinomialParams, binomial_amplitudes
 from gbstates.displacement import DisplacementParams, delta_to_zeta, displacement
 from gbstates.fock import AMPLITUDE_CAP, basis_state, fidelity, hp_generators, normalize_state
-from gbstates.oracle import compare, dense_spectrum
+from gbstates.oracle import _band_spectrum, compare
 from gbstates.solver import (
     GBSParams,
     SolutionKind,
@@ -158,7 +159,7 @@ def test_operator_norm_matches_dense_frobenius_norm():
         for _ in range(5):
             p = random_params(rng)
             p = GBSParams(p.mu, rng.choice([0.0, 1.0]) * p.nu, p.eta, m)
-            dense = np.linalg.norm(build_operator(p))
+            dense = np.linalg.norm(dense_reference(p))
             assert abs(operator_norm(p) - dense) <= 1e-13 * dense
     assert operator_norm(GBSParams(1.0, 0.5, 0.5, 0)) == 0.0
 
@@ -231,12 +232,6 @@ def test_coefficient_triple_kills_a_minus_at_both_roots():
             assert abs(t.a_minus) <= 1e-10 * p.scale
 
 
-def _dense_reference(p):
-    """L = sqrt(1-eta)(mu J+ + nu J-) - sqrt(eta) J0 from the dense generators."""
-    j0, jp, jm = hp_generators(p.m)
-    return math.sqrt(1.0 - p.eta) * (p.mu * jp + p.nu * jm) - math.sqrt(p.eta) * j0
-
-
 def test_bands_are_the_diagonals_of_the_dense_generator_sum():
     rng = np.random.default_rng(8)
     q = random_params(rng)
@@ -246,7 +241,7 @@ def test_bands_are_the_diagonals_of_the_dense_generator_sum():
     points += [GBSParams(q.mu, q.nu, q.eta, m) for m in (0, 1, 2, 400, 1000)]
     points += [GBSParams(1.0, 0.0, 0.3, 3), GBSParams(0.7j, 1.2, 0.6, 60)]
     for p in points:
-        ref = _dense_reference(p)
+        ref = dense_reference(p)
         got = bands(p)
         assert [len(b) for b in got] == [p.m, p.m + 1, p.m]
         for band, j in zip(got, (-1, 0, 1)):
@@ -262,7 +257,7 @@ def test_coefficient_triple_is_the_rotated_operator():
     for m in (1, 4, 12, 20, 400):
         q = random_params(rng)
         p = GBSParams(q.mu, q.nu, q.eta, m)
-        op = build_operator(p)
+        op = dense_reference(p)
         j0, jp, jm = hp_generators(m)
         for delta in (*constraint_roots(p), complex(*rng.normal(size=2))):
             t = coefficient_triple(p, delta)
@@ -290,7 +285,7 @@ def test_spectrum_matches_oracle_on_random_draws():
     for _ in range(25):
         p = random_params(rng)
         closed = np.sort_complex(spectrum(p))
-        oracle_vals = np.sort_complex(dense_spectrum(build_operator(p)))
+        oracle_vals = np.sort_complex(_band_spectrum(*bands(p))[0])
         used = np.zeros(len(oracle_vals), dtype=bool)
         worst = 0.0
         for z in closed:
@@ -397,7 +392,7 @@ def test_degenerate_branch_hermitian_case():
     p = GBSParams(1.0, 1.0, 0.5, 2)
     states = solve(p).eigenstates
     assert len(states) == 3
-    op = build_operator(p)
+    op = dense_reference(p)
     lams = spectrum(p)
     for lam, v in zip(lams, states):
         assert np.linalg.norm(op @ v - lam * v) <= 1e-10 * np.linalg.norm(op)
@@ -490,7 +485,7 @@ def test_eigenstate_is_the_solve_entry_at_large_m(p, kind):
     # the support-limited product run at an even and an odd m in the hundreds
     sol = solve(p)
     assert sol.kind is kind
-    op = build_operator(p)
+    op = dense_reference(p)
     bound = 1e-10 * np.linalg.norm(op)
     for k in (0, p.m // 2, p.m):
         v = eigenstate(p, k)
@@ -522,7 +517,7 @@ def test_nu_zero_eigenstates_near_the_number_limit_at_m200():
     # solve and the number-limit scans failed here on the same overflow
     for eta in (0.99, 0.9999):
         p = GBSParams(1.0, 0.0, eta, 200)
-        op = build_operator(p)
+        op = dense_reference(p)
         lams = spectrum(p)
         for k in (50, 100, 150, 200):
             v = eigenstate(p, k)
@@ -535,7 +530,7 @@ def test_solve_generic_frozen_spectrum():
     expected = [0.6 * (2 * k - 5) / 2 for k in range(6)]
     np.testing.assert_allclose(sol.eigenvalues.real, expected, atol=1e-15)
     np.testing.assert_allclose(sol.eigenvalues.imag, 0.0, atol=1e-15)
-    op = build_operator(sol.params)
+    op = dense_reference(sol.params)
     for lam, v in zip(sol.eigenvalues, sol.eigenstates):
         assert np.linalg.norm(op @ v - lam * v) <= 1e-10 * np.linalg.norm(op)
 
@@ -553,7 +548,7 @@ def test_near_hermitian_points_stay_within_the_residual_bound():
         p = GBSParams(3.0, 3.0 * (1 + 3.16e-10), 0.5, m)
         sol = solve(p)
         assert sol.kind is SolutionKind.GENERIC
-        op = build_operator(p)
+        op = dense_reference(p)
         for lam, v in zip(sol.eigenvalues, sol.eigenstates):
             assert np.linalg.norm(op @ v - lam * v) <= 1e-10 * np.linalg.norm(op)
 
@@ -585,7 +580,7 @@ def test_solve_defective_branch():
     assert sol.kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO
     assert np.abs(sol.eigenvalues).max() <= 1e-12
     assert len(sol.eigenstates) == 1
-    op = build_operator(p)
+    op = dense_reference(p)
     assert np.linalg.norm(op @ sol.eigenstates[0]) <= 1e-10 * np.linalg.norm(op)
     with pytest.raises(ValueError):
         eigenstate_sum(p, 1)
@@ -693,7 +688,7 @@ def test_twisted_states_in_the_overflow_and_edge_regimes(p):
     assert sol.kind is SolutionKind.GENERIC
     states = np.column_stack(sol.eigenstates)
     assert np.all(np.isfinite(states))
-    op = build_operator(p)
+    op = dense_reference(p)
     residuals = np.linalg.norm(op @ states - states * sol.eigenvalues, axis=0)
     assert residuals.max() <= 1e-10 * np.linalg.norm(op)
     for k in (0, 1, p.m // 2, p.m):
