@@ -185,8 +185,15 @@ def embed(v: np.ndarray, dim: int) -> np.ndarray:
 
 
 def time_evolve(v: np.ndarray, omega: float, t: float) -> np.ndarray:
-    """Free single-mode evolution: C_n -> e^{-i omega t (n + 1/2)} C_n (hbar = 1)."""
+    """Free single-mode evolution: C_n -> e^{-i omega t (n + 1/2)} C_n (hbar = 1).
+
+    Raises ValueError when the largest phase, omega t (m + 1/2) at n = m, is
+    not finite: the evolved amplitudes would all be NaN.
+    """
     v = np.asarray(v, dtype=complex)
+    top = omega * t * (len(v) - 0.5)
+    if not math.isfinite(top):
+        raise ValueError(f"omega*t*(m + 1/2) must be finite, got {top!r}")
     n = np.arange(len(v))
     return v * np.exp(-1j * omega * t * (n + 0.5))
 

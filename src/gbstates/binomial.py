@@ -7,13 +7,12 @@ sin r = sqrt(eta).
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .displacement import DisplacementParams, displacement
-from .fock import basis_state
+from .fock import basis_state, check_photon_cap
 from .solver import GBSParams, bands
 
 # math.comb is exact and C(m, m/2) stays inside double range this far;
@@ -29,10 +28,7 @@ class BinomialParams:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if not isinstance(self.m, numbers.Integral):
-            raise ValueError(f"photon cap must be an integer, got {self.m!r}")
-        if self.m < 0:
-            raise ValueError(f"photon cap must be >= 0, got {self.m}")
+        check_photon_cap(self.m)
 
 
 def binomial_amplitudes(p: BinomialParams) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Single solves (`binomial`, `gbs`, `evolve`) always emit JSON run records and
 take no `--format`; scans emit CSV (one row per schedule point) or JSON, and
-`verify` runs the whole property battery as a text table or JSON.  Exit
+`verify` runs the fixed property battery (no draw or seed flags; its JSON
+`params` is empty) as a text table or JSON.  Exit
 codes: 0 success, 2 invalid input, 3 a verification check failed or the
 oracle did not converge.  Complex numbers are encoded as [re, im] pairs.
 Output is deterministic for identical inputs except the wall times (`wall_s`
@@ -31,13 +32,7 @@ from .binomial import BinomialParams, binomial_amplitudes, ladder_residual
 from .fock import fidelity
 from .oracle import NonConvergenceError, compare
 from .solver import GBSParams, _check_index, constraint_roots, eigenstate_sum, solve
-from .verification import (
-    DEFAULT_DEGENERATE_DRAWS,
-    DEFAULT_DISENTANGLE_DRAWS,
-    DEFAULT_SEED,
-    DEFAULT_SPECTRUM_DRAWS,
-    run_all,
-)
+from .verification import run_all
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -241,9 +236,8 @@ def cmd_limit(args) -> int:
 
 def cmd_evolve(args) -> int:
     shifted = args.phi + args.omega * args.t
-    top = args.omega * args.t * (args.m + 0.5)  # the evolution's largest phase, at n = m
     for flag, value in (("--phi", args.phi), ("--omega", args.omega), ("--t", args.t),
-                        ("phi + omega*t", shifted), ("omega*t*(m + 1/2)", top)):
+                        ("phi + omega*t", shifted)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value!r}")
     p0 = GBSParams(mu=complex(math.cos(args.phi), math.sin(args.phi)), nu=0.0, eta=args.eta, m=args.m)
@@ -273,22 +267,12 @@ def cmd_evolve(args) -> int:
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
-    results = run_all(
-        spectrum_draws=args.spectrum_draws,
-        degenerate_draws=args.degenerate_draws,
-        disentangle_draws=args.disentangle_draws,
-        seed=args.seed,
-    )
+    results = run_all()
     total_s = time.perf_counter() - start
     if args.format == "json":
         payload = _record(
             "verify",
-            {
-                "spectrum_draws": args.spectrum_draws,
-                "degenerate_draws": args.degenerate_draws,
-                "disentangle_draws": args.disentangle_draws,
-                "seed": args.seed,
-            },
+            {},
             {
                 "checks": [
                     {
@@ -373,10 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.set_defaults(func=cmd_evolve)
 
     p_ver = sub.add_parser("verify", help="run the full property battery")
-    p_ver.add_argument("--spectrum-draws", type=int, default=DEFAULT_SPECTRUM_DRAWS)
-    p_ver.add_argument("--degenerate-draws", type=int, default=DEFAULT_DEGENERATE_DRAWS)
-    p_ver.add_argument("--disentangle-draws", type=int, default=DEFAULT_DISENTANGLE_DRAWS)
-    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ver.add_argument("--format", choices=["text", "json"], default="text")
     p_ver.add_argument("--out", default="-")
     p_ver.set_defaults(func=cmd_verify)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import AMPLITUDE_CAP
+from .fock import AMPLITUDE_CAP, check_photon_cap
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,7 @@ class DisplacementParams:
             raise ValueError(f"rotation magnitude must be finite and >= 0, got {self.r}")
         if not -math.pi < self.theta <= math.pi:
             raise ValueError(f"phase must lie in (-pi, pi], got {self.theta}")
-        if not isinstance(self.m, numbers.Integral):
-            raise ValueError(f"photon cap must be an integer >= 0, got {self.m!r}")
-        if self.m < 0:
-            raise ValueError(f"photon cap must be >= 0, got {self.m}")
+        check_photon_cap(self.m)
 
     @property
     def zeta(self) -> complex:

@@ -1,14 +1,17 @@
-"""Truncated Fock-space kernel: states, fidelity and the dense su(2) generators.
+"""Truncated Fock-space kernel: the photon cap, states, fidelity and the dense su(2) generators.
 
 Everything lives on the (M+1)-dimensional space spanned by the number states
 |0>, ..., |M>: states are complex 1-d numpy arrays, operators dense complex
-2-d arrays, and no function mutates its inputs.  The dense su(2) generators
-are references for the tests and verify's su(2) check; the solver and the
-oracle read L's entries from solver.bands.  The generators satisfy their
-algebra exactly at every M.
+2-d arrays, and no function mutates its inputs.  check_photon_cap is the one
+rule for M, which every parameter record and hp_generators apply before they
+allocate: an integer >= 0 whose M+1 amplitudes fit AMPLITUDE_CAP.  The dense
+su(2) generators are references for the tests and verify's su(2) check; the
+solver and the oracle read L's entries from solver.bands.  The generators
+satisfy their algebra exactly at every M.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -18,6 +21,14 @@ AMPLITUDE_CAP = 2**26
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
+def check_photon_cap(m) -> None:
+    """Raise ValueError unless m is an integer >= 0 with m + 1 <= AMPLITUDE_CAP."""
+    if not isinstance(m, numbers.Integral) or m < 0:
+        raise ValueError(f"photon cap must be an integer >= 0, got {m!r}")
+    if m + 1 > AMPLITUDE_CAP:
+        raise ValueError(f"photon cap m = {m} needs {m + 1} amplitudes per state, above the cap {AMPLITUDE_CAP}")
+
+
 def hp_generators(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Holstein-Primakoff su(2) generators (J0, J+, J-) on dim m+1.
 
@@ -25,10 +36,13 @@ def hp_generators(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     to |n> with matrix element sqrt((n+1)(m-n)); |0> is the highest-weight
     state.  The products (n+1)(m-n) are formed in exact integer arithmetic
     before the square root, which keeps the su(2) commutators at the 1e-13
-    level up to m ~ 40.
+    level up to m ~ 40.  Raises ValueError, before it allocates, when the
+    (m+1)^2 entries of one generator would exceed AMPLITUDE_CAP.
     """
-    if m < 0:
-        raise ValueError(f"photon cap must be >= 0, got {m}")
+    check_photon_cap(m)
+    size = (m + 1) * (m + 1)
+    if size > AMPLITUDE_CAP:
+        raise ValueError(f"su(2) generators at m = {m} need {size} amplitudes each, above the cap {AMPLITUDE_CAP}")
     n = np.arange(m + 1)
     j0 = np.diag(m / 2 - n).astype(complex)
     jp = np.zeros((m + 1, m + 1), dtype=complex)

@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .displacement import DisplacementParams, delta_to_zeta, displacement
-from .fock import AMPLITUDE_CAP, normalize_state
+from .fock import AMPLITUDE_CAP, check_photon_cap, normalize_state
 
 # fraction of |L|_F the dropped A+ J+ term may leave in a Hermitian-branch
 # residual: a hundredth of the 1e-10 |L|_F residual contract
@@ -106,13 +106,7 @@ class GBSParams:
             raise ValueError(f"|nu| must be at most 1e50, got {mod_nu:g}")
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must lie strictly inside (0, 1), got {self.eta}")
-        if not isinstance(self.m, numbers.Integral):
-            raise ValueError(f"photon cap must be an integer, got {self.m!r}")
-        if self.m < 0:
-            raise ValueError(f"photon cap must be >= 0, got {self.m}")
-        if self.m + 1 > AMPLITUDE_CAP:
-            raise ValueError(f"photon cap m = {self.m} needs {self.m + 1} amplitudes per state, "
-                             f"above the cap {AMPLITUDE_CAP}")
+        check_photon_cap(self.m)
 
     @property
     def scale(self) -> float:

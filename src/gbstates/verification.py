@@ -1,13 +1,14 @@
 """Property battery: every verifiable claim, runnable without a test harness.
 
 Each check returns CheckResult records with an observed worst-case metric and
-the threshold it must stay under.  The CLI `verify` subcommand runs the whole
+the threshold it must stay under.  The battery is fixed: its draw counts and
+seeds are the module constants below, so every run computes the same values
+and no check takes a parameter.  The CLI `verify` subcommand runs the whole
 battery and renders a table; the acceptance test suite asserts the same
 records one criterion at a time.
 """
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,15 +110,13 @@ def check_binomial_core() -> list[CheckResult]:
     ]
 
 
-def check_spectrum_oracle(
-    draws: int = DEFAULT_SPECTRUM_DRAWS, seed: int = DEFAULT_SEED
-) -> list[CheckResult]:
+def check_spectrum_oracle() -> list[CheckResult]:
     """Closed-form eigenvalues multiset-match the independent oracle spectrum and
     the eigenstates have small residuals, over random parameter draws."""
     worst_pair_ratio = 0.0
     worst_pair_detail = ""
     worst_resid_ratio = 0.0
-    for i, p in enumerate(random_parameter_draws(draws, seed)):
+    for i, p in enumerate(random_parameter_draws(DEFAULT_SPECTRUM_DRAWS, DEFAULT_SEED)):
         sol = solve(p)
         report = compare(p, sol)
         if report.multiplicity_collapse:
@@ -141,12 +140,10 @@ def check_spectrum_oracle(
     ]
 
 
-def check_form_equivalence(
-    draws: int = DEFAULT_SPECTRUM_DRAWS, seed: int = DEFAULT_SEED
-) -> list[CheckResult]:
+def check_form_equivalence() -> list[CheckResult]:
     """Finite-sum and exponential eigenstate forms agree for every k."""
     worst = 0.0
-    for p in random_parameter_draws(draws, seed):
+    for p in random_parameter_draws(DEFAULT_SPECTRUM_DRAWS, DEFAULT_SEED):
         for k in range(p.m + 1):
             worst = max(
                 worst,
@@ -155,16 +152,14 @@ def check_form_equivalence(
     return [_result("sum-vs-exponential-form-infidelity", worst, 1e-11)]
 
 
-def check_degenerate_branch(
-    draws: int = DEFAULT_DEGENERATE_DRAWS, seed: int = DEFAULT_SEED + 1
-) -> list[CheckResult]:
+def check_degenerate_branch() -> list[CheckResult]:
     """mu = nu* draws: Hermitian branch detection, real spectrum, orthonormal
     eigenbasis, small residuals."""
     all_degenerate = True
     worst_imag = 0.0
     worst_gram = 0.0
     worst_resid_ratio = 0.0
-    for p in random_parameter_draws(draws, seed, hermitian=True):
+    for p in random_parameter_draws(DEFAULT_DEGENERATE_DRAWS, DEFAULT_SEED + 1, hermitian=True):
         sol = solve(p)
         if sol.kind is not SolutionKind.DEGENERATE_A_PLUS_ZERO:
             all_degenerate = False
@@ -256,13 +251,11 @@ def check_squeezed_limit() -> list[CheckResult]:
     ]
 
 
-def check_disentangling(
-    draws: int = DEFAULT_DISENTANGLE_DRAWS, seed: int = DEFAULT_SEED + 2
-) -> list[CheckResult]:
+def check_disentangling() -> list[CheckResult]:
     """Exact-integer product form of the rotation equals displacement()."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED + 2)
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(DEFAULT_DISENTANGLE_DRAWS):
         m = int(rng.integers(1, 21))
         absxi = float(rng.uniform(0.0, 1.4))
         phase = float(rng.uniform(-np.pi, np.pi))
@@ -272,10 +265,10 @@ def check_disentangling(
     return [_result("disentangling-product-form", worst, 1e-10)]
 
 
-def check_time_evolution(seed: int = DEFAULT_SEED + 3) -> list[CheckResult]:
+def check_time_evolution() -> list[CheckResult]:
     """Free evolution of a nu = 0 eigenstate equals the state rebuilt with the
     shifted mu phase, up to a global phase."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED + 3)
     eta, m = 0.3, 8
     worst = 0.0
     for _ in range(20):
@@ -289,9 +282,9 @@ def check_time_evolution(seed: int = DEFAULT_SEED + 3) -> list[CheckResult]:
     return [_result("time-evolution-phase-shift", worst, 1e-12)]
 
 
-def check_su2_algebra_and_unitarity(seed: int = DEFAULT_SEED + 4) -> list[CheckResult]:
+def check_su2_algebra_and_unitarity() -> list[CheckResult]:
     """su(2) commutators and displacement unitarity for every m <= 40."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED + 4)
     worst_comm = 0.0
     worst_unit = 0.0
     for m in range(41):
@@ -344,38 +337,26 @@ def check_modulus_absorption() -> list[CheckResult]:
     return [_result("modulus-absorption-verdict", worst_b, 1e-10, detail)]
 
 
-def run_all(
-    spectrum_draws: int = DEFAULT_SPECTRUM_DRAWS,
-    degenerate_draws: int = DEFAULT_DEGENERATE_DRAWS,
-    disentangle_draws: int = DEFAULT_DISENTANGLE_DRAWS,
-    seed: int = DEFAULT_SEED,
-) -> list[CheckResult]:
+def run_all() -> list[CheckResult]:
     """Run the full battery and return every CheckResult, each carrying the
-    wall time of the check function that produced it.  Every draw count must
-    be an integer >= 1: a check over no draws would pass with nothing checked."""
-    counts = (spectrum_draws, degenerate_draws, disentangle_draws)
-    for name, count in zip(("spectrum", "degenerate", "disentangle"), counts):
-        if not isinstance(count, numbers.Integral):
-            raise ValueError(f"{name} draws must be an integer, got {count!r}")
-        if count < 1:
-            raise ValueError(f"{name} draws must be >= 1, got {count}")
+    wall time of the check function that produced it."""
     battery = [
-        (check_binomial_core, ()),
-        (check_spectrum_oracle, (spectrum_draws, seed)),
-        (check_form_equivalence, (spectrum_draws, seed)),
-        (check_degenerate_branch, (degenerate_draws, seed + 1)),
-        (check_number_state_limit, ()),
-        (check_coherent_limit, ()),
-        (check_squeezed_limit, ()),
-        (check_disentangling, (disentangle_draws, seed + 2)),
-        (check_time_evolution, (seed + 3,)),
-        (check_su2_algebra_and_unitarity, (seed + 4,)),
-        (check_modulus_absorption, ()),
+        check_binomial_core,
+        check_spectrum_oracle,
+        check_form_equivalence,
+        check_degenerate_branch,
+        check_number_state_limit,
+        check_coherent_limit,
+        check_squeezed_limit,
+        check_disentangling,
+        check_time_evolution,
+        check_su2_algebra_and_unitarity,
+        check_modulus_absorption,
     ]
     results: list[CheckResult] = []
-    for check, args in battery:
+    for check in battery:
         start = time.perf_counter()
-        batch = check(*args)
+        batch = check()
         elapsed = time.perf_counter() - start
         for r in batch:
             r.wall_s = elapsed

@@ -30,18 +30,18 @@ def test_criterion_01_binomial_core():
 def test_criterion_02_spectrum_oracle_equivalence():
     # 200 random draws, m <= 12: pairing within 1e-9 (1 + max |eigenvalue|),
     # eigenstate residuals within 1e-10 |L|_F
-    report_and_assert(vf.check_spectrum_oracle(draws=200))
+    report_and_assert(vf.check_spectrum_oracle())
 
 
 def test_criterion_03_form_equivalence():
     # finite-sum vs exponential eigenstates: infidelity <= 1e-11, same draws
-    report_and_assert(vf.check_form_equivalence(draws=200))
+    report_and_assert(vf.check_form_equivalence())
 
 
 def test_criterion_04_degenerate_branch():
     # 50 mu = nu* draws: branch detection, |Im eigenvalue| <= 1e-10,
     # orthonormality defect <= 1e-10, residuals <= 1e-10 |L|_F
-    report_and_assert(vf.check_degenerate_branch(draws=50))
+    report_and_assert(vf.check_degenerate_branch())
 
 
 def test_criterion_05_number_state_limit():
@@ -67,7 +67,7 @@ def test_criterion_07_squeezed_limit_and_amplitude_verdict():
 def test_criterion_08_disentangling_theorem():
     # 50 random |xi| <= 1.4, m <= 20: the exact-integer product form equals
     # displacement() to 1e-10 Frobenius
-    report_and_assert(vf.check_disentangling(draws=50))
+    report_and_assert(vf.check_disentangling())
 
 
 def test_criterion_09_time_evolution():

@@ -226,6 +226,17 @@ def test_time_evolve_is_diagonal_phase():
     )
 
 
+@pytest.mark.parametrize(
+    "omega, t, got",
+    [(1e308, 10.0, "inf"), (1e307, 1.0, "inf"), (math.nan, 1.0, "nan"), (1.0, -math.inf, "-inf")],
+)
+def test_time_evolve_rejects_a_non_finite_top_phase(omega, t, got):
+    # omega t (m + 1/2) at m = 20: each used to return all-NaN amplitudes
+    v = binomial_amplitudes(BinomialParams(0.4, 20))
+    with pytest.raises(ValueError, match=rf"omega\*t\*\(m \+ 1/2\) must be finite, got {got}$"):
+        time_evolve(v, omega, t)
+
+
 def test_time_evolution_equals_phase_shifted_family_member():
     eta, m, k = 0.3, 8, 4
     phi, omega, t = 0.6, 1.3, 2.1

@@ -24,6 +24,10 @@ def test_params_validation():
         with pytest.raises(ValueError, match="photon cap must be an integer"):
             BinomialParams(eta=0.3, m=m)
     assert BinomialParams(eta=0.3, m=np.int64(4)).m == 4
+    # m + 1 amplitudes per state, as for GBSParams
+    assert BinomialParams(eta=0.5, m=2**26 - 1).m == 2**26 - 1
+    with pytest.raises(ValueError, match="photon cap m = 67108864 needs 67108865 amplitudes per state"):
+        BinomialParams(eta=0.5, m=2**26)
 
 
 def test_endpoints_give_exact_number_states():

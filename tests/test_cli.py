@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -46,6 +47,20 @@ def test_binomial_validation_exit_code(capsys):
     code, _, err = run_cli(capsys, ["binomial", "--eta", "1.5", "--m", "2"])
     assert code == 2
     assert "[0, 1]" in err
+
+
+def test_binomial_past_the_amplitude_cap_exits_2(capsys, monkeypatch):
+    # used to start a 2^26-entry lgamma list
+    def no_amplitudes(p):
+        raise AssertionError("binomial_amplitudes reached")
+
+    monkeypatch.setattr(cli, "binomial_amplitudes", no_amplitudes)
+    code, out, err = run_cli(capsys, ["binomial", "--eta", "0.5", "--m", "67108864"])
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [
+        "error: photon cap m = 67108864 needs 67108865 amplitudes per state, above the cap 67108864"
+    ]
 
 
 def test_gbs_spectrum_and_roots(capsys):
@@ -585,71 +600,76 @@ def test_out_file_uses_lf(tmp_path, capsys):
     json.loads(raw.decode("utf-8"))
 
 
-def test_verify_quick_pass(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        [
-            "verify",
-            "--spectrum-draws", "10",
-            "--degenerate-draws", "5",
-            "--disentangle-draws", "5",
-        ],
-    )
-    assert code == 0
-    assert "checks passed" in out
-    assert "FAIL" not in out
-
-
-def test_verify_json_records_amplitude_verdict(capsys):
-    doc = run_json(
-        capsys,
-        [
-            "verify",
-            "--spectrum-draws", "5",
-            "--degenerate-draws", "3",
-            "--disentangle-draws", "3",
-            "--format", "json",
-        ],
-    )
+def test_verify_json_runs_the_fixed_battery(capsys):
+    doc = run_json(capsys, ["verify", "--format", "json"])
+    assert doc["params"] == {}
+    checks = doc["results"]["checks"]
     assert doc["results"]["all_passed"] is True
-    squeezed = [c for c in doc["results"]["checks"] if c["name"] == "squeezed-limit"]
+    assert len(checks) == 18
+    assert all(c["passed"] for c in checks)
+    squeezed = [c for c in checks if c["name"] == "squeezed-limit"]
     assert len(squeezed) == 1
     assert "verdict: alpha/2" in squeezed[0]["detail"]
-
-
-def test_verify_json_reports_wall_time_per_check(capsys):
-    doc = run_json(
-        capsys,
-        [
-            "verify",
-            "--spectrum-draws", "3",
-            "--degenerate-draws", "2",
-            "--disentangle-draws", "2",
-            "--format", "json",
-        ],
-    )
     wall = doc["diagnostics"]["wall_s"]
-    assert set(wall) == {c["name"] for c in doc["results"]["checks"]}
-    assert len(wall) == len(doc["results"]["checks"])
+    assert set(wall) == {c["name"] for c in checks}
+    assert len(wall) == len(checks)
     times = [*wall.values(), doc["diagnostics"]["total_s"]]
     assert all(math.isfinite(t) and t >= 0.0 for t in times)
     # total_s spans the whole battery, so no single check can exceed it
     assert doc["diagnostics"]["total_s"] >= max(wall.values())
 
 
-@pytest.mark.parametrize("flag", ["--spectrum-draws", "--degenerate-draws", "--disentangle-draws"])
-@pytest.mark.parametrize("count", ["-3", "0"])
-def test_verify_rejects_draw_counts_below_one(capsys, flag, count):
-    # a check over no draws would print PASS with observed 0
-    code, out, err = run_cli(capsys, ["verify", flag, count])
-    assert code == 2
-    assert out == ""
-    assert f"{flag[2:].replace('-', ' ')} must be >= 1, got {count}" in err
+def test_verify_text_table(capsys, monkeypatch):
+    rows = [
+        CheckResult(name="first", passed=True, observed=1e-13, threshold=1e-12),
+        CheckResult(name="second", passed=True, observed=0.0, threshold=1.0, detail="why"),
+    ]
+    monkeypatch.setattr(cli, "run_all", lambda: rows)
+    code, out, _ = run_cli(capsys, ["verify"])
+    assert code == 0
+    assert out.splitlines() == [
+        f"PASS  {'first':40s} 1.000e-13 <= 1.000e-12",
+        f"PASS  {'second':40s} 0.000e+00 <= 1.000e+00",
+        "      why",
+        "2/2 checks passed",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--seed", "1"], ["--spectrum-draws", "3"], ["--degenerate-draws", "3"], ["--disentangle-draws", "3"]],
+)
+def test_verify_has_no_draw_or_seed_flags(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_subcommand_option_sets():
+    # a new knob shows up here as a test change
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+    complex_flags = {"--mu-re", "--mu-im", "--nu-re", "--nu-im"}
+    assert options == {
+        "binomial": {"--eta", "--m", "--out"},
+        "gbs": complex_flags | {"--eta", "--m", "--k", "--out"},
+        "limit": complex_flags | {"--mode", "--m", "--k", "--etas", "--alpha", "--m-values",
+                                  "--rule", "--offset", "--phi", "--format", "--out"},
+        "evolve": {"--eta", "--m", "--k", "--phi", "--omega", "--t", "--out"},
+        "verify": {"--format", "--out"},
+    }
 
 
 def test_verify_failure_path(capsys, monkeypatch):
     failing = CheckResult(name="planted", passed=False, observed=1.0, threshold=0.5)
-    monkeypatch.setattr(cli, "run_all", lambda **_: [failing])
+    monkeypatch.setattr(cli, "run_all", lambda: [failing])
     code, out, _ = run_cli(capsys, ["verify"])
     assert code == 3
     assert "FAIL" in out

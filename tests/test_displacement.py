@@ -54,6 +54,8 @@ def test_displacement_params_validation():
         with pytest.raises(ValueError, match="photon cap must be an integer >= 0"):
             DisplacementParams(r=0.3, theta=0.0, m=m)
     assert DisplacementParams(r=0.3, theta=0.0, m=np.int64(4)).m == 4
+    with pytest.raises(ValueError, match="photon cap m = 67108864 needs 67108865 amplitudes per state"):
+        DisplacementParams(r=0.3, theta=0.0, m=2**26)
 
 
 def test_displacement_identity_and_two_level_action():

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import annihilation_operator
+from gbstates import fock
 from gbstates.fock import (
+    AMPLITUDE_CAP,
     basis_state,
+    check_photon_cap,
     commutator,
     fidelity,
     hp_generators,
@@ -33,6 +36,38 @@ def test_negative_cap_rejected():
     for op in (annihilation_operator, hp_generators):
         with pytest.raises(ValueError):
             op(-1)
+
+
+@pytest.mark.parametrize("m", [2.5, 4.0, -1, "3", None])
+def test_photon_cap_must_be_an_integer_at_least_zero(m):
+    with pytest.raises(ValueError, match="photon cap must be an integer >= 0"):
+        check_photon_cap(m)
+
+
+def test_photon_cap_boundary():
+    for m in (0, np.int64(7), AMPLITUDE_CAP - 1):
+        check_photon_cap(m)
+    with pytest.raises(ValueError, match="photon cap m = 67108864 needs 67108865 amplitudes per state, "
+                                         "above the cap 67108864"):
+        check_photon_cap(AMPLITUDE_CAP)
+
+
+class _NoAllocation:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} reached")
+
+
+def test_hp_generators_check_the_cap_before_they_allocate(monkeypatch):
+    # 2.5 used to reach range() and raise TypeError
+    with pytest.raises(ValueError, match="photon cap must be an integer >= 0, got 2.5"):
+        hp_generators(2.5)
+    monkeypatch.setattr(fock, "np", _NoAllocation())
+    # three dense (m+1)^2 matrices: m = 8191 is the largest that fits the cap
+    with pytest.raises(AssertionError, match="np.arange reached"):
+        hp_generators(8191)
+    with pytest.raises(ValueError, match="su\\(2\\) generators at m = 8192 need 67125249 amplitudes each, "
+                                         "above the cap 67108864"):
+        hp_generators(8192)
 
 
 def test_hp_spin_half():

@@ -29,7 +29,7 @@ from gbstates.solver import (
     undisplaced_eigenstate,
 )
 from gbstates.solver import _core, _exponential_form_core, _rotation
-from gbstates.verification import DEFAULT_SEED, random_parameter_draws, run_all
+from gbstates.verification import DEFAULT_SEED, random_parameter_draws
 
 
 def random_params(rng, hermitian=False, m_max=12):
@@ -660,13 +660,6 @@ def test_eigenstate_takes_numpy_integer_indices():
     p = GBSParams(1.0, 0.3, 0.4, 10)
     np.testing.assert_array_equal(eigenstate(p, np.int64(5)), eigenstate(p, 5))
     np.testing.assert_array_equal(eigenstate_sum(p, np.int32(5)), eigenstate_sum(p, 5))
-
-
-@pytest.mark.parametrize("name", ["spectrum", "degenerate", "disentangle"])
-def test_run_all_rejects_a_non_integer_draw_count(name):
-    # 2.5 used to reach range() and raise TypeError
-    with pytest.raises(ValueError, match=f"{name} draws must be an integer, got 2.5"):
-        run_all(**{f"{name}_draws": 2.5})
 
 
 @pytest.mark.parametrize(
