@@ -600,16 +600,36 @@ def test_out_file_uses_lf(tmp_path, capsys):
     json.loads(raw.decode("utf-8"))
 
 
-def test_verify_json_runs_the_fixed_battery(capsys):
-    doc = run_json(capsys, ["verify", "--format", "json"])
+@pytest.fixture(scope="module")
+def verify_json_doc():
+    """One full `verify --format json` run, shared by the tests that read it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--format", "json"])
+    assert code == 0
+    return json.loads(out.getvalue())
+
+
+def test_verify_json_runs_the_fixed_battery(verify_json_doc):
+    doc = verify_json_doc
     assert doc["params"] == {}
     checks = doc["results"]["checks"]
     assert doc["results"]["all_passed"] is True
     assert len(checks) == 18
     assert all(c["passed"] for c in checks)
+
+
+def test_verify_json_records_amplitude_verdict(verify_json_doc):
+    checks = verify_json_doc["results"]["checks"]
     squeezed = [c for c in checks if c["name"] == "squeezed-limit"]
     assert len(squeezed) == 1
+    assert squeezed[0]["passed"] is True
     assert "verdict: alpha/2" in squeezed[0]["detail"]
+
+
+def test_verify_json_reports_wall_time_per_check(verify_json_doc):
+    doc = verify_json_doc
+    checks = doc["results"]["checks"]
     wall = doc["diagnostics"]["wall_s"]
     assert set(wall) == {c["name"] for c in checks}
     assert len(wall) == len(checks)
