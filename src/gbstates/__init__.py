@@ -25,13 +25,7 @@ from .displacement import (
     disentangled_displacement,
     displacement,
 )
-from .fock import (
-    basis_state,
-    commutator,
-    fidelity,
-    hp_generators,
-    normalize_state,
-)
+from .fock import basis_state, fidelity, normalize_state
 from .oracle import NonConvergenceError, SpectrumReport, compare
 from .solver import (
     CoefficientTriple,
@@ -65,7 +59,6 @@ __all__ = [
     "binomial_displacement_form",
     "binomial_phase_parameters",
     "coefficient_triple",
-    "commutator",
     "compare",
     "constraint_roots",
     "delta_to_zeta",
@@ -75,7 +68,6 @@ __all__ = [
     "eigenstate_exponential",
     "eigenstate_sum",
     "fidelity",
-    "hp_generators",
     "ladder_residual",
     "normalize_state",
     "number_limit_scan",

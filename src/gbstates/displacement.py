@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import AMPLITUDE_CAP, check_photon_cap
+from .fock import AMPLITUDE_CAP, check_photon_cap, hop_squares
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,8 @@ def displacement(p: DisplacementParams) -> np.ndarray:
     m = p.m
     h = (m + 1) // 2
     s = m // 2 + 1
-    j = np.arange(1, s)
-    # the sub-diagonal sqrt((j+1)(m-j)) of X, formed on the integers
-    off = np.sqrt(j * (m + 1 - j), dtype=float)
+    # the block's sub-diagonal: X's first s - 1 entries, the su(2) hops
+    off = np.sqrt(hop_squares(m)[: s - 1])
     if m % 2:
         x = np.zeros((h, h))
         # eigh reads only the lower triangle: fill the sub-diagonal through a flat view

@@ -1,16 +1,15 @@
-"""Truncated Fock-space kernel: the photon cap, states, fidelity and the dense su(2) generators.
+"""Truncated Fock-space kernel: the photon cap, the su(2) hop, states and fidelity.
 
 Everything lives on the (M+1)-dimensional space spanned by the number states
-|0>, ..., |M>: states are complex 1-d numpy arrays, operators dense complex
-2-d arrays, and no function mutates its inputs.  check_photon_cap is the one
-rule for M, which every parameter record and hp_generators apply before they
-allocate: an integer >= 0 whose M+1 amplitudes fit AMPLITUDE_CAP.  The dense
-su(2) generators are references for the tests and verify's su(2) check; the
-solver and the oracle read L's entries from solver.bands.  The generators
-satisfy their algebra exactly at every M.
+|0>, ..., |M>: states are complex 1-d numpy arrays, and no function mutates
+its inputs.  check_photon_cap is the one rule for M, which every parameter
+record and basis_state apply before they allocate: an integer >= 0 whose M+1
+amplitudes fit AMPLITUDE_CAP.  hop_squares is the one source of the
+Holstein-Primakoff hop sqrt((n+1)(m-n)) that J+ = sqrt(m-N) a and
+J- = a^dag sqrt(m-N) share: every band of L, of D(zeta)'s generator and of
+verify's su(2) check reads it.
 """
 
-import math
 import numbers
 
 import numpy as np
@@ -29,26 +28,14 @@ def check_photon_cap(m) -> None:
         raise ValueError(f"photon cap m = {m} needs {m + 1} amplitudes per state, above the cap {AMPLITUDE_CAP}")
 
 
-def hp_generators(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Holstein-Primakoff su(2) generators (J0, J+, J-) on dim m+1.
+def hop_squares(m: int) -> np.ndarray:
+    """(n+1)(m-n) for n = 0..m-1, formed on the integers, as doubles.
 
-    J0 = m/2 - N,  J+ = sqrt(m-N) a,  J- = a^dag sqrt(m-N).  J+ moves |n+1>
-    to |n> with matrix element sqrt((n+1)(m-n)); |0> is the highest-weight
-    state.  The products (n+1)(m-n) are formed in exact integer arithmetic
-    before the square root, which keeps the su(2) commutators at the 1e-13
-    level up to m ~ 40.  Raises ValueError, before it allocates, when the
-    (m+1)^2 entries of one generator would exceed AMPLITUDE_CAP.
+    J+ moves |n+1> to |n> with sqrt of entry n, and J- is its transpose.  The
+    values stay below 2^51 under AMPLITUDE_CAP, so every double is exact.
     """
-    check_photon_cap(m)
-    size = (m + 1) * (m + 1)
-    if size > AMPLITUDE_CAP:
-        raise ValueError(f"su(2) generators at m = {m} need {size} amplitudes each, above the cap {AMPLITUDE_CAP}")
-    n = np.arange(m + 1)
-    j0 = np.diag(m / 2 - n).astype(complex)
-    jp = np.zeros((m + 1, m + 1), dtype=complex)
-    for k in range(m):
-        jp[k, k + 1] = math.sqrt((k + 1) * (m - k))
-    return j0, jp, jp.conj().T
+    n = np.arange(1, m + 1)
+    return (n * (m + 1 - n)).astype(float)
 
 
 def fidelity(u: np.ndarray, v: np.ndarray) -> float:
@@ -65,18 +52,11 @@ def fidelity(u: np.ndarray, v: np.ndarray) -> float:
     return float(min(f, 1.0))
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
-
-
 def basis_state(n: int, dim: int) -> np.ndarray:
-    """Number state |n> as a dim-long amplitude vector."""
-    if not 0 <= n < dim:
-        raise ValueError(f"basis index {n} outside [0, {dim})")
+    """Number state |n> as a dim-long amplitude vector; dim - 1 is a photon cap."""
+    check_photon_cap(dim - 1)
+    if not isinstance(n, numbers.Integral) or not 0 <= n < dim:
+        raise ValueError(f"basis index must be an integer in [0, {dim}), got {n!r}")
     v = np.zeros(dim, dtype=complex)
     v[n] = 1.0
     return v

@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .displacement import DisplacementParams, delta_to_zeta, displacement
-from .fock import AMPLITUDE_CAP, check_photon_cap, normalize_state
+from .fock import AMPLITUDE_CAP, check_photon_cap, hop_squares, normalize_state
 
 # fraction of |L|_F the dropped A+ J+ term may leave in a Hermitian-branch
 # residual: a hundredth of the 1e-10 |L|_F residual contract
@@ -144,13 +144,13 @@ class GBSSolution:
 def bands(p: GBSParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sub, diag, sup) of L in O(m), the one definition of its entries.
 
-    J+ moves |n+1> to |n> with sqrt((n+1)(m-n)), the product formed on the
-    integers; J- is its transpose and J0 = m/2 - N.  Each entry rounds as in
-    the dense sum of the three generators.
+    J+ moves |n+1> to |n> with the hop sqrt((n+1)(m-n)) of fock.hop_squares;
+    J- is its transpose and J0 = m/2 - N.  Each entry rounds as in the dense
+    sum of the three generators.
     """
     n = np.arange(p.m + 1)
     s = math.sqrt(1.0 - p.eta)
-    hop = np.sqrt((n[1:] * (p.m + 1 - n[1:])).astype(float))
+    hop = np.sqrt(hop_squares(p.m))
     diag = (math.sqrt(p.eta) * (n - p.m / 2)).astype(complex)
     return s * (complex(p.nu) * hop), diag, s * (complex(p.mu) * hop)
 
@@ -399,12 +399,13 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
     so k's upward running product of them is (-1)^(m-n) times the mirror's
     downward one; the twist is found per state.
 
-    The pivots see only u_n l_n = (1-eta) mu nu (n+1)(m-n), whose phase phi is
-    the same for every n.  Rotating them by e^{-i phi/2} makes the products
-    real, and dividing by sigma, the power of two at |A0|, keeps them near 1.
-    Then -u_n / D+_n = v |u_n| / |D+_n| times the conjugate unit phase of
-    D+_n, with v = -mu e^{-i phi/2} / |mu|, and above r the same holds with
-    v* and |l_{n-1}|.  So the state is v^-n times a modulus and a phase
+    The pivots see only u_n l_n = (1-eta) mu nu (n+1)(m-n), the squared hop
+    of fock.hop_squares, whose phase phi is the same for every n.  Rotating
+    them by e^{-i phi/2} makes the products real, and dividing by sigma, the
+    power of two at |A0|, keeps them near 1.  Then -u_n / D+_n = v |u_n| /
+    |D+_n| times the conjugate unit phase of D+_n, with
+    v = -mu e^{-i phi/2} / |mu|, and above r the same holds with v* and
+    |l_{n-1}|.  So the state is v^-n times a modulus and a phase
     product.  The modulus is summed, per state, as log |band| - log |pivot|
     outward from r, which sits at the state's large entries, and max-shifted
     before exp, so nothing overflows at any |nu/mu|; the phase is the
@@ -423,7 +424,7 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
     rot = cmath.exp(-0.5j * cmath.phase(mu * nu)) / 2.0 ** math.frexp(abs(a_zero))[1]
     n = np.arange(m + 1)
     diag = (se * (2 * n - m) * 0.5) * rot
-    prods = (n[1:] * (m + 1 - n[1:])).astype(float)  # (n+1)(m-n), n < m
+    prods = hop_squares(m)  # (n+1)(m-n), n < m
     # u_n l_n, rotated and scaled; each factor scaled on its own: |rot|^2
     # alone overflows once |A0| < 1e-154
     c = (s * abs(mu) * abs(rot)) * (s * abs(nu) * abs(rot)) * prods

@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .binomial import BinomialParams, binomial_amplitudes, binomial_displacement_form, ladder_residual
 from .displacement import DisplacementParams, disentangled_displacement, displacement
-from .fock import commutator, fidelity, hp_generators
+from .fock import fidelity, hop_squares
 from .oracle import compare
 from .solver import (
     GBSParams,
@@ -283,17 +283,23 @@ def check_time_evolution() -> list[CheckResult]:
 
 
 def check_su2_algebra_and_unitarity() -> list[CheckResult]:
-    """su(2) commutators and displacement unitarity for every m <= 40."""
+    """Displacement unitarity and the su(2) commutators, for every m <= 40, on
+    the hop that L and D(zeta) read: [J0, J+-] = +-J+- entry by entry on the
+    band, and [J+, J-] = 2 J0 on the diagonal, hop_n^2 - hop_{n-1}^2 = m - 2n.
+    """
     rng = np.random.default_rng(DEFAULT_SEED + 4)
     worst_comm = 0.0
     worst_unit = 0.0
     for m in range(41):
-        j0, jp, jm = hp_generators(m)
+        hop = np.sqrt(hop_squares(m))
+        j0 = m / 2 - np.arange(m + 1)
+        squares = np.zeros(m + 2)  # hop_n^2 for n = -1..m, zero at both ends
+        squares[1:-1] = hop * hop
         worst_comm = max(
             worst_comm,
-            float(np.linalg.norm(commutator(j0, jp) - jp)),
-            float(np.linalg.norm(commutator(j0, jm) + jm)),
-            float(np.linalg.norm(commutator(jp, jm) - 2 * j0)),
+            float(np.linalg.norm((j0[:-1] * hop - hop * j0[1:]) - hop)),
+            float(np.linalg.norm((j0[1:] * hop - hop * j0[:-1]) + hop)),
+            float(np.linalg.norm((squares[1:] - squares[:-1]) - 2 * j0)),
         )
         for _ in range(3):
             r = float(rng.uniform(0.0, np.pi / 2 * 0.999))

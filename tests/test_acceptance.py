@@ -7,6 +7,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report lines.
 """
 
+import numpy as np
+
 from gbstates import verification as vf
 
 
@@ -77,9 +79,21 @@ def test_criterion_09_time_evolution():
 
 
 def test_criterion_10_su2_algebra_and_unitarity():
-    # commutator identities to 1e-12 and displacement unitarity to 1e-11
-    # for all m <= 40
+    # commutator identities to 1e-12 on the band that L and D(zeta) read,
+    # and displacement unitarity to 1e-11, for all m <= 40
     report_and_assert(vf.check_su2_algebra_and_unitarity())
+
+
+def test_criterion_10_fails_on_a_wrong_hop(monkeypatch):
+    # (n+1)(m-n+1) keeps [J0, J+-] = +-J+- but breaks [J+, J-] = 2 J0
+    def wrong_hop_squares(m):
+        n = np.arange(m)
+        return ((n + 1) * (m - n + 1)).astype(float)
+
+    monkeypatch.setattr(vf, "hop_squares", wrong_hop_squares)
+    results = {r.name: r for r in vf.check_su2_algebra_and_unitarity()}
+    assert not results["su2-commutators"].passed
+    assert results["displacement-unitarity"].passed
 
 
 def test_open_question_modulus_absorption_verdict():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import hp_generators
 from gbstates.analysis import embed, squeezed_eigenstate
 from gbstates.binomial import (
     BinomialParams,
@@ -10,7 +11,7 @@ from gbstates.binomial import (
     binomial_displacement_form,
     ladder_residual,
 )
-from gbstates.fock import basis_state, fidelity, hp_generators
+from gbstates.fock import basis_state, fidelity
 
 
 def test_params_validation():

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from conftest import hp_generators
 from gbstates.displacement import (
     DISENTANGLED_MAX_M,
     DisplacementParams,
@@ -13,7 +14,7 @@ from gbstates.displacement import (
     disentangled_displacement,
     displacement,
 )
-from gbstates.fock import basis_state, hp_generators
+from gbstates.fock import basis_state
 
 
 def test_delta_to_zeta_cases():

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import annihilation_operator
+from conftest import annihilation_operator, commutator, hp_generators
 from gbstates import fock
 from gbstates.fock import (
     AMPLITUDE_CAP,
     basis_state,
     check_photon_cap,
-    commutator,
     fidelity,
-    hp_generators,
+    hop_squares,
     normalize_state,
 )
 
@@ -33,9 +32,8 @@ def test_number_identity_from_ladder_product():
 
 
 def test_negative_cap_rejected():
-    for op in (annihilation_operator, hp_generators):
-        with pytest.raises(ValueError):
-            op(-1)
+    with pytest.raises(ValueError):
+        annihilation_operator(-1)
 
 
 @pytest.mark.parametrize("m", [2.5, 4.0, -1, "3", None])
@@ -52,22 +50,12 @@ def test_photon_cap_boundary():
         check_photon_cap(AMPLITUDE_CAP)
 
 
-class _NoAllocation:
-    def __getattr__(self, name):
-        raise AssertionError(f"np.{name} reached")
-
-
-def test_hp_generators_check_the_cap_before_they_allocate(monkeypatch):
-    # 2.5 used to reach range() and raise TypeError
-    with pytest.raises(ValueError, match="photon cap must be an integer >= 0, got 2.5"):
-        hp_generators(2.5)
-    monkeypatch.setattr(fock, "np", _NoAllocation())
-    # three dense (m+1)^2 matrices: m = 8191 is the largest that fits the cap
-    with pytest.raises(AssertionError, match="np.arange reached"):
-        hp_generators(8191)
-    with pytest.raises(ValueError, match="su\\(2\\) generators at m = 8192 need 67125249 amplitudes each, "
-                                         "above the cap 67108864"):
-        hp_generators(8192)
+def test_hop_squares_are_the_integer_products():
+    # exact at the largest m whose dense generators fit the cap
+    for m in (0, 1, 2, 8191):
+        got = hop_squares(m)
+        assert got.dtype == float
+        assert got.tolist() == [(n + 1) * (m - n) for n in range(m)]
 
 
 def test_hp_spin_half():
@@ -183,6 +171,27 @@ def test_normalize_state_gives_a_row_the_same_bits_alone_as_in_a_stack():
         rows = normalize_state(stack)
         for i in range(len(stack)):
             np.testing.assert_array_equal(normalize_state(stack[i : i + 1])[0], rows[i])
+
+
+class _NoAllocation:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} reached")
+
+
+@pytest.mark.parametrize(
+    ("n", "dim", "match"),
+    [
+        (1.5, 3, r"basis index must be an integer in \[0, 3\), got 1.5"),
+        (0, 2.5, "photon cap must be an integer >= 0, got 1.5"),
+        (0, 2**27, "photon cap m = 134217727 needs 134217728 amplitudes per state, above the cap 67108864"),
+    ],
+    ids=["fractional-index", "fractional-dim", "past-the-cap"],
+)
+def test_basis_state_checks_before_it_allocates(monkeypatch, n, dim, match):
+    # these raised IndexError, raised TypeError and allocated 2 GiB
+    monkeypatch.setattr(fock, "np", _NoAllocation())
+    with pytest.raises(ValueError, match=match):
+        basis_state(n, dim)
 
 
 def test_basis_state_bounds():

@@ -5,10 +5,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import dense_reference
+from conftest import dense_reference, hp_generators
 from gbstates.binomial import BinomialParams, binomial_amplitudes
 from gbstates.displacement import DisplacementParams, delta_to_zeta, displacement
-from gbstates.fock import AMPLITUDE_CAP, basis_state, fidelity, hp_generators, normalize_state
+from gbstates.fock import AMPLITUDE_CAP, basis_state, fidelity, normalize_state
 from gbstates.oracle import _band_spectrum, compare
 from gbstates.solver import (
     GBSParams,
@@ -248,6 +248,15 @@ def test_bands_are_the_diagonals_of_the_dense_generator_sum():
             assert band.dtype == complex
             assert np.array_equal(band, np.diagonal(ref, j))
         assert np.array_equal(build_operator(p), ref)
+
+
+def test_bands_read_the_hop_at_the_largest_dense_m():
+    # entry by entry against math.sqrt on the integers, in O(m)
+    p = GBSParams(0.9 + 0.4j, 0.3j, 0.55, 8191)
+    s = math.sqrt(1.0 - p.eta)
+    _, _, sup = bands(p)
+    expected = [s * (complex(p.mu) * math.sqrt((n + 1) * (p.m - n))) for n in range(p.m)]
+    np.testing.assert_array_equal(sup, expected)
 
 
 def test_coefficient_triple_is_the_rotated_operator():
