@@ -5,9 +5,9 @@ coherent/squeezed states (m -> inf, eta = alpha^2/m).  This module provides
 the reference states, the fidelity/residual scans that probe those limits at
 finite resolution, and the free-field time evolution.  Every reference state
 comes from one recursion, squeezed_eigenstate: the eigenstate of
-mu a + nu a^dag, whose nu = 0 case is the coherent state.  It sizes its own
-truncation from its amplitude and raises ValueError when that exceeds
-REFERENCE_DIM_CAP amplitudes; embed pads it to a larger dimension.
+mu a + nu a^dag, whose nu = 0 case is the coherent state.  It stops on its
+own tail and raises ValueError when that stop could lie past
+REFERENCE_DIM_CAP entries; embed pads it to a larger dimension.
 """
 
 import cmath
@@ -95,23 +95,15 @@ class LimitSchedule:
         return self.alpha * self.alpha / m
 
 
-def _reference_dim(effective_alpha_sq: float) -> int:
-    # Poisson/squeezed tails die super-exponentially past ~4 alpha^2
-    d = 4 * math.ceil(effective_alpha_sq) + 60 if math.isfinite(effective_alpha_sq) else math.inf
-    if d > REFERENCE_DIM_CAP:
-        raise ValueError(f"reference state needs dimension {d}, above the cap {REFERENCE_DIM_CAP}")
-    return d
-
-
 def squeezed_eigenstate(mu: complex, nu: complex, lam: complex) -> np.ndarray:
     """Normalized eigenstate of mu a + nu a^dag with eigenvalue lam.
 
     Solves the two-term recursion mu sqrt(n+1) C_{n+1} = lam C_n - nu sqrt(n)
     C_{n-1} from C_0 = 1; needs |nu/mu| < 1 for the coefficients to
     decay.  At nu = 0 it is the coherent state of amplitude lam/mu.  The
-    working dimension is 4 ceil(e^2) + 60 with e = |lam/mu| / (1 - |nu/mu|),
-    at most REFERENCE_DIM_CAP.  Raises when the truncation cannot hold the
-    tail (residual floor 1e-9).
+    recursion stops once a bound on its tail's mass and its squared
+    truncation residual both lie below 1e-24 of the squared norm; it raises
+    before it starts when that stop could lie past REFERENCE_DIM_CAP entries.
     """
     mu = complex(mu)
     nu = complex(nu)
@@ -122,41 +114,46 @@ def squeezed_eigenstate(mu: complex, nu: complex, lam: complex) -> np.ndarray:
     if mu == 0:
         raise ValueError("mu must be nonzero")
     ratio_lam, ratio_nu = lam / mu, nu / mu
-    if abs(ratio_nu) >= 1.0:
-        raise ValueError(f"|nu/mu| = {abs(ratio_nu)} must be < 1 for convergence")
-    eff = abs(ratio_lam) / (1.0 - abs(ratio_nu))
-    d = _reference_dim(eff * eff)
-    c = np.empty(d + 1, dtype=complex)
-    prev, cur = 1.0 + 0j, ratio_lam
-    c[0], c[1] = prev, cur
-    root = 1.0  # sqrt(n)
-    for n in range(1, d):
-        root_next = math.sqrt(n + 1)
+    mod_mu, mod_lam, mod_nu = abs(mu), abs(ratio_lam), abs(ratio_nu)
+    if mod_nu >= 1.0:
+        raise ValueError(f"|nu/mu| = {mod_nu} must be < 1 for convergence")
+    # |C_{n+2}| <= q max(|C_{n+1}|, |C_n|), q = |lam/mu|/sqrt(n+1) + |nu/mu|: q < 1
+    # past n + 1 > e^2, e = |lam/mu|/(1 - |nu/mu|), and q <= (1 + |nu/mu|)/2 past
+    # 4 e^2, where the stop test below holds within log(1e24 max(4/(1 - |nu/mu|),
+    # |mu|^2 REFERENCE_DIM_CAP)) / -log q entries, plus 16 for its stride of 8
+    # (e * e: e ** 2 raises OverflowError past 1e154)
+    e = mod_lam / (1.0 - mod_nu)
+    need = math.log(1e24) + max(math.log(4.0 / (1.0 - mod_nu)),
+                                2.0 * math.log(mod_mu) + math.log(REFERENCE_DIM_CAP))
+    last = 4.0 * e * e + need / -math.log1p((mod_nu - 1.0) / 2.0) + 16.0
+    if not last < REFERENCE_DIM_CAP:
+        raise ValueError(f"reference state may need {last:.4g} entries, above REFERENCE_DIM_CAP = {REFERENCE_DIM_CAP}")
+    c = [1.0 + 0j, ratio_lam]
+    rescales = []  # (entries so far, divisor)
+    prev, cur, total = c[0], ratio_lam, 1.0 + mod_lam * mod_lam  # total: squared norm so far
+    root_next = 1.0  # sqrt(n + 1)
+    for n in range(1, REFERENCE_DIM_CAP):
+        root, root_next = root_next, math.sqrt(n + 1)
         prev, cur = cur, (ratio_lam * cur - ratio_nu * root * prev) / root_next
-        root = root_next
         big = abs(cur)
-        # C_n grows like |lam/mu|^n / sqrt(n!) before it decays: rescale the
-        # entries so far before they overflow; the earliest may underflow to 0
-        if big > 1e200:
-            c[: n + 1] /= big
-            prev /= big
-            cur /= big
-        c[n + 1] = cur
-    # divide by the largest modulus, at least 1, before the norm: the squared
-    # norm of entries above ~1e154 would overflow
-    c /= np.abs(c).max()
-    body = c[:d]
-    nrm = float(np.linalg.norm(body))
-    # the would-be coefficient beyond the cut is the entire residual
-    residual = abs(mu) * math.sqrt(d) * abs(c[d]) / nrm
-    tail = (abs(c[d]) / nrm) ** 2
-    # written so that a NaN fails it
-    if not (residual <= 1e-9 and tail <= 1e-12):
-        raise ValueError(
-            f"dimension {d} too small: truncation residual {residual:.3e}, "
-            f"tail mass {tail:.3e}"
-        )
-    return body / nrm
+        # C_n grows like |lam/mu|^n / sqrt(n!) before it decays: rescale before
+        # the squared norm overflows; the earliest entries may underflow to 0
+        if big > 1e100:
+            rescales.append((n + 1, big))
+            prev, cur, total, big = prev / big, cur / big, total / (big * big), 1.0
+        c.append(cur)
+        total += big * big
+        # keep C_0..C_n: the tail from C_{n+1} on holds at most 2 peak^2/(1 - q^2),
+        # and the residual is |mu| sqrt(n+1) |C_{n+1}|
+        if n % 8 == 0:
+            q, peak = mod_lam / root_next + mod_nu, max(big, abs(prev))
+            if q < 1.0 and 2.0 * peak * peak <= 1e-24 * (1.0 - q * q) * total:
+                if mod_mu * peak * mod_mu * peak * (n + 1) <= 1e-24 * total:
+                    break
+    body = np.array(c[:-1])
+    for stop, big in rescales:
+        body[:stop] /= big
+    return body / np.linalg.norm(body)
 
 
 def photon_statistics(v: np.ndarray) -> PhotonStatistics:
@@ -234,7 +231,8 @@ def squeezed_limit_scan(
     """(m, residual, fidelity) rows towards the squeezed/coherent/vacuum limit.
 
     residual is |(mu a + nu a^dag - target) v| with the eigenstate embedded in
-    the common dimension, read off the two bands of the truncated ladder
+    at least m + 2 entries, so that the row nu sqrt(m+1) v_m counts whatever
+    the reference's length, read off the two bands of the truncated ladder
     operators, (a v)_n = sqrt(n+1) v_{n+1} and (a^dag v)_n = sqrt(n) v_{n-1};
     fidelity is against the squeezed eigenstate with that target eigenvalue.
     """
@@ -247,7 +245,7 @@ def squeezed_limit_scan(
     rows = []
     for m, p in zip(schedule.m_values, points):
         state = eigenstate(p, schedule.k_rule.index(m))
-        dim = max(m + 1, len(reference))
+        dim = max(m + 2, len(reference))
         v = embed(state, dim)
         ref = embed(reference, dim)
         root = np.sqrt(np.arange(1, dim))

@@ -108,14 +108,6 @@ class GBSParams:
             raise ValueError(f"eta must lie strictly inside (0, 1), got {self.eta}")
         check_photon_cap(self.m)
 
-    @property
-    def scale(self) -> float:
-        """|mu| + |nu| + 1, the size of M's entries: a reference for rounding in the frame.
-
-        The defective-branch threshold does not use it; see `branch_kind`.
-        """
-        return abs(self.mu) + abs(self.nu) + 1.0
-
 
 @dataclass(frozen=True)
 class CoefficientTriple:

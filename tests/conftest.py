@@ -44,6 +44,11 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+def frame_scale(p) -> float:
+    """|mu| + |nu| + 1, the size of M's entries: a reference for rounding in the frame."""
+    return abs(p.mu) + abs(p.nu) + 1.0
+
+
 def dense_reference(p):
     """L = sqrt(1-eta)(mu J+ + nu J-) - sqrt(eta) J0 from the dense generators."""
     j0, jp, jm = hp_generators(p.m)

@@ -1,5 +1,7 @@
 import cmath
 import math
+import re
+import types
 
 import mpmath as mp
 import numpy as np
@@ -8,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import annihilation_operator
+from gbstates import analysis
 from gbstates.analysis import (
     REFERENCE_DIM_CAP,
     KRule,
     LimitSchedule,
-    _reference_dim,
     coherent_amplitude_discrepancy,
     embed,
     number_limit_scan,
@@ -95,10 +97,13 @@ def test_squeezed_requires_convergent_ratio():
         squeezed_eigenstate(0.0, 0.5, 0.3)
 
 
-def test_squeezed_rejects_too_small_dimension():
-    # slow decay at |nu/mu| -> 1 overwhelms the default truncation
-    with pytest.raises(ValueError):
-        squeezed_eigenstate(1.0, 0.97, 0.0)
+@pytest.mark.parametrize("mu, nu, lam", [(1.0, 0.8, 0.0), (1.0, 0.9, 0.5), (1.0, 0.95, 0.5), (1.0, 0.97, 0.0)])
+def test_strong_squeezing_solves(mu, nu, lam):
+    # a size guessed from |lam/mu|/(1 - |nu/mu|) alone was too short for each
+    v = squeezed_eigenstate(mu, nu, lam)
+    assert np.isfinite(v).all()
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert _ladder_residual(mu, nu, lam, v) <= 1e-9
 
 
 def test_photon_statistics_binomial_and_fock():
@@ -135,27 +140,33 @@ def test_helpers_name_the_bad_input(call, bound):
         call()
 
 
+@pytest.fixture
+def recursion_forbidden(monkeypatch):
+    """Fail any call that starts the recursion: its first step takes math.sqrt."""
+
+    def sqrt(x):
+        raise AssertionError("the recursion started")
+
+    monkeypatch.setattr(analysis, "math", types.SimpleNamespace(**{**vars(math), "sqrt": sqrt}))
+
+
 @pytest.mark.parametrize(
-    "call, dim",
+    "call, bound",
     [
         (lambda: squeezed_eigenstate(1.0, 0.0, 1e200), "inf"),
-        (lambda: squeezed_eigenstate(1.0, 0.0, 1e5), "40000000060"),
+        (lambda: squeezed_eigenstate(1.0, 0.0, 1e5), "4e+10"),
         (lambda: squeezed_eigenstate(1e-300, 0.0, 0.5), "inf"),
-        (lambda: squeezed_eigenstate(1e-8, 0.0, 0.5), "10000000000000060"),
+        (lambda: squeezed_eigenstate(1e-8, 0.0, 0.5), "1e+16"),
+        (lambda: squeezed_eigenstate(1.0, 1.0 - 1e-9, 0.0), "1.547e+11"),
+        (lambda: squeezed_eigenstate(1.0, 1.0 - 1e-6, 0.3), "3.601e+11"),
     ],
-    ids=["coherent-overflow", "coherent-596GiB", "squeezed-overflow", "squeezed-142PiB"],
+    ids=["coherent-overflow", "coherent-596GiB", "squeezed-overflow", "squeezed-142PiB", "slow-tail", "slow-tail-lam"],
 )
-def test_reference_states_name_the_dimension_cap(call, dim):
-    # each used to raise OverflowError or MemoryError, or to try a huge allocation
-    with pytest.raises(ValueError, match=f"needs dimension {dim}, above the cap {REFERENCE_DIM_CAP}"):
+def test_reference_states_name_the_dimension_cap(recursion_forbidden, call, bound):
+    # the first four used to raise OverflowError or MemoryError, or to try a
+    # huge allocation; the slow tails would take 2^26 steps before failing
+    with pytest.raises(ValueError, match=re.escape(f"may need {bound} entries, above REFERENCE_DIM_CAP = {REFERENCE_DIM_CAP}")):
         call()
-
-
-def test_reference_dim_cap_boundary():
-    assert REFERENCE_DIM_CAP == 2**26
-    assert _reference_dim(16777201.0) == REFERENCE_DIM_CAP  # 4 * 16777201 + 60
-    with pytest.raises(ValueError, match="needs dimension 67108868"):
-        _reference_dim(16777201.5)
 
 
 @pytest.mark.parametrize(
@@ -165,8 +176,8 @@ def test_reference_dim_cap_boundary():
 )
 def test_squeezed_eigenstate_rescales_as_it_climbs(mu, nu, lam):
     # C_n passes 1e200 on the way up at each point, and the closed form's
-    # e^{-|alpha|^2/2} underflows to 0 from |alpha| = 39 up; a NaN or zero
-    # state must not pass the truncation check
+    # e^{-|alpha|^2/2} underflows to 0 from |alpha| = 39 up; the state must
+    # come back finite and nonzero
     v = squeezed_eigenstate(mu, nu, lam)
     assert np.isfinite(v).all()
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -184,12 +195,9 @@ def test_squeezed_eigenstate_rescales_as_it_climbs(mu, nu, lam):
     phases=st.tuples(*[st.floats(-math.pi, math.pi)] * 3),
 )
 def test_squeezed_eigenstate_solves_or_names_the_dimension(mod_mu, ratio_nu, ratio_lam, phases):
+    # every draw's stop bound lies below the cap, so every draw solves
     mu, nu, lam = (r * cmath.exp(1j * t) for r, t in zip((mod_mu, ratio_nu * mod_mu, ratio_lam * mod_mu), phases))
-    try:
-        v = squeezed_eigenstate(mu, nu, lam)
-    except ValueError as exc:
-        assert "dimension" in str(exc)
-        return
+    v = squeezed_eigenstate(mu, nu, lam)
     assert np.isfinite(v).all()
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert _ladder_residual(mu, nu, lam, v) <= 1e-9
@@ -332,6 +340,22 @@ def test_squeezed_scan_residual_is_the_dense_product(mu, nu, rule, target):
         dense = np.linalg.norm((mu * a + nu * a.conj().T) @ v - target * v)
         bound = 1e-14 * np.linalg.norm(v) * (abs(mu) + abs(nu)) * math.sqrt(dim)
         assert abs(residual - dense) <= bound
+
+
+@pytest.mark.parametrize("length", [3, 20], ids=["short-reference", "long-reference"])
+def test_scan_residual_counts_row_m_plus_one(monkeypatch, length):
+    # nu a^dag carries v_m into row m + 1; at strong squeezing and small m
+    # that row is large, and the residual must count it however long the
+    # reference is
+    mu, nu, m = 1.0, 0.8, 4
+    monkeypatch.setattr(analysis, "squeezed_eigenstate", lambda *args: basis_state(0, length))
+    schedule = LimitSchedule(alpha=1.0, m_values=(m,), k_rule=KRule("center"))
+    ((_, residual, _),) = squeezed_limit_scan(mu, nu, schedule)
+    v = embed(eigenstate(GBSParams(mu, nu, schedule.eta(m), m), m // 2), m + 2)
+    a = annihilation_operator(m + 1)
+    full = np.linalg.norm((mu * a + nu * a.conj().T) @ v - 0.5 * v)
+    assert abs(v[m]) > 1e-3
+    assert residual == pytest.approx(full, rel=1e-14)
 
 
 def test_squeezed_limit_scan_center_rule():

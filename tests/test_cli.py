@@ -366,6 +366,17 @@ def test_limit_squeezed_fidelity_is_finite_far_from_the_limit(capsys):
     assert all(math.isfinite(float(x)) for x in row)
 
 
+def test_limit_squeezed_solves_at_strong_squeezing(capsys):
+    # |nu/mu| = 0.8: the reference used to be sized too short, and this valid
+    # input exited 2 with "dimension 88 too small"
+    argv = ["limit", "--mode", "squeezed", "--alpha", "1", "--m-values", "50,100", "--nu-re", "0.8"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["50", "100"]
+    assert all(math.isfinite(float(x)) for r in rows for x in r)
+
+
 @pytest.mark.parametrize("m_values", ["50,inf", "nan", "50.6"])
 def test_limit_m_values_must_be_finite_integers(capsys, m_values):
     argv = ["limit", "--mode", "coherent", "--alpha", "1", "--m-values", m_values]
@@ -410,8 +421,8 @@ def test_limit_names_the_violated_bound(capsys, argv, message):
     nu_phase=st.floats(-math.pi, math.pi),
 )
 def test_limit_never_shows_a_traceback(mode, alpha, m_values, mu, ratio, nu_phase):
-    # alpha <= 3, |mu| >= 1/2 and |nu/mu| <= 0.9 keep every reference state
-    # below 4 * 30^2 + 60 entries; the huge alphas fail on eta before any is built
+    # alpha <= 3, |mu| >= 1/2 and |nu/mu| <= 0.9 keep every reference state's
+    # stop bound near 5000 entries; the huge alphas fail on eta before any is built
     nu = mu * ratio * complex(math.cos(nu_phase), math.sin(nu_phase))
     argv = ["limit", f"--mode={mode}", f"--alpha={alpha!r}", "--m-values=" + ",".join(map(str, m_values)),
             f"--mu-re={mu.real!r}", f"--mu-im={mu.imag!r}", f"--nu-re={nu.real!r}", f"--nu-im={nu.imag!r}"]

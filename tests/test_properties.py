@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_reference
+from conftest import dense_reference, frame_scale
 from gbstates import oracle
 from gbstates.displacement import delta_to_zeta, displacement
 from gbstates.fock import fidelity
@@ -161,12 +161,12 @@ def test_frame_is_the_schur_form_of_m(p):
     # equal moduli in exact arithmetic at a tie; allow their rounding
     assert abs(principal) <= abs(secondary) * (1.0 + 1e-15)
     for delta in (principal, secondary):
-        assert abs(coefficient_triple(p, delta).a_minus) <= 1e-13 * p.scale
+        assert abs(coefficient_triple(p, delta).a_minus) <= 1e-13 * frame_scale(p)
     disc = p.eta + 4.0 * (1.0 - p.eta) * p.mu * p.nu
     # inside the defective floor the roots are merged on purpose
     if abs(disc) > 1e-14 * (p.eta + 4.0 * (1.0 - p.eta) * abs(p.mu) * abs(p.nu)):
         a_zero = coefficient_triple(p, principal).a_zero
-        assert abs(a_zero - cmath.sqrt(disc + 0j)) <= 1e-13 * p.scale
+        assert abs(a_zero - cmath.sqrt(disc + 0j)) <= 1e-13 * frame_scale(p)
 
 
 @st.composite
@@ -188,7 +188,7 @@ def test_the_secondary_root_reverses_the_principal_ladder(p):
     principal, secondary = constraint_roots(p)
     a_zero = coefficient_triple(p, principal).a_zero
     triple = coefficient_triple(p, secondary)
-    assert abs(triple.a_zero + a_zero) <= 1e-13 * p.scale
+    assert abs(triple.a_zero + a_zero) <= 1e-13 * frame_scale(p)
     kind = solve(p).kind
     if kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO:
         return

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import dense_reference, hp_generators
+from conftest import dense_reference, frame_scale, hp_generators
 from gbstates.binomial import BinomialParams, binomial_amplitudes
 from gbstates.displacement import DisplacementParams, delta_to_zeta, displacement
 from gbstates.fock import AMPLITUDE_CAP, basis_state, fidelity, normalize_state
@@ -229,7 +229,7 @@ def test_coefficient_triple_kills_a_minus_at_both_roots():
         p = random_params(rng)
         for delta in constraint_roots(p):
             t = coefficient_triple(p, delta)
-            assert abs(t.a_minus) <= 1e-10 * p.scale
+            assert abs(t.a_minus) <= 1e-10 * frame_scale(p)
 
 
 def test_bands_are_the_diagonals_of_the_dense_generator_sum():

@@ -98,6 +98,18 @@ def _quartiles(values: list) -> tuple[float, float]:
     return q1, q3
 
 
+def _paired_metrics(runs: list):
+    """(name, pairs, parent values, change values, parent median, change median)
+    of each end-to-end metric that some pair reports on both sides."""
+    for name in END_TO_END:
+        pairs = [(r["parent"][name], r["change"][name]) for r in runs
+                 if name in r["parent"] and name in r["change"]]
+        if pairs:
+            parent = [p for p, _ in pairs]
+            change = [c for _, c in pairs]
+            yield name, pairs, parent, change, statistics.median(parent), statistics.median(change)
+
+
 def summarize_pairs(runs: list) -> dict:
     """Median, quartiles, relative change and wins of each end-to-end metric.
 
@@ -106,14 +118,7 @@ def summarize_pairs(runs: list) -> dict:
     value is strictly below the parent's.
     """
     summary = {}
-    for name in END_TO_END:
-        pairs = [(r["parent"][name], r["change"][name]) for r in runs
-                 if name in r["parent"] and name in r["change"]]
-        if not pairs:
-            continue
-        parent = [p for p, _ in pairs]
-        change = [c for _, c in pairs]
-        mid_p, mid_c = statistics.median(parent), statistics.median(change)
+    for name, pairs, parent, change, mid_p, mid_c in _paired_metrics(runs):
         summary[name] = {
             "parent": round(mid_p, 5),
             "change": round(mid_c, 5),
@@ -137,14 +142,7 @@ def verdicts(runs: list, claimed: str | None = None) -> dict:
     share, unless every change run beats every parent run; else "no worse".
     """
     verdict = {}
-    for name in END_TO_END:
-        pairs = [(r["parent"][name], r["change"][name]) for r in runs
-                 if name in r["parent"] and name in r["change"]]
-        if not pairs:
-            continue
-        parent = [p for p, _ in pairs]
-        change = [c for _, c in pairs]
-        mid_p, mid_c = statistics.median(parent), statistics.median(change)
+    for name, pairs, parent, change, mid_p, mid_c in _paired_metrics(runs):
         q1, q3 = _quartiles(parent)
         if name == claimed:
             wins = sum(c < p for p, c in pairs)
