@@ -76,6 +76,19 @@ def test_squeezed_reduces_to_coherent_when_nu_zero():
     np.testing.assert_allclose(got, _coherent_amplitudes(lam, len(got)), rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 5.0, 30.0])
+def test_coherent_reference_stops_past_its_tail(alpha):
+    # the stop promises that the exact tail past the last entry holds at
+    # most 1e-24 of the norm and that the truncation residual
+    # sqrt(d) |C_d| is at most 1e-12; here from the Poisson weights at 40 digits
+    d = len(squeezed_eigenstate(1.0, 0.0, alpha))
+    with mp.workdps(40):
+        a = mp.mpf(alpha)
+        weight = lambda n: mp.exp(-a * a) * a ** (2 * n) / mp.factorial(n)
+        assert mp.nsum(weight, [d, mp.inf]) <= 1e-24
+        assert mp.sqrt(d * weight(d)) <= 1e-12
+
+
 def test_squeezed_vacuum_parity():
     v = squeezed_eigenstate(1.0, 0.3, 0.0)
     assert np.abs(v[1::2]).max() == 0.0
@@ -175,7 +188,7 @@ def test_reference_states_name_the_dimension_cap(recursion_forbidden, call, boun
     ids=["squeezed-overflow", "coherent-underflow", "coherent-d40060"],
 )
 def test_squeezed_eigenstate_rescales_as_it_climbs(mu, nu, lam):
-    # C_n passes 1e200 on the way up at each point, and the closed form's
+    # C_n passes 1e100 on the way up at each point, and the closed form's
     # e^{-|alpha|^2/2} underflows to 0 from |alpha| = 39 up; the state must
     # come back finite and nonzero
     v = squeezed_eigenstate(mu, nu, lam)
