@@ -20,7 +20,11 @@ the ladder reversed, and its state k is the principal state m - k.  On the
 generic branch solve and eigenstate build each state from L's three bands at
 its exact eigenvalue, by a twisted factorization in O(m) per state and
 without D(zeta); eigenstate_sum builds the same state as D(zeta) core_k, the
-paper's finite-sum form, so the two check each other.  The factorization
+paper's finite-sum form, so the two check each other.  Where the root is
+delta = 0 (nu = 0, the paper's central family), D(zeta) = I and every entry
+point reads the state off its closed-form core: solve and eigenstate build
+the cores many rows at a time, and the twisted factorization, which still
+solves that case, serves the tests as its reference.  The factorization
 sweeps only downward: the spectrum is symmetric under k -> m - k, and with
 (Q x)_n = (nu/mu)^n (-1)^n x_{m-n}, Q L Q^-1 = -L, so the upward pivots of
 state k are the downward pivots of state m - k, reversed and negated.  In
@@ -31,8 +35,8 @@ branches read columns of D(zeta).
 eigenstate_sum and eigenstate_exponential, which are asked for one k at a
 time, share the D(zeta) of the last point either was called at: one
 (m+1)^2 complex matrix, 16 MB at m = 1000, stays alive until a different
-point is asked for.  solve, eigenstate and displacement() never fill it,
-so a large solve leaves nothing behind.
+point is asked for.  At delta = 0 they build none.  solve, eigenstate and
+displacement() never fill it, so a large solve leaves nothing behind.
 
 Branches:
   * generic          -- A+ away from zero; full closed-form eigenbasis,
@@ -287,26 +291,38 @@ def spectrum(p: GBSParams) -> np.ndarray:
     return _ladder(_frame(p).triple.a_zero, p.m)
 
 
-def _core(triple: CoefficientTriple, k: int, m: int) -> np.ndarray:
-    """Rotated-frame eigenstate k, unnormalized.
+def _cores(triple: CoefficientTriple, ks, m: int) -> np.ndarray:
+    """Rotated-frame eigenstates, unnormalized: core k for one index k, or
+    one row per index for an ascending array ks.
 
     Each step of the recursion c_{n+1} sqrt((n+1)(m-n)) A+ = c_n A0 (k - n)
     carries the phase of x = A0/A+, so for n <= k, in closed form,
         core_k(n) = e^{i n arg x} |x|^n C(k, n) / sqrt(C(m, n)),
-    and core_k vanishes past n = k.  The log magnitudes are one cumsum over
-    n (-inf past k), max-shifted before exp, so the largest entry has
-    modulus exactly 1 and nothing overflows; the caller normalizes.
+    and core_k vanishes past n = k.  The log magnitudes are one cumsum along
+    n per row (-inf past k), max-shifted before exp, so the largest entry of
+    a row has modulus exactly 1 and nothing overflows; the caller normalizes.
+    Every step is elementwise or runs along one row, so a core has the same
+    bits alone as in a batch.
     """
     x = triple.a_zero / triple.a_plus
     n = np.arange(m + 1)
-    # log j at j = 0..m; the -inf at j = 0 ends the core after n = k
-    log_int = np.log(n, out=np.full(m + 1, -np.inf), where=n > 0)
-    steps = math.log(abs(x)) + log_int[np.maximum(k - n[:-1], 0)]
-    steps -= 0.5 * (log_int[1:] + log_int[:0:-1])  # log sqrt((n+1)(m-n))
-    log_rho = np.zeros(m + 1)
-    np.cumsum(steps, out=log_rho[1:])
+    # falling[i] = log (m - i), -inf from i = m on; read backwards from i = m
+    # it is log j at j = 0..m, whose -inf at j = 0 ends the core after n = k
+    falling = np.full(2 * m + 1, -np.inf)
+    np.log(n[:0:-1], out=falling[:m])
+    log_int = falling[m::-1]
+    ks = np.asarray(ks)
+    top = int(ks.flat[-1])  # every core vanishes past n = top: only n <= top is summed
+    # core k's log (k - n) at n = 0..top-1 is the window of falling from m - k
+    windows = np.ndarray((m + 1, top), buffer=falling, strides=2 * falling.strides)
+    steps = windows[m - ks] + math.log(abs(x))
+    steps -= 0.5 * (log_int[1 : top + 1] + log_int[m : m - top : -1])  # log sqrt((n+1)(m-n))
+    log_rho = np.zeros(ks.shape + (m + 1,))
+    np.cumsum(steps, axis=-1, out=log_rho[..., 1 : top + 1])
+    log_rho[..., top + 1 :] = -np.inf
+    log_rho -= log_rho.max(axis=-1, keepdims=True)
     phase = np.exp(1j * ((n * cmath.phase(x)) % (2 * math.pi)))
-    return np.exp(log_rho - log_rho.max()) * phase
+    return np.exp(log_rho, out=log_rho) * phase
 
 
 def _chunks(count: int, width: int) -> list[slice]:
@@ -403,7 +419,10 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
     before exp, so nothing overflows at any |nu/mu|; the phase is the
     running product of the pivots' unit phases, the downward one below r and
     the upward one above, joined at r.  At nu = 0 L is upper bidiagonal:
-    log |l| = -inf, and the part above r vanishes.
+    log |l| = -inf, and the part above r vanishes.  solve and eigenstate
+    never come here at nu = 0, where delta = 0 makes each state its
+    closed-form core (_cores); the tests keep this route as that one's
+    reference.
 
     A single pair k, m - k sweeps in Python floats, a batch in numpy rows, in
     chunks of at most _SWEEP_ENTRIES (n, k) swept entries; all else is numpy
@@ -500,20 +519,24 @@ def _eigenstates(p: GBSParams, frame: _Frame, ks) -> np.ndarray:
     """The eigenstates ks on the frame's branch, solve's and eigenstate's one route.
 
     Generic states come from L's three bands by the twisted recurrence
-    (_twisted_states), with no D(zeta); the other branches read columns of
-    D(zeta).  Either way the states are normalized in chunks of rows, so a
-    state has the same bits alone as in a solve.
+    (_twisted_states), with no D(zeta); where the root delta is 0 (nu = 0),
+    D(zeta) = I and they are their closed-form cores (_cores).  The other
+    branches read columns of D(zeta).  Every route builds and normalizes the
+    states in chunks of rows, so a state has the same bits alone as in a
+    solve.
     """
-    if frame.kind is SolutionKind.GENERIC:
+    generic = frame.kind is SolutionKind.GENERIC
+    if generic and frame.delta != 0:
         return _twisted_states(p, frame.triple.a_zero, ks)
-    # A+ = 0 leaves the diagonal -A0 J0, A0 = 0 the nilpotent A+ J+ (a single
-    # Jordan chain headed by |0>); either way the eigenvector is |k> and the
-    # eigenstate is column k of D
-    d = displacement(frame.zeta)
+    # off the generic branch, A+ = 0 leaves the diagonal -A0 J0, A0 = 0 the
+    # nilpotent A+ J+ (a single Jordan chain headed by |0>); either way the
+    # eigenvector is |k> and the eigenstate is column k of D
+    d = None if generic else displacement(frame.zeta)
     ks = np.asarray(ks)
     states = np.empty((len(ks), p.m + 1), dtype=complex)
     for at in _chunks(len(ks), p.m + 1):
-        states[at] = normalize_state(d[:, ks[at]].T)
+        rows = _cores(frame.triple, ks[at], p.m) if generic else d[:, ks[at]].T
+        states[at] = normalize_state(rows)
     return states
 
 
@@ -522,9 +545,10 @@ def eigenstate(p: GBSParams, k: int) -> np.ndarray:
 
     On the generic branch the state comes from the twisted factorization of
     L - lambda_k, in O(m); eigenstate_sum builds the same state through
-    D(zeta) as an independent check.  Raises ValueError for a k the branch
-    does not carry: not an integer, outside 0..m, or k > 0 on the defective
-    branch.
+    D(zeta) as an independent check.  At delta = 0 (nu = 0) D(zeta) = I and
+    both read the state off its closed-form core.  Raises ValueError for a k
+    the branch does not carry: not an integer, outside 0..m, or k > 0 on the
+    defective branch.
     """
     frame = _frame(p)
     _check_index(p, k, frame.kind)
@@ -533,7 +557,7 @@ def eigenstate(p: GBSParams, k: int) -> np.ndarray:
 
 def undisplaced_eigenstate(p: GBSParams, k: int) -> np.ndarray:
     """Eigenstate of the rotated operator A+ J+ - A0 J0, before displacing back."""
-    return normalize_state(_core(_generic_frame(p, k).triple, k, p.m))
+    return normalize_state(_cores(_generic_frame(p, k).triple, k, p.m))
 
 
 @functools.lru_cache(maxsize=1)
@@ -557,9 +581,15 @@ def eigenstate_sum(p: GBSParams, k: int) -> np.ndarray:
     D(zeta) core_k, read only over the core's support: one gemv on k+1
     columns of D and one normalization.  It shares no step with eigenstate's
     twisted factorization beyond the frame, so the two check each other.
+    At delta = 0, D(zeta) = I: the core is the state, and no D is built;
+    eigenstate reads the same core there, so the tests check both against
+    the twisted factorization instead.
     """
     frame = _generic_frame(p, k)
-    core = _core(frame.triple, k, p.m)
+    core = _cores(frame.triple, k, p.m)
+    if frame.delta == 0:
+        core[k + 1 :] = 0.0  # +0 past the support, as from the gemv below
+        return normalize_state(core)
     return normalize_state(_rotation(frame.zeta)[:, : k + 1] @ core[: k + 1])
 
 
@@ -592,6 +622,8 @@ def eigenstate_exponential(p: GBSParams, k: int) -> np.ndarray:
     """Eigenstate via the exponential form; equal to eigenstate_sum."""
     frame = _generic_frame(p, k)
     core = _exponential_form_core(frame.triple, k, p.m)
+    if frame.delta == 0:  # D(zeta) = I
+        return normalize_state(core)
     return normalize_state(_rotation(frame.zeta) @ core)
 
 

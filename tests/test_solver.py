@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -28,7 +29,7 @@ from gbstates.solver import (
     spectrum,
     undisplaced_eigenstate,
 )
-from gbstates.solver import _core, _exponential_form_core, _rotation
+from gbstates.solver import _cores, _exponential_form_core, _rotation, _twisted_states
 from gbstates.verification import DEFAULT_SEED, random_parameter_draws
 
 
@@ -678,14 +679,16 @@ def test_eigenstate_takes_numpy_integer_indices():
         GBSParams(1.0, 0.3, 0.4, 1000),
         GBSParams(1.0, 0.3, 1e-6, 1000),
         GBSParams(1.0, 0.3, 0.9999, 1000),
-        GBSParams(1.0, 0.0, 0.5, 200),  # nu = 0: L bidiagonal, an exact zero pivot
+        GBSParams(1.0, 0.0, 0.5, 200),  # nu = 0: the cores (the sweep's zero pivots: see below)
         GBSParams(1.0, 1.0 + 1e-9j, 0.4, 200),  # next to the Hermitian branch
     ],
     ids=["nu-over-mu-300", "m1000", "eta-1e-6", "eta-0.9999", "nu-zero", "near-hermitian"],
 )
 def test_twisted_states_in_the_overflow_and_edge_regimes(p):
     # unscaled, the recurrence overflows to NaN at |nu/mu| = 300, m = 400, and
-    # its norm at (1, 0.3, 0.4, 1000); nu = 0 puts 0/0 in the pivots
+    # its norm at (1, 0.3, 0.4, 1000); at nu = 0, where L is bidiagonal and
+    # the sweep meets exact zero pivots, solve reads the cores instead, and
+    # test_nu_zero_states_match_the_twisted_reference runs the sweep there
     sol = solve(p)
     assert sol.kind is SolutionKind.GENERIC
     states = np.column_stack(sol.eigenstates)
@@ -714,7 +717,7 @@ def _fresh(p, k, form):
     delta = select_root(p)
     zeta, triple = delta_to_zeta(delta, p.m), coefficient_triple(p, delta)
     if form is eigenstate_sum:
-        return normalize_state(displacement(zeta)[:, : k + 1] @ _core(triple, k, p.m)[: k + 1])
+        return normalize_state(displacement(zeta)[:, : k + 1] @ _cores(triple, k, p.m)[: k + 1])
     return normalize_state(displacement(zeta) @ _exponential_form_core(triple, k, p.m))
 
 
@@ -797,3 +800,90 @@ def test_solve_returns_its_states_as_one_array(p, count):
     states = solve(p).eigenstates
     assert isinstance(states, np.ndarray)
     assert states.shape == (count, p.m + 1)
+
+
+def _band_residuals(p, states, values):
+    """|L v - lambda v| / |L|_F per row, from the three bands."""
+    sub, diag, sup = bands(p)
+    res = (diag - values[:, None]) * states
+    res[:, 1:] += sub * states[:, :-1]
+    res[:, :-1] += sup * states[:, 1:]
+    return np.linalg.norm(res, axis=1) / operator_norm(p)
+
+
+@pytest.mark.parametrize("m", [1, 2, 50, 400, 1000])
+def test_nu_zero_states_match_the_twisted_reference(m):
+    # at nu = 0 the root is delta = 0 and each state is its closed-form core;
+    # the twisted factorization, which solve no longer runs there, is the
+    # reference: the cores route must agree with it and be no less accurate.
+    # Both routes carry the phase e^{i n theta} from the rounded n theta, and
+    # with theta near pi (phi = pi for the cores, phi = 0 for the twisted
+    # route) that rounding sets both worst residuals at m = 1000, equal to 5
+    # digits (3.61797e-15 and 3.61791e-15 |L|_F), hence the 1e-3 margin
+    ks = np.arange(m + 1) if m <= 50 else np.array([0, 1, m // 3, m // 2, m - 1, m])
+    worst_cores = worst_twisted = 0.0
+    for eta in (1e-6, 0.3, 0.999, 1.0 - 1e-6):
+        for mod in (1e-3, 1.0, 1e3):
+            for phi in (0.0, 2.1, -0.7, math.pi):
+                p = GBSParams(mod * cmath.exp(1j * phi), 0.0, eta, m)
+                assert select_root(p) == 0
+                values = spectrum(p)[ks]
+                cores = np.array([eigenstate(p, int(k)) for k in ks])
+                twisted = _twisted_states(p, coefficient_triple(p, 0.0).a_zero, ks)
+                for k, c, t in zip(ks, cores, twisted):
+                    assert fidelity(c, t) >= 1.0 - 1e-14, (eta, mod, phi, k)
+                worst_cores = max(worst_cores, _band_residuals(p, cores, values).max())
+                worst_twisted = max(worst_twisted, _band_residuals(p, twisted, values).max())
+    assert worst_cores <= worst_twisted * (1.0 + 1e-3)
+
+
+@pytest.mark.parametrize("nu", [0.0, -0.0, complex(0.0, -0.0)], ids=["zero", "minus-zero", "minus-zero-imag"])
+@pytest.mark.parametrize(
+    "mu, eta, m",
+    [(1.0, 0.3, 0), (1.0, 0.3, 1), (0.3 - 2.0j, 0.9, 7), (2.0j, 1e-6, 60), (-1e3, 1.0 - 1e-6, 301)],
+)
+def test_nu_zero_solve_rows_are_eigenstate_bit_for_bit(mu, eta, m, nu):
+    p = GBSParams(mu, nu, eta, m)
+    sol = solve(p)
+    assert sol.kind is SolutionKind.GENERIC and sol.delta_root == 0
+    for k in range(m + 1):
+        assert eigenstate(p, k).tobytes() == sol.eigenstates[k].tobytes(), k
+
+
+def test_nu_zero_never_runs_the_twisted_sweep(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the twisted sweep ran")
+
+    monkeypatch.setattr("gbstates.solver._twisted_states", refuse)
+    for p in (GBSParams(1.0, 0.0, 0.3, 40), GBSParams(0.5j, -0.0, 0.99, 7), GBSParams(1.0, 0.0, 0.5, 0)):
+        assert solve(p).eigenstates.shape == (p.m + 1, p.m + 1)
+        eigenstate(p, p.m // 2)
+    with pytest.raises(AssertionError, match="twisted sweep ran"):
+        eigenstate(GBSParams(1.0, 0.3, 0.4, 5), 2)
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_eigenstate_forms_at_delta_zero_build_no_rotation(form):
+    # D(zeta) = I at delta = 0; built, it would be (m+1)^2 amplitudes, 244 MiB
+    # at m = 4000, for one state of 4001
+    tracemalloc.start()
+    try:
+        state = form(GBSParams(1.0, 0.0, 0.3, 4000), 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert state.shape == (4001,)
+
+
+def test_nu_zero_solve_peak_stays_near_its_output():
+    # the cores are built and normalized in chunks of rows, like the twisted
+    # states; unchunked they would peak near 2.6 times the output
+    p = GBSParams(1.0, 0.0, 0.3, 2000)
+    tracemalloc.start()
+    try:
+        states = solve(p).eigenstates
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * states.nbytes
