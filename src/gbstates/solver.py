@@ -22,9 +22,9 @@ its exact eigenvalue, by a twisted factorization in O(m) per state and
 without D(zeta); eigenstate_sum builds the same state as D(zeta) core_k, the
 paper's finite-sum form, so the two check each other.  Where the root is
 delta = 0 (nu = 0, the paper's central family), D(zeta) = I and every entry
-point reads the state off its closed-form core: solve and eigenstate build
-the cores many rows at a time, and the twisted factorization, which still
-solves that case, serves the tests as its reference.  The factorization
+point reads the state off its closed-form core, which solve builds many
+rows at a time; the twisted factorization, which still solves that case,
+serves the tests as its reference.  The factorization
 sweeps only downward: the spectrum is symmetric under k -> m - k, and with
 (Q x)_n = (nu/mu)^n (-1)^n x_{m-n}, Q L Q^-1 = -L, so the upward pivots of
 state k are the downward pivots of state m - k, reversed and negated.  In
