@@ -2,7 +2,8 @@
 
 Everything lives on the (M+1)-dimensional space spanned by the number states
 |0>, ..., |M>: states are complex 1-d numpy arrays, and no function mutates
-its inputs.  check_photon_cap is the one rule for M, which every parameter
+its inputs but normalize_rows, which the solver calls on blocks of states it
+owns.  check_photon_cap is the one rule for M, which every parameter
 record and basis_state apply before they allocate: an integer >= 0 whose M+1
 amplitudes fit AMPLITUDE_CAP.  hop_squares is the one source of the
 Holstein-Primakoff hop sqrt((n+1)(m-n)) that J+ = sqrt(m-N) a and
@@ -86,7 +87,7 @@ def normalize_state(v: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=complex)
     if v.ndim == 2:
-        return _normalize_rows(v)
+        return normalize_rows(v.copy(order="C"))
     mags = np.abs(v)
     big = mags.max()
     if big == 0.0:
@@ -108,8 +109,9 @@ def normalize_state(v: np.ndarray) -> np.ndarray:
     return u
 
 
-def _normalize_rows(v: np.ndarray) -> np.ndarray:
-    u = np.array(v, order="C")  # a copy, normalized in place
+def normalize_rows(u: np.ndarray) -> np.ndarray:
+    """normalize_state of a 2-d stack, in place, for a caller that owns the
+    block: u is complex with contiguous rows, and is returned."""
     mags = np.abs(u)
     big = mags.max(axis=1, keepdims=True)
     if not big.all():

@@ -33,10 +33,12 @@ keeps a pivot off zero, which enters with the other sign.  The other
 branches read columns of D(zeta).
 
 eigenstate_sum and eigenstate_exponential, which are asked for one k at a
-time, share the D(zeta) of the last point either was called at: one
-(m+1)^2 complex matrix, 16 MB at m = 1000, stays alive until a different
-point is asked for.  At delta = 0 they build none.  solve, eigenstate and
-displacement() never fill it, so a large solve leaves nothing behind.
+time, share one memo of the last point either was called at (_point): its
+frame, its D(zeta), one (m+1)^2 complex matrix, 16 MB at m = 1000, and its
+O(m) core tables, so that a call forms only the k + 1 entries of core k.
+It stays alive until a different point is asked for.  At delta = 0 it
+holds no D.  solve, eigenstate and displacement() never fill it, so a
+large solve leaves nothing behind.
 
 Branches:
   * generic          -- A+ away from zero; full closed-form eigenbasis,
@@ -62,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .displacement import DisplacementParams, delta_to_zeta, displacement
-from .fock import AMPLITUDE_CAP, check_photon_cap, hop_squares, normalize_state
+from .fock import AMPLITUDE_CAP, check_photon_cap, hop_squares, normalize_rows, normalize_state
 
 # fraction of |L|_F the dropped A+ J+ term may leave in a Hermitian-branch
 # residual: a hundredth of the 1e-10 |L|_F residual contract
@@ -271,10 +273,8 @@ def _check_index(p: GBSParams, k: int, kind: SolutionKind | None = None) -> None
                          f"k = {k} unavailable")
 
 
-def _generic_frame(p: GBSParams, k: int | None = None) -> _Frame:
-    """The frame of a point whose closed forms exist; k, if given, is checked."""
-    if k is not None:
-        _check_index(p, k)
+def _generic_frame(p: GBSParams) -> _Frame:
+    """The frame of a point whose closed forms exist."""
     frame = _frame(p)
     if frame.kind is not SolutionKind.GENERIC:
         raise ValueError(f"the closed forms need the generic branch, got {frame.kind.value}")
@@ -291,6 +291,28 @@ def spectrum(p: GBSParams) -> np.ndarray:
     return _ladder(_frame(p).triple.a_zero, p.m)
 
 
+class _CoreTables(NamedTuple):
+    """The parts every core of a frame shares, O(m) each (see _cores)."""
+
+    # log (m - i) for i < m, -inf from i = m on; read backwards from i = m it
+    # is log j at j = 0..m, whose -inf at j = 0 ends a core after n = k
+    falling: np.ndarray
+    half_steps: np.ndarray  # log sqrt((n+1)(m-n)), n = 0..m-1
+    log_x: float  # log |A0/A+|
+    phase: np.ndarray  # e^{i ((n arg x) mod 2 pi)}, n = 0..m
+
+
+def _core_tables(triple: CoefficientTriple, m: int) -> _CoreTables:
+    x = triple.a_zero / triple.a_plus
+    n = np.arange(m + 1)
+    falling = np.full(2 * m + 1, -np.inf)
+    np.log(n[:0:-1], out=falling[:m])
+    log_int = falling[m::-1]
+    half_steps = 0.5 * (log_int[1:] + log_int[m:0:-1])
+    phase = np.exp(1j * ((n * cmath.phase(x)) % (2 * math.pi)))
+    return _CoreTables(falling, half_steps, math.log(abs(x)), phase)
+
+
 def _cores(triple: CoefficientTriple, ks, m: int) -> np.ndarray:
     """Rotated-frame eigenstates, unnormalized: core k for one index k, or
     one row per index for an ascending array ks.
@@ -302,27 +324,33 @@ def _cores(triple: CoefficientTriple, ks, m: int) -> np.ndarray:
     n per row (-inf past k), max-shifted before exp, so the largest entry of
     a row has modulus exactly 1 and nothing overflows; the caller normalizes.
     Every step is elementwise or runs along one row, so a core has the same
-    bits alone as in a batch.
+    bits alone as in a batch, and _core, which runs the same steps on the
+    support alone, gives its first k + 1 entries.
     """
-    x = triple.a_zero / triple.a_plus
-    n = np.arange(m + 1)
-    # falling[i] = log (m - i), -inf from i = m on; read backwards from i = m
-    # it is log j at j = 0..m, whose -inf at j = 0 ends the core after n = k
-    falling = np.full(2 * m + 1, -np.inf)
-    np.log(n[:0:-1], out=falling[:m])
-    log_int = falling[m::-1]
+    tables = _core_tables(triple, m)
     ks = np.asarray(ks)
     top = int(ks.flat[-1])  # every core vanishes past n = top: only n <= top is summed
     # core k's log (k - n) at n = 0..top-1 is the window of falling from m - k
-    windows = np.ndarray((m + 1, top), buffer=falling, strides=2 * falling.strides)
-    steps = windows[m - ks] + math.log(abs(x))
-    steps -= 0.5 * (log_int[1 : top + 1] + log_int[m : m - top : -1])  # log sqrt((n+1)(m-n))
+    windows = np.ndarray((m + 1, top), buffer=tables.falling, strides=2 * tables.falling.strides)
+    steps = windows[m - ks] + tables.log_x
+    steps -= tables.half_steps[:top]
     log_rho = np.zeros(ks.shape + (m + 1,))
     np.cumsum(steps, axis=-1, out=log_rho[..., 1 : top + 1])
     log_rho[..., top + 1 :] = -np.inf
     log_rho -= log_rho.max(axis=-1, keepdims=True)
-    phase = np.exp(1j * ((n * cmath.phase(x)) % (2 * math.pi)))
-    return np.exp(log_rho, out=log_rho) * phase
+    return np.exp(log_rho, out=log_rho) * tables.phase
+
+
+def _core(tables: _CoreTables, k: int) -> np.ndarray:
+    """_cores(triple, k, m)[: k + 1], bit for bit, from the frame's tables:
+    the same steps in the same order, over the k + 1 entries of the support."""
+    m = len(tables.phase) - 1
+    steps = tables.falling[m - k : m] + tables.log_x
+    steps -= tables.half_steps[:k]
+    log_rho = np.zeros(k + 1)
+    np.cumsum(steps, out=log_rho[1:])
+    log_rho -= log_rho.max()
+    return np.exp(log_rho, out=log_rho) * tables.phase[: k + 1]
 
 
 def _chunks(count: int, width: int) -> list[slice]:
@@ -427,7 +455,8 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
     A single pair k, m - k sweeps in Python floats, a batch in numpy rows, in
     chunks of at most _SWEEP_ENTRIES (n, k) swept entries; all else is numpy
     and elementwise over k, so a state gets the same bits alone as in a
-    batch.
+    batch.  A mirror that is not among ks is swept for its pivots only, and
+    never assembled.
     """
     m = p.m
     s, se = math.sqrt(1.0 - p.eta), math.sqrt(p.eta)
@@ -454,10 +483,15 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
     diag_parts[:, 0, 0], diag_parts[:, 1, 0] = diag.real, diag.imag
     ks = np.asarray(ks)
     lows = np.flatnonzero(np.bincount(np.minimum(ks, m - ks)))  # distinct, ascending
-    swept = _with_mirrors(lows, m)
-    # one block for all swept states, filled chunk by chunk: the chunks'
+    # with fewer ks than swept states, a mirror that is not asked for is
+    # swept for its pivots alone
+    asked = None
+    if len(ks) < len(_with_mirrors(lows, m)):
+        asked = np.zeros(m + 1, dtype=bool)
+        asked[ks] = True
+    # one block for the asked-for states, filled chunk by chunk: the chunks'
     # scratch arrays are then the only allocations that come and go
-    states = np.empty((len(swept), m + 1), dtype=complex)
+    states = np.empty((len(ks), m + 1), dtype=complex)
     for at in _chunks(len(lows), 2 * (m + 1)):
         k = _with_mirrors(lows[at], m)
         K = len(k)
@@ -474,9 +508,15 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
         piv = np.empty((m + 1, K), dtype=complex)  # the downward pivots D+
         piv.real, piv.imag = d[:, 0], d[:, 1]
         del d  # each array goes once read: that bounds a chunk's memory
+        # the columns built into states, and their mirrors'
+        if asked is None:
+            built, cols, mirrors = np.arange(K), slice(None), slice(None, None, -1)
+        else:
+            built = cols = np.flatnonzero(asked[k])
+            mirrors = K - 1 - built
         # D+ + D- - e, with D- of k the mirror's D+ reversed and negated
-        gap = piv - piv[::-1, ::-1]
-        gap -= np.subtract.outer(diag, lam)
+        gap = piv[:, cols] - piv[::-1, mirrors]
+        gap -= np.subtract.outer(diag, lam[cols])
         r = np.argmin(np.abs(gap), axis=0)
         del gap
         below, up = n[:, None] < r, n[:, None] > r
@@ -485,9 +525,9 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
         logs = np.log(mods, out=mods)
         del piv, mods
         # log |z_n / z_r|, summed outward from r
-        log_z = np.where(below, log_down - logs, 0.0)
+        log_z = np.where(below, log_down - logs[:, cols], 0.0)
         np.cumsum(log_z[::-1], axis=0, out=log_z[::-1])
-        steps = np.where(up, log_up - logs[::-1, ::-1], 0.0)
+        steps = np.where(up, log_up - logs[::-1, mirrors], 0.0)
         del logs
         log_z += np.cumsum(steps, axis=0, out=steps)
         del steps
@@ -496,23 +536,17 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
         turns[1:] = turns[:-1]
         turns[0] = 1.0
         np.multiply.accumulate(turns, axis=0, out=turns)
-        z = turns[::-1, ::-1] * sign
-        cols = np.arange(K)
-        z *= turns[r, cols] * z[r, cols].conj()
-        np.copyto(z, turns, where=~up)
+        z = turns[::-1, mirrors] * sign
+        z *= turns[r, built] * z[r, np.arange(len(built))].conj()
+        np.copyto(z, turns[:, cols], where=~up)
         del turns
         log_z -= log_z.max(axis=0)
         z *= np.exp(log_z, out=log_z)
         z *= phase
         del log_z
-        z = normalize_state(z.T)
-        # the chunk's lows fill its slice of swept; their mirrors fill the
-        # rows as far in from the end
-        low_count, end = at.stop - at.start, len(swept) - at.start
-        states[at] = z[:low_count]
-        states[end - (K - low_count) : end] = z[low_count:]
-    # ks ascending: either all of swept or some rows of it
-    return states if len(ks) == len(swept) else states[np.searchsorted(swept, ks)]
+        # a fresh block: normalized in place, then laid on its rows
+        states[np.searchsorted(ks, k[built])] = normalize_rows(np.ascontiguousarray(z.T))
+    return states
 
 
 def _eigenstates(p: GBSParams, frame: _Frame, ks) -> np.ndarray:
@@ -535,8 +569,8 @@ def _eigenstates(p: GBSParams, frame: _Frame, ks) -> np.ndarray:
     ks = np.asarray(ks)
     states = np.empty((len(ks), p.m + 1), dtype=complex)
     for at in _chunks(len(ks), p.m + 1):
-        rows = _cores(frame.triple, ks[at], p.m) if generic else d[:, ks[at]].T
-        states[at] = normalize_state(rows)
+        states[at] = _cores(frame.triple, ks[at], p.m) if generic else d[:, ks[at]].T
+        normalize_rows(states[at])
     return states
 
 
@@ -544,9 +578,10 @@ def eigenstate(p: GBSParams, k: int) -> np.ndarray:
     """solve(p).eigenstates[k], without building the other states.
 
     On the generic branch the state comes from the twisted factorization of
-    L - lambda_k, in O(m); eigenstate_sum builds the same state through
-    D(zeta) as an independent check.  At delta = 0 (nu = 0) D(zeta) = I and
-    both read the state off its closed-form core.  Raises ValueError for a k
+    L - lambda_k, in O(m), with its mirror m - k swept for its pivots only;
+    eigenstate_sum builds the same state through D(zeta) as an independent
+    check.  At delta = 0 (nu = 0) D(zeta) = I and both read the state off
+    its closed-form core.  Raises ValueError for a k
     the branch does not carry: not an integer, outside 0..m, or k > 0 on the
     defective branch.
     """
@@ -557,22 +592,36 @@ def eigenstate(p: GBSParams, k: int) -> np.ndarray:
 
 def undisplaced_eigenstate(p: GBSParams, k: int) -> np.ndarray:
     """Eigenstate of the rotated operator A+ J+ - A0 J0, before displacing back."""
-    return normalize_state(_cores(_generic_frame(p, k).triple, k, p.m))
+    _check_index(p, k)
+    return normalize_state(_cores(_generic_frame(p).triple, k, p.m))
+
+
+class _Point(NamedTuple):
+    """What eigenstate_sum and eigenstate_exponential read of a generic point."""
+
+    frame: _Frame
+    rotation: np.ndarray | None  # D(zeta); None at delta = 0, where D = I
+    tables: _CoreTables
 
 
 @functools.lru_cache(maxsize=1)
-def _rotation(zeta: DisplacementParams) -> np.ndarray:
-    """displacement(zeta), read-only, kept for the last point asked for.
+def _point(p: GBSParams) -> _Point:
+    """The frame, D(zeta) and core tables of p, read-only, kept for the last
+    point asked for.
 
     Only eigenstate_sum and eigenstate_exponential read it: they are called
-    once per k at one point, and so build D(zeta) once for all m+1 states.
-    Equal keys differ at most in the sign of a zero theta (delta_to_zeta
-    gives theta = -0.0 for a real positive delta), and displacement reads
-    theta only through theta + pi/2, so equal keys build identical matrices.
+    once per k at one point, and so derive the frame and build D(zeta) and
+    the tables once for all m+1 states.  Equal keys differ at most in the
+    signs of zero parts of mu and nu; their frames then differ at most in
+    the sign of a zero A-, which no form reads, and they give the same bits.
     """
-    d = displacement(zeta)
-    d.setflags(write=False)
-    return d
+    frame = _generic_frame(p)
+    rotation = None if frame.delta == 0 else displacement(frame.zeta)
+    tables = _core_tables(frame.triple, p.m)
+    for table in (rotation, tables.falling, tables.half_steps, tables.phase):
+        if table is not None:
+            table.setflags(write=False)
+    return _Point(frame, rotation, tables)
 
 
 def eigenstate_sum(p: GBSParams, k: int) -> np.ndarray:
@@ -585,12 +634,14 @@ def eigenstate_sum(p: GBSParams, k: int) -> np.ndarray:
     eigenstate reads the same core there, so the tests check both against
     the twisted factorization instead.
     """
-    frame = _generic_frame(p, k)
-    core = _cores(frame.triple, k, p.m)
-    if frame.delta == 0:
-        core[k + 1 :] = 0.0  # +0 past the support, as from the gemv below
-        return normalize_state(core)
-    return normalize_state(_rotation(frame.zeta)[:, : k + 1] @ core[: k + 1])
+    _check_index(p, k)
+    point = _point(p)
+    core = _core(point.tables, k)
+    if point.rotation is None:
+        state = np.zeros(p.m + 1, dtype=complex)  # +0 past the support, as from a gemv
+        state[: k + 1] = core
+        return normalize_state(state)
+    return normalize_state(point.rotation[:, : k + 1] @ core)
 
 
 def _exponential_form_core(triple: CoefficientTriple, k: int, m: int) -> np.ndarray:
@@ -620,11 +671,12 @@ def _exponential_form_core(triple: CoefficientTriple, k: int, m: int) -> np.ndar
 
 def eigenstate_exponential(p: GBSParams, k: int) -> np.ndarray:
     """Eigenstate via the exponential form; equal to eigenstate_sum."""
-    frame = _generic_frame(p, k)
-    core = _exponential_form_core(frame.triple, k, p.m)
-    if frame.delta == 0:  # D(zeta) = I
+    _check_index(p, k)
+    point = _point(p)
+    core = _exponential_form_core(point.frame.triple, k, p.m)
+    if point.rotation is None:  # D(zeta) = I
         return normalize_state(core)
-    return normalize_state(_rotation(frame.zeta) @ core)
+    return normalize_state(point.rotation @ core)
 
 
 def solve(p: GBSParams) -> GBSSolution:

@@ -11,7 +11,6 @@ records one criterion at a time.
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -94,10 +93,10 @@ def check_binomial_core() -> list[CheckResult]:
             p = BinomialParams(eta=eta, m=m)
             amps = binomial_amplitudes(p)
             dist = np.abs(amps) ** 2
-            e = Fraction(eta)  # the float eta, exactly
-            ref = np.array(
-                [float(math.comb(m, n) * e**n * (1 - e) ** (m - n)) for n in range(m + 1)]
-            )
+            # the float eta is a / b exactly, so C(m, n) eta^n (1 - eta)^(m-n)
+            # is an integer ratio, and int / int rounds it correctly
+            a, b = eta.as_integer_ratio()
+            ref = np.array([math.comb(m, n) * a**n * (b - a) ** (m - n) / b**m for n in range(m + 1)])
             worst_dist = max(worst_dist, float(np.abs(dist - ref).max()))
             worst_ladder = max(worst_ladder, ladder_residual(p))
             worst_infid = max(

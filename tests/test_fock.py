@@ -11,6 +11,7 @@ from gbstates.fock import (
     check_photon_cap,
     fidelity,
     hop_squares,
+    normalize_rows,
     normalize_state,
 )
 
@@ -199,3 +200,27 @@ def test_basis_state_bounds():
         basis_state(3, 3)
     with pytest.raises(ValueError):
         basis_state(-1, 3)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_normalize_state_leaves_a_2d_input_unchanged(order):
+    rng = np.random.default_rng(5)
+    stack = np.array(rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9)), order=order)
+    before = stack.copy()
+    rows = normalize_state(stack)
+    assert not np.shares_memory(rows, stack)
+    assert stack.tobytes() == before.tobytes()
+
+
+def test_normalize_rows_works_in_place_with_the_bits_of_normalize_state():
+    # the solver normalizes the blocks it owns where they lie, rows of a
+    # larger block among them
+    rng = np.random.default_rng(6)
+    block = rng.normal(size=(7, 12)) + 1j * rng.normal(size=(7, 12))
+    expected = normalize_state(block[2:5])
+    outside = np.concatenate([block[:2], block[5:]])
+    assert normalize_rows(block[2:5]) is not None
+    assert block[2:5].tobytes() == expected.tobytes()
+    assert np.concatenate([block[:2], block[5:]]).tobytes() == outside.tobytes()
+    fresh = block[:2].copy()
+    assert normalize_rows(fresh) is fresh

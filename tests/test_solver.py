@@ -9,7 +9,7 @@ import pytest
 from conftest import dense_reference, frame_scale, hp_generators
 from gbstates.binomial import BinomialParams, binomial_amplitudes
 from gbstates.displacement import DisplacementParams, delta_to_zeta, displacement
-from gbstates.fock import AMPLITUDE_CAP, basis_state, fidelity, normalize_state
+from gbstates.fock import AMPLITUDE_CAP, basis_state, fidelity, normalize_rows, normalize_state
 from gbstates.oracle import _band_spectrum, compare
 from gbstates.solver import (
     GBSParams,
@@ -29,7 +29,7 @@ from gbstates.solver import (
     spectrum,
     undisplaced_eigenstate,
 )
-from gbstates.solver import _cores, _exponential_form_core, _rotation, _twisted_states
+from gbstates.solver import _core, _core_tables, _cores, _exponential_form_core, _point, _twisted_states
 from gbstates.verification import DEFAULT_SEED, random_parameter_draws
 
 
@@ -700,7 +700,7 @@ def test_twisted_states_in_the_overflow_and_edge_regimes(p):
         np.testing.assert_array_equal(eigenstate(p, k), sol.eigenstates[k])
 
 
-# generic points for the rotation memo; (1, 0.3, 0.4) has a real positive
+# generic points for the point memo; (1, 0.3, 0.4) has a real positive
 # delta, so its theta is -0.0
 MEMO_POINTS = [
     GBSParams(1.0, 0.3, 0.4, 12),
@@ -713,12 +713,16 @@ FORMS = (eigenstate_sum, eigenstate_exponential)
 
 
 def _fresh(p, k, form):
-    """form(p, k) from a fresh displacement(): the memo-free formula."""
+    """form(p, k) from a fresh frame, _cores and displacement(): the memo-free formula."""
     delta = select_root(p)
     zeta, triple = delta_to_zeta(delta, p.m), coefficient_triple(p, delta)
+    core = _cores(triple, k, p.m) if form is eigenstate_sum else _exponential_form_core(triple, k, p.m)
+    if delta == 0:  # D(zeta) = I
+        core[k + 1 :] = 0.0
+        return normalize_state(core)
     if form is eigenstate_sum:
-        return normalize_state(displacement(zeta)[:, : k + 1] @ _cores(triple, k, p.m)[: k + 1])
-    return normalize_state(displacement(zeta) @ _exponential_form_core(triple, k, p.m))
+        return normalize_state(displacement(zeta)[:, : k + 1] @ core[: k + 1])
+    return normalize_state(displacement(zeta) @ core)
 
 
 def test_eigenstate_forms_do_not_depend_on_the_memo():
@@ -726,7 +730,7 @@ def test_eigenstate_forms_do_not_depend_on_the_memo():
     for i, p in enumerate(MEMO_POINTS):
         for k in range(p.m + 1):
             for f in FORMS:
-                _rotation.cache_clear()
+                _point.cache_clear()
                 cold[i, k, f] = f(p, k)
                 assert np.array_equal(cold[i, k, f], _fresh(p, k, f)), (i, k, f.__name__)
     for order in ("up", "down"):
@@ -744,6 +748,38 @@ def test_eigenstate_forms_do_not_depend_on_the_memo():
                         assert np.array_equal(f(point, k), cold[at, k, f]), (at, k, f.__name__)
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 60, 401])
+@pytest.mark.parametrize("nu", [0.0, 0.3 - 0.5j], ids=["nu-zero", "nu-nonzero"])
+def test_one_k_core_is_the_cores_prefix_bit_for_bit(m, nu):
+    # the forms read core k off the point's tables; solve's nu = 0 rows and
+    # the tests read it off _cores
+    p = GBSParams(0.7 + 0.2j, nu, 0.4, m)
+    triple = coefficient_triple(p, select_root(p))
+    tables = _core_tables(triple, m)
+    for k in range(m + 1):
+        assert _core(tables, k).tobytes() == _cores(triple, k, m)[: k + 1].tobytes(), k
+
+
+# groups of points equal under == (so one memo key), which differ only in the
+# signs of zero parts of nu or mu
+SIGNED_ZERO_GROUPS = [
+    [GBSParams(mu, nu, 0.4, 9) for nu in (0.0, -0.0, complex(0.0, -0.0))] for mu in (1.0, 0.3 - 2.0j)
+] + [
+    [GBSParams(mu, nu, 0.4, 9) for mu in (complex(-1.0, 0.0), complex(-1.0, -0.0))] for nu in (0.3, 0.0, -0.3)
+]
+
+
+@pytest.mark.parametrize("group", SIGNED_ZERO_GROUPS, ids=lambda g: repr(g[0]))
+def test_signed_zero_points_share_the_memo_and_its_bits(group):
+    assert all(p == group[0] and hash(p) == hash(group[0]) for p in group)
+    _point.cache_clear()
+    for k in range(group[0].m + 1):
+        for p in group:
+            for f in FORMS:
+                assert f(p, k).tobytes() == _fresh(p, k, f).tobytes(), (p, k, f.__name__)
+    assert _point.cache_info().misses == 1
+
+
 def test_displacement_stays_fresh_and_writable():
     zeta = delta_to_zeta(select_root(MEMO_POINTS[1]), MEMO_POINTS[1].m)
     first, second = displacement(zeta), displacement(zeta)
@@ -756,10 +792,11 @@ def test_displacement_stays_fresh_and_writable():
 def test_the_memo_is_read_only():
     p = MEMO_POINTS[1]
     eigenstate_sum(p, 3)
-    d = _rotation(delta_to_zeta(select_root(p), p.m))
-    assert _rotation.cache_info().currsize == 1
-    with pytest.raises(ValueError, match="read-only"):
-        d[0, 0] = 1.0
+    point = _point(p)
+    assert _point.cache_info().currsize == 1
+    for table in (point.rotation, point.tables.falling, point.tables.half_steps, point.tables.phase):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
 
 
 def test_a_signed_zero_theta_builds_the_same_rotation():
@@ -784,10 +821,10 @@ def test_a_signed_zero_theta_builds_the_same_rotation():
 )
 def test_solve_and_eigenstate_leave_the_memo_empty(p, kind):
     # a kept m = 800 rotation would add ~10 MiB to every large solve's peak
-    _rotation.cache_clear()
+    _point.cache_clear()
     assert solve(p).kind is kind
     eigenstate(p, 0)
-    assert _rotation.cache_info().currsize == 0
+    assert _point.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(
@@ -848,6 +885,36 @@ def test_nu_zero_solve_rows_are_eigenstate_bit_for_bit(mu, eta, m, nu):
     assert sol.kind is SolutionKind.GENERIC and sol.delta_root == 0
     for k in range(m + 1):
         assert eigenstate(p, k).tobytes() == sol.eigenstates[k].tobytes(), k
+
+
+@pytest.mark.parametrize(
+    "p",
+    [GBSParams(1.0, 0.3 + 0.3j, 0.4, m) for m in (1, 2, 9, 60, 300)]
+    + [GBSParams(0.9 + 0.4j, 0.9 - 0.4j, 0.55, 40), GBSParams(1e-3, 40.0, 0.2, 33)],
+    ids=["m1", "m2", "m9", "m60", "m300-two-chunks", "hermitian", "large-nu-over-mu"],
+)
+def test_eigenstate_rows_are_solve_rows_bit_for_bit(p):
+    # eigenstate sweeps k with its mirror m - k but builds k alone; at m = 300
+    # solve sweeps in two chunks
+    sol = solve(p)
+    for k in range(0, p.m + 1, 1 + p.m // 60):
+        assert eigenstate(p, k).tobytes() == sol.eigenstates[k].tobytes(), k
+
+
+def test_eigenstate_builds_only_its_own_state(monkeypatch):
+    shapes = []
+
+    def record(u):
+        shapes.append(u.shape)
+        return normalize_rows(u)
+
+    monkeypatch.setattr("gbstates.solver.normalize_rows", record)
+    p = GBSParams(1.0, 0.3j, 0.4, 9)
+    for k in (0, 3, 9):
+        eigenstate(p, k)
+    assert shapes == [(1, 10)] * 3
+    solve(p)
+    assert shapes[3:] == [(10, 10)]
 
 
 def test_nu_zero_never_runs_the_twisted_sweep(monkeypatch):
