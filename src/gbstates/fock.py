@@ -101,8 +101,10 @@ def normalize_state(v: np.ndarray) -> np.ndarray:
     # scale by the largest magnitude first: the squared norm of a vector with
     # entries above ~1e154 would overflow
     u = v / big
-    u = u / np.linalg.norm(u)
-    lead = int(np.nonzero(mags > 1e-12 * big)[0][0])
+    # the squared norm as np.linalg.norm sums a complex vector, without its
+    # per-call checks: the forms normalize one small state per call
+    u = u / np.sqrt(u.real.dot(u.real) + u.imag.dot(u.imag))
+    lead = int((mags > 1e-12 * big).argmax())
     phase = u[lead] / abs(u[lead])
     u = u / phase
     u[lead] = abs(u[lead])  # drop the ~1 ulp residual imaginary part
