@@ -1,7 +1,7 @@
 """Command-line front end: machine-readable access to every pipeline.
 
-Single solves (`binomial`, `gbs`, `evolve`) always emit JSON run records and
-take no `--format`; scans emit CSV (one row per schedule point) or JSON, and
+Single solves (`binomial`, `gbs`, `evolve`) always emit JSON run records,
+one line each, and take no `--format`; scans emit CSV (one row per schedule point) or JSON, and
 `verify` runs the fixed property battery (no draw or seed flags; its JSON
 `params` is empty) as a text table or JSON.  Exit
 codes: 0 success, 2 invalid input, 3 a verification check failed or the
@@ -45,7 +45,8 @@ def _cnum(z) -> list[float]:
 
 
 def _cvec(v) -> list[list[float]]:
-    return [_cnum(z) for z in np.asarray(v)]
+    # the (re, im) pairs of a contiguous complex array, as the float view reads them
+    return np.ascontiguousarray(v, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def _f17(x: float) -> str:
@@ -65,6 +66,7 @@ def _write(text: str, out: str) -> None:
 
 
 def _record(command: str, params: dict, results: dict, diagnostics: dict) -> str:
+    # one line: without indent, json runs its C encoder
     return json.dumps(
         {
             "command": command,
@@ -72,8 +74,7 @@ def _record(command: str, params: dict, results: dict, diagnostics: dict) -> str
             "params": params,
             "results": results,
             "diagnostics": diagnostics,
-        },
-        indent=2,
+        }
     )
 
 
@@ -145,6 +146,7 @@ def cmd_gbs(args) -> int:
                 "multiplicity_collapse": report.multiplicity_collapse,
                 "pair_error_bound": report.pair_bound,
                 "residual_bound": report.residual_bound,
+                "method": report.method,
                 "lapack_routine": report.lapack_routine,
                 "skipped_newton_steps": report.skipped_newton_steps,
             },

@@ -1,34 +1,57 @@
 """Independent eigensolver on L's three bands, used to verify the closed form.
 
 compare takes L's sub-, main and superdiagonal from the parameters
-(solver.bands) and never builds L; dense_spectrum, which only the
-benchmark's dense replay calls, reads them off a dense L and rejects a
-matrix without L's +-lambda symmetry (below).  Then: the symmetrized
-T' = tridiag(e, d, e), e_n = sqrt(sub_n sup_n), which has the same
-continuant and so the same characteristic polynomial; LAPACK's eigenvalues
-as starting values; and two Newton steps on det(L - z), by the three-term
-continuant of its leading minors.  L's bands have d[::-1] == -d and
-e[::-1] == e exactly, so its spectrum comes in +-lambda pairs, and LAPACK
-only sees the h x h matrix W of T'^2 folded on that symmetry,
-h = floor((m+1)/2): the starting values are +sqrt of its eigenvalues, only
-those h are polished, and the spectrum is them, their negatives and, for
-even m, an exact 0.  LAPACK's routine is `eigvalsh` where W is Hermitian up
-to rounding, as it is wherever mu nu > 0 (the Hermitian branch among them),
-and `eigvals` otherwise.  Nothing here reads the root, the rotation or the
-coefficient triple; the closed form calls no `eigvals`; and the polish, not
-LAPACK, sets the final accuracy, so LAPACK's values only have to lie in
-each root's basin.  Cost on an n x n tridiagonal: O(n) to symmetrize and
-fold; O((n/2)^3) in LAPACK, several times less with `eigvalsh`; O(n) per
-polished eigenvalue and Newton step, over n/2 eigenvalues; and O(n) per
+(solver.bands) and never builds L.  It picks one of three routes from the
+parameters and the branch, and reports it as SpectrumReport.method:
+
+  * "sturm", the real slice: mu nu real and >= 0 up to the rounding of a
+    gauge turn, nu = 0 included (a test on the phases of mu and nu alone).
+    There L is similar to a real symmetric tridiagonal T_R up to a
+    Bauer-Fike term of Im(mu nu), and a Sturm count of T_R's negative pivots
+    (Sylvester's inertia), at every closed-form value plus and minus a tight
+    radius r at once, proves one eigenvalue in each interval (_sturm_radius).
+    max_pair_error is that proven radius: r, plus the count's backward
+    error, plus the Bauer-Fike term.  No LAPACK runs, and the oracle's
+    eigenvalues are the certified centres, the closed-form values.  Where
+    the count proves no radius within pair_bound, the LAPACK route decides.
+  * "none", the defective branch: the verdict reads only the residual, and
+    no spectrum is computed.  On that near-Jordan fold `eigvals` costs
+    O(m^3) and its values scatter like (eps |L|)^(1/(m+1)) anyway.
+  * "lapack", everywhere else.  The symmetrized T' = tridiag(e, d, e),
+    e_n = sqrt(sub_n sup_n), which has the same continuant and so the same
+    characteristic polynomial; LAPACK's eigenvalues as starting values; and
+    two Newton steps on det(L - z), by the three-term continuant of its
+    leading minors.  max_pair_error is the distance of the greedy pairing
+    to those polished values, an estimate, not a bound.
+
+dense_spectrum, which only the benchmark's dense replay calls, reads the
+bands off a dense L, rejects a matrix without L's +-lambda symmetry and runs
+the LAPACK route's spectrum.  L's bands have d[::-1] == -d and e[::-1] == e
+exactly, so its spectrum comes in +-lambda pairs, and LAPACK only sees the
+h x h matrix W of T'^2 folded on that symmetry, h = floor((m+1)/2): the
+starting values are +sqrt of its eigenvalues, only those h are polished,
+and the spectrum is them, their negatives and, for even m, an exact 0.
+LAPACK's routine is `eigvalsh` where W is Hermitian up to rounding, as it is
+wherever mu nu > 0, and `eigvals` otherwise.  Nothing here reads the root,
+the rotation or the coefficient triple; the closed form calls no `eigvals`;
+and the polish, not LAPACK, sets the final accuracy, so LAPACK's values only
+have to lie in each root's basin.  Cost on an n x n tridiagonal: O(n^2) and
+O(n) memory for the Sturm count; on the LAPACK route, O(n) to symmetrize
+and fold, O((n/2)^3) in LAPACK, several times less with `eigvalsh`, and O(n)
+per polished eigenvalue and Newton step, over n/2 eigenvalues; and O(n) per
 state for the residuals.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fock import hop_squares
 from .solver import GBSParams, GBSSolution, SolutionKind, bands, operator_norm
+
+_EPS = float(np.finfo(float).eps)
 
 # LAPACK's starting values carry a forward error amplified by the eigenvalue
 # condition number; inside a root's basin Newton converges quadratically, so
@@ -41,7 +64,16 @@ _NEWTON_STEPS = 2
 # basin.  W measures at most 2.4 eps on 2800 gauge-turned points of the slice
 # mu nu > 0 (m <= 300) and 2.3e14 eps 0.03 rad off it; 16 eps keeps the two
 # apart.
-_HERMITIAN_DEFECT = 16 * np.finfo(float).eps
+_HERMITIAN_DEFECT = 16 * _EPS
+
+# The real slice: |arg(mu nu)| at most this, a few hundred times the rounding
+# a gauge turn leaves in it, and far below the 0.03 rad of the near-normal
+# points, whose Bauer-Fike term alone would pass the pair bound
+_SLICE_PHASE = 64 * _EPS
+
+# The Sturm count's floor on a pivot's modulus, on T_R scaled to entries
+# below 1: b^2 / _PIVMIN stays below 2^1022
+_PIVMIN = float(np.finfo(float).tiny)
 
 # The continuant divides its pairs by their largest modulus when the growth
 # bound since the last division would pass 2^_GROWTH_BITS, short of the
@@ -72,9 +104,20 @@ class SpectrumReport:
     must meet, and passed applies them.  Callers read these instead of
     re-deriving them.
 
+    method names compare's route (see the module docstring), and so what
+    max_pair_error means:
+      * "sturm": a proven bound on every |eigenvalue of L - closed-form
+        value|; oracle_eigenvalues are the certified centres, the
+        closed-form values, each paired with itself;
+      * "lapack": the largest distance of the greedy pairing to LAPACK's
+        values after the Newton polish;
+      * "none": the defective branch, where no spectrum is computed:
+        oracle_eigenvalues is empty and max_pair_error None.
+
     lapack_routine names the LAPACK routine that gave the oracle's starting
-    values, "eigvalsh" or "eigvals", and skipped_newton_steps counts the
-    Newton steps the skip rule rejected over the values polished.
+    values, "eigvalsh" or "eigvals", or "" where LAPACK did not run, and
+    skipped_newton_steps counts the Newton steps the skip rule rejected over
+    the values polished.
     """
 
     oracle_eigenvalues: np.ndarray
@@ -85,6 +128,7 @@ class SpectrumReport:
     max_pair_error: float | None = None
     max_residual: float | None = None
     multiplicity_collapse: bool = False
+    method: str = ""
     lapack_routine: str = ""
     skipped_newton_steps: int = 0
 
@@ -298,35 +342,149 @@ def _greedy_pairing(
     return pairing, max([0.0, *errors.tolist()])
 
 
+def _split_modulus(z: complex) -> tuple[float, int]:
+    """(f, e) with |z| = f 2^e, f in [0.5, 1.5) or 0: |z| without over- or underflow.
+
+    z is scaled by a power of two, exactly, before its modulus is taken, so a
+    subnormal part keeps its relative accuracy.
+    """
+    e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    return abs(complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))), e
+
+
+def _slice_phase_bound(p: GBSParams) -> float | None:
+    """A bound on |arg(mu nu)| where the point lies on the real slice, else None.
+
+    The slice is mu nu real and >= 0 up to the rounding a gauge turn
+    (mu e^-it, nu e^it) leaves in it, nu = 0 included.  The phase comes from
+    the two factors' own, so a product that underflows keeps it; each
+    cmath.phase and the wrap mod 2 pi err by an ulp or two of pi at most.
+    """
+    if p.nu == 0:
+        return 0.0
+    a, b = cmath.phase(p.mu), cmath.phase(p.nu)
+    phi = abs(math.remainder(a + b, 2.0 * math.pi))
+    if phi > _SLICE_PHASE:
+        return None
+    return phi + 4.0 * _EPS * (abs(a) + abs(b))
+
+
+def _sturm_radius(p: GBSParams, diag: np.ndarray, closed: np.ndarray, phase: float,
+                  pair_bound: float) -> float | None:
+    """A proven bound on every |eigenvalue of L - closed-form value|, pairing
+    each closed-form value with its own eigenvalue, or None where no radius
+    within pair_bound can be proven this way.
+
+    T_R = tridiag(b, d, b), b_n^2 = (1-eta) |mu| |nu| (n+1)(m-n), is real
+    symmetric.  L's characteristic polynomial reads only d and the products
+    sub_n sup_n = b_n^2 e^{i phi}, phi = arg(mu nu), so it is that of T_R + E,
+    E = tridiag(b (e^{i phi/2} - 1), 0, b (e^{i phi/2} - 1)), with
+    |E|_2 <= max b |phi|: by Bauer-Fike, T_R being normal, L's eigenvalues
+    lie within rho = that bound of T_R's.
+
+    The number of negative pivots q_i = (d_i - x) - b_{i-1}^2 / q_{i-1} is the
+    number of T_R's eigenvalues below x (Sylvester's inertia; Barth, Martin
+    & Wilkinson, Numer. Math. 9, 1967).  In floating point the count is exact
+    for a T_R whose b_n^2 carry four more roundings (Kahan, 1966; Demmel,
+    Dhillon & Ren, ETNA 3, 1995): with the roundings of d and b^2 from the
+    parameters, every entry within 3 eps of its own modulus, so by Weyl
+    every eigenvalue within beta = eps (max|d| + 6 max b) of T_R's.  The
+    count runs on T_R scaled by a power of two near its largest entry, which
+    is exact, and, as LAPACK's dstebz does, takes a pivot below _PIVMIN in
+    modulus as -_PIVMIN, which moves a diagonal entry by at most twice that
+    and keeps every quotient b^2 / q finite.
+
+    Every closed-form value lambda_k is paired with the k-th eigenvalue in
+    ascending order of real parts, and the count runs at all x = Re lambda_k
+    +- r at once, one loop over the rows, with r = beta + rho + 4 eps
+    max|lambda|, several times the closed form's own rounding.  If the
+    counts below lambda_k - r and lambda_k + r are k and k + 1, and the
+    intervals stay 2 (beta + rho) apart, each holds one eigenvalue of T_R
+    within beta, and one of L within rho: every pair error is at most
+    r + beta + rho + |Im lambda_k|, plus the rounding of the shifts.  O(m)
+    per shift, O(m^2) in all, and O(m) memory.
+    """
+    m = p.m
+    f_mu, e_mu = _split_modulus(complex(p.mu))
+    f_nu, e_nu = _split_modulus(complex(p.nu))
+    # (1-eta) |mu| |nu| = f 2^e, and b_n^2 its multiple by the integer (n+1)(m-n)
+    f, e = (1.0 - p.eta) * f_mu * f_nu, e_mu + e_nu
+    half, odd = divmod(e, 2)
+    b_peak = math.ldexp(math.sqrt(math.ldexp(f, odd) * (((m + 1) // 2) * ((m + 2) // 2))), half)
+    d_peak = float(np.abs(diag).max())
+    scale = _power_of_two_near(max(d_peak, b_peak))
+    # + the floor and underflow in the scaled count: a b^2 that underflows
+    # moves b by at most sqrt(2^-1074)
+    beta = _EPS * (d_peak + 6.0 * b_peak) + scale * 2.0**-500
+    rho = b_peak * phase * (1.0 + 4.0 * _EPS)
+    order = np.argsort(closed.real)
+    centres = closed.real[order]
+    im = float(np.abs(closed.imag).max())
+    peak = float(np.abs(centres).max())
+    r = beta + rho + 4.0 * _EPS * peak
+    radius = r + 0.5 * _EPS * (peak + r) + beta + rho + im
+    if not (radius <= pair_bound and np.all(centres[1:] - centres[:-1] > 2.0 * (r + beta + rho))):
+        return None
+    x = np.concatenate([centres - r, centres + r]) / scale
+    a = (diag / scale).tolist()
+    b2 = (math.ldexp(f, e - 2 * (math.frexp(scale)[1] - 1)) * hop_squares(m)).tolist()
+    q = a[0] - x
+    count = np.zeros(len(x), dtype=np.int64)
+    neg, tiny, u = np.empty(len(x), dtype=bool), np.empty(len(x), dtype=bool), np.empty(len(x))
+    for a_i, b2_i in zip(a[1:], b2):
+        # a pivot below _PIVMIN in modulus counts, and divides, as -_PIVMIN
+        np.less(q, _PIVMIN, out=neg)
+        count += neg
+        np.greater(q, -_PIVMIN, out=tiny)
+        tiny &= neg
+        np.copyto(q, -_PIVMIN, where=tiny)
+        np.divide(b2_i, q, out=u)
+        np.subtract(a_i, x, out=q)
+        q -= u
+    count += q < _PIVMIN
+    k = np.arange(m + 1)
+    if not (np.array_equal(count[: m + 1], k) and np.array_equal(count[m + 1 :], k + 1)):
+        return None
+    return radius
+
+
 def compare(p: GBSParams, solution: GBSSolution) -> SpectrumReport:
     """Check a closed-form solution against this module's eigensolver, run on bands(p).
 
     Pairs the two eigenvalue lists and records the worst pair distance and
     the worst eigenstate residual |L v - lambda v|, with the bounds each must
-    meet.  A defective solution is flagged as a multiplicity collapse instead
-    of being force-paired.
+    meet.  On the real slice the pair error is the radius the Sturm count
+    proves, where it proves one within pair_bound; elsewhere, and where it
+    does not, it is the distance to the polished LAPACK spectrum.  A
+    defective solution is flagged as a multiplicity collapse instead of being
+    paired, and no spectrum is computed for it.
     """
     if solution.params != p:
         raise ValueError("solution was produced from different parameters")
-    sub, diag, sup = bands(p)
-    oracle_vals, routine, skipped = _band_spectrum(sub, diag, sup)
     closed_vals = np.asarray(solution.eigenvalues, dtype=complex)
-    if len(oracle_vals) != len(closed_vals):
-        raise ValueError(
-            f"size mismatch: oracle {len(oracle_vals)} vs closed form {len(closed_vals)}"
-        )
+    if len(closed_vals) != p.m + 1:
+        raise ValueError(f"size mismatch: oracle {p.m + 1} vs closed form {len(closed_vals)}")
+    sub, diag, sup = bands(p)
     report = SpectrumReport(
-        oracle_eigenvalues=oracle_vals,
+        oracle_eigenvalues=np.empty(0, dtype=complex),
         closed_form_eigenvalues=closed_vals,
         pair_bound=1e-9 * (1.0 + float(np.abs(closed_vals).max())),
         residual_bound=1e-10 * operator_norm(p),
-        lapack_routine=routine,
-        skipped_newton_steps=skipped,
+        method="none",
     )
     if solution.kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO:
         report.multiplicity_collapse = True
     else:
-        report.pairing, report.max_pair_error = _greedy_pairing(closed_vals, oracle_vals)
+        phase = _slice_phase_bound(p)
+        radius = None if phase is None else _sturm_radius(p, diag.real, closed_vals, phase, report.pair_bound)
+        if radius is not None:
+            report.method, report.max_pair_error = "sturm", radius
+            report.oracle_eigenvalues = closed_vals
+            report.pairing = [(k, k) for k in range(p.m + 1)]
+        else:
+            oracle_vals, report.lapack_routine, report.skipped_newton_steps = _band_spectrum(sub, diag, sup)
+            report.method, report.oracle_eigenvalues = "lapack", oracle_vals
+            report.pairing, report.max_pair_error = _greedy_pairing(closed_vals, oracle_vals)
     # |L v - lambda v| from the three bands, one state per row
     states = np.asarray(solution.eigenstates)
     res = (diag - (0.0 if report.multiplicity_collapse else closed_vals[:, None])) * states

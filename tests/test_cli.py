@@ -4,6 +4,12 @@ import dataclasses
 import io
 import json
 import math
+import os
+import pathlib
+import struct
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -73,13 +79,16 @@ def test_gbs_spectrum_and_roots(capsys):
     assert doc["diagnostics"]["oracle"]["max_pair_error"] <= 1e-12
 
 
-@pytest.mark.parametrize("nu_im, routine", [("0", "eigvalsh"), ("0.3", "eigvals")])
-def test_gbs_reports_the_oracle_routine_and_skipped_steps(capsys, nu_im, routine):
-    # mu nu > 0 gives LAPACK a Hermitian matrix; mu nu = 0.3 + 0.3i does not
+@pytest.mark.parametrize(
+    "nu_im, method, routine", [("0", "sturm", ""), ("0.3", "lapack", "eigvals")], ids=["0-sturm", "0.3-eigvals"]
+)
+def test_gbs_reports_the_oracle_routine_and_skipped_steps(capsys, nu_im, method, routine):
+    # mu nu > 0 lies on the real slice, where the Sturm count replaces
+    # LAPACK; mu nu = 0.3 + 0.3i gives LAPACK a non-Hermitian matrix
     doc = run_json(capsys, ["gbs", "--mu-re", "1", "--nu-re", "0.3", "--nu-im", nu_im,
                             "--eta", "0.4", "--m", "12"])
     oracle = doc["diagnostics"]["oracle"]
-    assert (oracle["lapack_routine"], oracle["skipped_newton_steps"]) == (routine, 0)
+    assert (oracle["method"], oracle["lapack_routine"], oracle["skipped_newton_steps"]) == (method, routine, 0)
 
 
 def test_gbs_degenerate_kind(capsys):
@@ -704,3 +713,78 @@ def test_verify_failure_path(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["verify"])
     assert code == 3
     assert "FAIL" in out
+
+
+def same_bits(a, b) -> bool:
+    """a == b, with floats compared by their bits and types compared too."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_bits(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(same_bits(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["binomial", "--eta", "0.37", "--m", "9"],
+        ["gbs", "--mu-re", "0.7", "--mu-im", "0.2", "--nu-re", "0.3", "--nu-im", "-0.4",
+         "--eta", "0.37", "--m", "7", "--k", "3"],
+        ["gbs", "--mu-re", "1", "--nu-re", "-0.25", "--eta", "0.5", "--m", "6", "--k", "0"],
+        ["evolve", "--eta", "0.4", "--m", "6", "--k", "2", "--omega", "1.3", "--t", "0.7"],
+        ["limit", "--mode", "squeezed", "--nu-re", "0.3", "--alpha", "1", "--m-values", "30,60",
+         "--format", "json"],
+        ["verify", "--format", "json"],
+    ],
+    ids=["binomial", "gbs", "gbs-defective", "evolve", "limit", "verify"],
+)
+def test_a_record_is_one_line_with_the_values_of_the_indented_one(capsys, monkeypatch, argv):
+    # the one-line record, from json's C encoder, reads back to the same
+    # values, bit for bit, as the same record indented by the pure-Python one
+    records = []
+
+    def dumps(obj, **kwargs):
+        records.append(obj)
+        return json.dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cli, "json", types.SimpleNamespace(dumps=dumps))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert out.count("\n") == 1 and out.endswith("\n")
+    (record,) = records
+    assert same_bits(json.loads(out), json.loads(json.dumps(record, indent=2)))
+
+
+def test_cvec_keeps_every_bit_of_the_per_element_pairs():
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal(40) * 10.0 ** rng.integers(-320, 300, 40) + 1j * rng.standard_normal(40)
+    z[:6] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(np.inf, -np.inf), complex(np.nan, 1.0),
+             complex(5e-324, -5e-324), complex(1.0, np.nan)]
+    for v in (z, z[::3], z.real, list(z[:7]), np.array([], dtype=complex)):
+        want = [[complex(x).real, complex(x).imag] for x in np.asarray(v)]
+        assert same_bits(cli._cvec(v), want)
+
+
+@pytest.mark.parametrize(
+    "mu, nu, eta, method",
+    [(1.0, 0.7 * np.exp(0.03j), 0.4, "lapack"), (0.9 + 0.4j, 0.9 - 0.4j, 0.55, "sturm"),
+     (1.0, -0.25, 0.5, "none"), (1.2, 0.0, 0.35, "sturm")],
+    ids=["near-normal", "hermitian", "defective", "nu-zero"],
+)
+def test_gbs_in_a_fresh_process_prints_one_json_line(mu, nu, eta, method):
+    # the benchmark's verified-solve points at m = 12, through the module's
+    # command line in a new interpreter
+    mu, nu = complex(mu), complex(nu)
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["gbs", "--mu-re", repr(mu.real), "--mu-im", repr(mu.imag), "--nu-re", repr(nu.real),
+            "--nu-im", repr(nu.imag), "--eta", repr(eta), "--m", "12", "--k", "0", "--out", "-"]
+    proc = subprocess.run([sys.executable, "-m", "gbstates.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    assert json.loads(line)["diagnostics"]["oracle"]["method"] == method

@@ -1,5 +1,6 @@
 import dataclasses
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,8 +42,8 @@ def tridiagonal(sub, diag, sup):
     return np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
 
 
-def lapack_input(monkeypatch, run, *args):
-    """The matrix run(*args) hands to LAPACK, by np.linalg.eigvals or eigvalsh."""
+def lapack_inputs(monkeypatch, run, *args):
+    """The matrices run(*args) hands to LAPACK, by np.linalg.eigvals or eigvalsh."""
     seen = []
 
     def spy_on(routine):
@@ -56,6 +57,12 @@ def lapack_input(monkeypatch, run, *args):
         for name in ("eigvals", "eigvalsh"):
             patch.setattr(np.linalg, name, spy_on(getattr(np.linalg, name)))
         run(*args)
+    return seen
+
+
+def lapack_input(monkeypatch, run, *args):
+    """The one matrix run(*args) hands to LAPACK."""
+    seen = lapack_inputs(monkeypatch, run, *args)
     assert len(seen) == 1
     return seen[0]
 
@@ -207,10 +214,12 @@ def test_newton_polish_counts_the_steps_it_skips():
 )
 def test_exact_eigenvalues_take_no_skipped_newton_steps(p):
     # LAPACK lands on exact zeros of det(T - z) here; f'/f used to give
-    # inf + nan i, and the polish counted each such value as a skipped step
+    # inf + nan i, and the polish counted each such value as a skipped step.
+    # Both points lie on the real slice, where compare counts instead
     report = compare(p, solve(p))
     assert report.passed
     assert report.skipped_newton_steps == 0
+    assert _band_spectrum(*bands(p))[2] == 0
 
 
 @pytest.mark.parametrize("m", [200, 400])
@@ -225,27 +234,41 @@ def test_balancing_keeps_near_normal_points_exact(nu, m):
     assert report.max_pair_error <= 1e-12
 
 
-# the benchmark's verified-solve points (mu, nu, eta): near-normal, Hermitian,
-# defective and nu = 0
+# the benchmark's verified-solve points (mu, nu, eta), with compare's route
+# for each: near-normal, Hermitian, defective and nu = 0
 VERIFIED_POINTS = (
-    (1.0, 0.7 * np.exp(0.03j), 0.4),
-    (0.9 + 0.4j, 0.9 - 0.4j, 0.55),
-    (1.0, -0.25, 0.5),
-    (1.2, 0.0, 0.35),
+    ((1.0, 0.7 * np.exp(0.03j), 0.4), "lapack"),
+    ((0.9 + 0.4j, 0.9 - 0.4j, 0.55), "sturm"),
+    ((1.0, -0.25, 0.5), "none"),
+    ((1.2, 0.0, 0.35), "sturm"),
 )
 
 
 @pytest.mark.parametrize("m", [20, 60, 120])
-@pytest.mark.parametrize("point", VERIFIED_POINTS, ids=["near-normal", "hermitian", "defective", "nu-zero"])
-def test_compare_hands_lapack_the_matrix_of_the_dense_operator(point, m, monkeypatch):
-    # compare reads bands(p) and never builds L, yet LAPACK sees the same
-    # folded matrix, bit for bit, as from the dense generator sum
+@pytest.mark.parametrize("point, method", VERIFIED_POINTS, ids=["near-normal", "hermitian", "defective", "nu-zero"])
+def test_compare_hands_lapack_the_matrix_of_the_dense_operator(point, method, m, monkeypatch):
+    # compare reads bands(p) and never builds L.  Where it calls LAPACK, off
+    # the real slice, LAPACK sees the same folded matrix, bit for bit, as from
+    # the dense generator sum; on the slice the Sturm count proves the pairs,
+    # and on the defective branch no spectrum is computed: neither calls it
     mu, nu, eta = point
     p = GBSParams(complex(mu), complex(nu), eta, m)
-    want = lapack_input(monkeypatch, dense_spectrum, dense_reference(p))
-    got = lapack_input(monkeypatch, compare, p, solve(p))
-    assert got.tobytes() == want.tobytes()
-    np.testing.assert_array_equal(compare(p, solve(p)).oracle_eigenvalues, dense_spectrum(dense_reference(p)))
+    report = compare(p, solve(p))
+    assert (report.method, report.passed) == (method, True)
+    if method == "lapack":
+        want = lapack_input(monkeypatch, dense_spectrum, dense_reference(p))
+        got = lapack_input(monkeypatch, compare, p, solve(p))
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(report.oracle_eigenvalues, dense_spectrum(dense_reference(p)))
+        return
+    assert lapack_inputs(monkeypatch, compare, p, solve(p)) == []
+    assert (report.lapack_routine, report.skipped_newton_steps) == ("", 0)
+    if method == "sturm":
+        assert report.oracle_eigenvalues is report.closed_form_eigenvalues
+        assert report.pairing == [(k, k) for k in range(m + 1)]
+        assert report.max_pair_error <= 1e-12 * (1.0 + float(np.abs(report.closed_form_eigenvalues).max()))
+    else:
+        assert (len(report.oracle_eigenvalues), report.pairing, report.max_pair_error) == (0, [], None)
 
 
 @pytest.mark.parametrize("m, h", [(1, 1), (2, 1), (7, 4), (40, 20), (41, 21), (120, 60)])
@@ -271,17 +294,18 @@ def test_the_fold_polishes_h_values_and_returns_exact_pairs(m, monkeypatch):
 
 @pytest.mark.parametrize("m", [20, 61, 120])
 def test_the_routine_follows_the_real_slice(m):
-    # mu nu > 0 makes W Hermitian up to the rounding of the gauge turn: eigvalsh;
-    # 0.03 rad off the slice its skew-Hermitian part is 2e14 eps |W|_F: eigvals
+    # mu nu >= 0 up to the rounding of the gauge turn: the Sturm count, and no
+    # LAPACK; 0.03 rad off the slice W's skew-Hermitian part is 2e14 eps
+    # |W|_F: eigvals
     rng = np.random.default_rng(m)
     for mu, nu in ((1.0, 0.3), (0.9 + 0.4j, 0.9 - 0.4j), (1.2, 0.0)):
         turn = np.exp(1j * rng.uniform(-np.pi, np.pi))
         p = GBSParams(mu * turn.conjugate(), nu * turn, 0.4, m)
         report = compare(p, solve(p))
-        assert (report.lapack_routine, report.passed) == ("eigvalsh", True)
+        assert (report.method, report.lapack_routine, report.passed) == ("sturm", "", True)
     p = GBSParams(1.0, 0.7 * np.exp(0.03j), 0.4, m)
     report = compare(p, solve(p))
-    assert (report.lapack_routine, report.passed) == ("eigvals", True)
+    assert (report.method, report.lapack_routine, report.passed) == ("lapack", "eigvals", True)
 
 
 def test_a_matrix_without_the_symmetry_is_rejected():
@@ -324,7 +348,7 @@ def test_compare_passes_when_mu_nu_is_real_and_positive(abs_mu, abs_nu, phase, e
     p = GBSParams(abs_mu * np.exp(1j * phase), abs_nu * np.exp(-1j * phase), eta, m)
     report = compare(p, solve(p))
     assert report.passed
-    assert report.lapack_routine == "eigvalsh"
+    assert (report.method, report.lapack_routine) == ("sturm", "")
 
 
 def test_non_tridiagonal_matrix_is_rejected():
@@ -476,3 +500,102 @@ def test_compare_rejects_size_mismatch():
     sol.eigenvalues = sol.eigenvalues[:-1]
     with pytest.raises(ValueError):
         compare(p, sol)
+
+
+def mp_complex(z):
+    return mp.mpc(z.real, z.imag)
+
+
+def eighty_digit_enclosures(p):
+    """Discs that each hold one eigenvalue of L, in 80 digits from the exact
+    double inputs: (centres, radii), centre k the eigenvalue of closed-form
+    index k.
+
+    nu = 0 makes L upper triangular: its eigenvalues are its diagonal,
+    sqrt(eta) (n - m/2), exactly.  Otherwise the centres are
+    z_k = A0 (2k - m)/2 and the radii (m + 1)|W_k|, with the Weierstrass
+    correction W_k = p(z_k) / prod_{j != k}(z_k - z_j) of p(z) = det(z - L):
+    every eigenvalue lies in the union of these discs (Braess & Hadeler,
+    1973), and each of them, when they are disjoint, holds exactly one
+    (Carstensen, 1991).  p comes from the continuant of the exact diagonal
+    and products (1-eta) mu nu (n+1)(m-n), and the denominator is
+    A0^m (-1)^(m-k) k! (m-k)!.  p(-z) = (-1)^(m+1) p(z) and the ladder is
+    symmetric, so |W_{m-k}| = |W_k| and only k <= m/2 is evaluated.
+    """
+    m = p.m
+    with mp.workdps(80):
+        mu, nu, eta = mp_complex(p.mu), mp_complex(p.nu), mp.mpf(p.eta)
+        diag = [mp.sqrt(eta) * (n - mp.mpf(m) / 2) for n in range(m + 1)]
+        if p.nu == 0:
+            return diag, [mp.mpf(0)] * (m + 1)
+        a0 = mp.sqrt(eta + 4 * (1 - eta) * mu * nu)
+        prods = [(1 - eta) * mu * nu * (n + 1) * (m - n) for n in range(m)]
+        centres = [a0 * (2 * k - m) / 2 for k in range(m + 1)]
+        radii = []
+        for k in range(m // 2 + 1):
+            z = centres[k]
+            f_prev, f = mp.mpc(1), z - diag[0]
+            for d, c in zip(diag[1:], prods):
+                f_prev, f = f, (z - d) * f - c * f_prev
+            radii.append((m + 1) * abs(f) / (abs(a0) ** m * mp.factorial(k) * mp.factorial(m - k)))
+        radii += radii[: (m + 1) // 2][::-1]
+        assert 2 * max(radii) < abs(a0)  # disjoint
+        return centres, radii
+
+
+@pytest.mark.parametrize("m", [1, 2, 20, 120, 400])
+@pytest.mark.parametrize("abs_mu", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("point", ["nu-zero", "hermitian"])
+def test_the_sturm_radius_holds_every_eighty_digit_eigenvalue(point, abs_mu, m):
+    # the radius compare reports on the real slice is a bound on every pair
+    # error: each eigenvalue of L, enclosed to ~1e-70 in 80 digits, lies
+    # within it of its closed-form value
+    turn = np.exp(1j * np.random.default_rng(m).uniform(-np.pi, np.pi))
+    mu = abs_mu * (0.9 + 0.4j) / abs(0.9 + 0.4j) * turn.conjugate()
+    nu = 0.0 if point == "nu-zero" else np.conj(abs_mu * (0.9 + 0.4j) / abs(0.9 + 0.4j)) * turn
+    p = GBSParams(complex(mu), complex(nu), 0.55, m)
+    sol = solve(p)
+    report = compare(p, sol)
+    assert (report.method, report.passed) == ("sturm", True)
+    centres, radii = eighty_digit_enclosures(p)
+    with mp.workdps(80):
+        worst = max(abs(c - mp_complex(lam)) + r for c, r, lam in zip(centres, radii, sol.eigenvalues))
+    assert worst <= report.max_pair_error
+
+
+@pytest.mark.parametrize("k", [0, 7, 30])
+@pytest.mark.parametrize("mu, nu", [(1.0, 0.3), (0.9 + 0.4j, 0.9 - 0.4j), (1.2, 0.0)])
+def test_a_closed_form_value_moved_by_twice_the_bound_fails(mu, nu, k):
+    # on the real slice the count must not certify a wrong ladder: one value
+    # moved by 2 pair_bound leaves it without a radius, and LAPACK then fails it
+    p = GBSParams(complex(mu), complex(nu), 0.4, 30)
+    sol = solve(p)
+    step = 2 * compare(p, sol).pair_bound
+    for direction in (1.0, -1.0, 1j):
+        moved = dataclasses.replace(sol, eigenvalues=sol.eigenvalues.copy())
+        moved.eigenvalues[k] += direction * step
+        phase = oracle._slice_phase_bound(p)
+        assert oracle._sturm_radius(p, bands(p)[1].real, moved.eigenvalues, phase, step / 2) is None
+        report = compare(p, moved)
+        assert (report.method, report.passed) == ("lapack", False)
+
+
+@settings(max_examples=100)
+@given(
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+    st.floats(-np.pi, np.pi),
+    st.floats(0.01, 0.99),
+    st.integers(0, 300),
+)
+def test_the_sturm_verdict_is_the_lapack_routes(log_mu, log_nu, phase, eta, m):
+    # on the real slice, the verdict compare reaches by counting is the one
+    # LAPACK plus the polish and the greedy pairing would reach
+    turn = np.exp(1j * phase)
+    p = GBSParams(10.0**log_mu * turn.conjugate(), 10.0**log_nu * turn, eta, m)
+    sol = solve(p)
+    report = compare(p, sol)
+    assert report.method == "sturm"
+    values, _, _ = _band_spectrum(*bands(p))
+    _, pair_error = oracle._greedy_pairing(sol.eigenvalues, values)
+    assert report.passed == (pair_error <= report.pair_bound and report.max_residual <= report.residual_bound)
