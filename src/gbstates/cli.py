@@ -147,7 +147,6 @@ def cmd_gbs(args) -> int:
                 "pair_error_bound": report.pair_bound,
                 "residual_bound": report.residual_bound,
                 "method": report.method,
-                "lapack_routine": report.lapack_routine,
                 "skipped_newton_steps": report.skipped_newton_steps,
             },
         },

@@ -1,45 +1,46 @@
 """Independent eigensolver on L's three bands, used to verify the closed form.
 
 compare takes L's sub-, main and superdiagonal from the parameters
-(solver.bands) and never builds L.  It picks one of three routes from the
-parameters and the branch, and reports it as SpectrumReport.method:
+(solver.bands) and never builds L.  It proves first, computes a spectrum
+only where the proof fails, and reports its route as SpectrumReport.method:
 
-  * "sturm", the real slice: mu nu real and >= 0 up to the rounding of a
-    gauge turn, nu = 0 included (a test on the phases of mu and nu alone).
-    There L is similar to a real symmetric tridiagonal T_R up to a
-    Bauer-Fike term of Im(mu nu), and a Sturm count of T_R's negative pivots
+  * "sturm", wherever the count proves.  L's characteristic polynomial is
+    that of a real symmetric tridiagonal T_R up to a Bauer-Fike term
+    max b |arg(mu nu)|, and a Sturm count of T_R's negative pivots
     (Sylvester's inertia), at every closed-form value plus and minus a tight
     radius r at once, proves one eigenvalue in each interval (_sturm_radius).
     max_pair_error is that proven radius: r, plus the count's backward
     error, plus the Bauer-Fike term.  No LAPACK runs, and the oracle's
-    eigenvalues are the certified centres, the closed-form values.  Where
-    the count proves no radius within pair_bound, the LAPACK route decides.
+    eigenvalues are the certified centres, the closed-form values.  The
+    count runs only where that radius is within pair_bound: on the real
+    slice mu nu >= 0 (nu = 0 included) and next to it, where the Bauer-Fike
+    term is small.  Elsewhere the radius alone rejects it in O(m).
   * "none", the defective branch: the verdict reads only the residual, and
     no spectrum is computed.  On that near-Jordan fold `eigvals` costs
     O(m^3) and its values scatter like (eps |L|)^(1/(m+1)) anyway.
-  * "lapack", everywhere else.  The symmetrized T' = tridiag(e, d, e),
-    e_n = sqrt(sub_n sup_n), which has the same continuant and so the same
-    characteristic polynomial; LAPACK's eigenvalues as starting values; and
-    two Newton steps on det(L - z), by the three-term continuant of its
-    leading minors.  max_pair_error is the distance of the greedy pairing
-    to those polished values, an estimate, not a bound.
+  * "lapack", wherever the count proves nothing.  The symmetrized
+    T' = tridiag(e, d, e), e_n = sqrt(sub_n sup_n), which has the same
+    continuant and so the same characteristic polynomial; LAPACK's
+    eigenvalues as starting values; and two Newton steps on det(L - z), by
+    the three-term continuant of its leading minors.  max_pair_error is the
+    largest distance of the sorted pairing to those polished values, an
+    estimate, not a bound.
 
 dense_spectrum, which only the benchmark's dense replay calls, reads the
 bands off a dense L, rejects a matrix without L's +-lambda symmetry and runs
-the LAPACK route's spectrum.  L's bands have d[::-1] == -d and e[::-1] == e
-exactly, so its spectrum comes in +-lambda pairs, and LAPACK only sees the
-h x h matrix W of T'^2 folded on that symmetry, h = floor((m+1)/2): the
-starting values are +sqrt of its eigenvalues, only those h are polished,
-and the spectrum is them, their negatives and, for even m, an exact 0.
-LAPACK's routine is `eigvalsh` where W is Hermitian up to rounding, as it is
-wherever mu nu > 0, and `eigvals` otherwise.  Nothing here reads the root,
+the LAPACK route's spectrum at every point.  L's bands have d[::-1] == -d
+and e[::-1] == e exactly, so its spectrum comes in +-lambda pairs, and
+LAPACK's `eigvals` only sees the h x h matrix W of T'^2 folded on that
+symmetry, h = floor((m+1)/2): the starting values are +sqrt of its
+eigenvalues, only those h are polished, and the spectrum is them, their
+negatives and, for even m, an exact 0.  Nothing here reads the root,
 the rotation or the coefficient triple; the closed form calls no `eigvals`;
 and the polish, not LAPACK, sets the final accuracy, so LAPACK's values only
 have to lie in each root's basin.  Cost on an n x n tridiagonal: O(n^2) and
 O(n) memory for the Sturm count; on the LAPACK route, O(n) to symmetrize
-and fold, O((n/2)^3) in LAPACK, several times less with `eigvalsh`, and O(n)
-per polished eigenvalue and Newton step, over n/2 eigenvalues; and O(n) per
-state for the residuals.
+and fold, O((n/2)^3) in LAPACK, O(n) per polished eigenvalue and Newton
+step, over n/2 eigenvalues, and O(n log n) for the pairing; and O(n) per
+state for the residuals, formed over blocks of rows.
 """
 
 import cmath
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import hop_squares
-from .solver import GBSParams, GBSSolution, SolutionKind, bands, operator_norm
+from .solver import GBSParams, GBSSolution, SolutionKind, _chunks, bands, operator_norm
 
 _EPS = float(np.finfo(float).eps)
 
@@ -57,19 +58,6 @@ _EPS = float(np.finfo(float).eps)
 # condition number; inside a root's basin Newton converges quadratically, so
 # two corrections pull them back to ~eps * |T|
 _NEWTON_STEPS = 2
-
-# LAPACK takes eigvalsh on a matrix a with |a - a^H|_F at most this times
-# |a|_F: its values then lie within that distance of a's (_lapack_eigenvalues),
-# at rounding level like LAPACK's own backward error, so inside every root's
-# basin.  W measures at most 2.4 eps on 2800 gauge-turned points of the slice
-# mu nu > 0 (m <= 300) and 2.3e14 eps 0.03 rad off it; 16 eps keeps the two
-# apart.
-_HERMITIAN_DEFECT = 16 * _EPS
-
-# The real slice: |arg(mu nu)| at most this, a few hundred times the rounding
-# a gauge turn leaves in it, and far below the 0.03 rad of the near-normal
-# points, whose Bauer-Fike term alone would pass the pair bound
-_SLICE_PHASE = 64 * _EPS
 
 # The Sturm count's floor on a pivot's modulus, on T_R scaled to entries
 # below 1: b^2 / _PIVMIN stays below 2^1022
@@ -109,15 +97,13 @@ class SpectrumReport:
       * "sturm": a proven bound on every |eigenvalue of L - closed-form
         value|; oracle_eigenvalues are the certified centres, the
         closed-form values, each paired with itself;
-      * "lapack": the largest distance of the greedy pairing to LAPACK's
-        values after the Newton polish;
+      * "lapack": the largest distance of the sorted pairing to the values
+        of LAPACK's eigvals after the Newton polish;
       * "none": the defective branch, where no spectrum is computed:
         oracle_eigenvalues is empty and max_pair_error None.
 
-    lapack_routine names the LAPACK routine that gave the oracle's starting
-    values, "eigvalsh" or "eigvals", or "" where LAPACK did not run, and
     skipped_newton_steps counts the Newton steps the skip rule rejected over
-    the values polished.
+    the values polished, 0 where LAPACK did not run.
     """
 
     oracle_eigenvalues: np.ndarray
@@ -129,7 +115,6 @@ class SpectrumReport:
     max_residual: float | None = None
     multiplicity_collapse: bool = False
     method: str = ""
-    lapack_routine: str = ""
     skipped_newton_steps: int = 0
 
     @property
@@ -188,24 +173,6 @@ def _folded_square(diag, e) -> np.ndarray:
 def _power_of_two_near(peak: float) -> float:
     """2^s with peak / 2^s in [0.5, 1) for a normal peak, s clipped to [-1000, 1000]."""
     return math.ldexp(1.0, min(max(math.frexp(peak)[1], -1000), 1000))
-
-
-def _lapack_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, str]:
-    """a's eigenvalues from LAPACK, as complex numbers, and the routine that gave them.
-
-    eigvalsh where a's skew-Hermitian part is at rounding level, eigvals
-    otherwise.  eigvalsh reads one triangle, so it solves the Hermitian H
-    next to a with |a - H|_2 <= |a - a^H|_F; H is normal, so by Bauer-Fike
-    every eigenvalue of a lies within that distance of one of H's.
-    """
-    hermitian = np.linalg.norm(a - a.conj().T) <= _HERMITIAN_DEFECT * np.linalg.norm(a)
-    try:
-        values = np.linalg.eigvalsh(a) if hermitian else np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(
-            f"LAPACK eigenvalue iteration failed on a {len(a)}x{len(a)} matrix: {exc}"
-        ) from exc
-    return values.astype(complex), "eigvalsh" if hermitian else "eigvals"
 
 
 def _log_det_derivative(diag, prods, z: np.ndarray) -> np.ndarray:
@@ -271,12 +238,12 @@ def _newton_polish(diag, prods, eigenvalues: np.ndarray) -> tuple[np.ndarray, in
     return z, skipped
 
 
-def _band_spectrum(sub, diag, sup) -> tuple[np.ndarray, str, int]:
-    """All eigenvalues of the tridiagonal with these bands, the LAPACK routine
-    that gave their starting values, and the Newton steps skipped.
+def _band_spectrum(sub, diag, sup) -> tuple[np.ndarray, int]:
+    """All eigenvalues of the tridiagonal with these bands, and the Newton
+    steps skipped.
 
     Needs L's exact +-lambda symmetry, d[::-1] == -d and e[::-1] == e, which
-    bands(p) always has.  Symmetrize; LAPACK on the h x h W of
+    bands(p) always has.  Symmetrize; LAPACK's eigvals on the h x h W of
     _folded_square; polish W's h roots: the rest are their negatives and,
     for an odd size, an exact 0.
     """
@@ -284,13 +251,20 @@ def _band_spectrum(sub, diag, sup) -> tuple[np.ndarray, str, int]:
     # T' / 2^s has entries below 1 in modulus, so T'^2's neither overflow
     # nor, unless T' spans half the double range, underflow
     scale = _power_of_two_near(max(np.abs(diag).max(initial=0.0), np.abs(e).max(initial=0.0)))
-    w, routine = _lapack_eigenvalues(_folded_square(diag / scale, e / scale))
+    w = _folded_square(diag / scale, e / scale)
+    try:
+        w = np.linalg.eigvals(w)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(
+            f"LAPACK eigenvalue iteration failed on a {len(w)}x{len(w)} matrix: {exc}"
+        ) from exc
     roots, skipped = _newton_polish(diag, prods, np.sqrt(w) * scale)
-    return np.concatenate([roots, -roots, np.zeros(len(diag) % 2)]), routine, skipped
+    return np.concatenate([roots, -roots, np.zeros(len(diag) % 2)]), skipped
 
 
 def dense_spectrum(op: np.ndarray) -> np.ndarray:
-    """compare's spectrum of a dense L, read off its three bands.
+    """The spectrum of compare's LAPACK route for a dense L, read off its
+    three bands, at any point, also where compare's Sturm count would prove.
 
     The package never builds L: this and solver.build_operator serve only the
     benchmark's dense replay (perfbench/calls.py), which times the two
@@ -319,27 +293,26 @@ def dense_spectrum(op: np.ndarray) -> np.ndarray:
     return _band_spectrum(sub, diag, sup)[0]
 
 
-def _greedy_pairing(
+def _sorted_pairing(
     closed: np.ndarray, oracle: np.ndarray
 ) -> tuple[list[tuple[int, int]], float]:
-    """Nearest-neighbor pairing of the two sorted-by-real-part lists.
+    """Both lists sorted by their coordinate along the closed-form line and
+    paired in order, with the largest pair distance.
 
-    Each closed-form value, in sorted order, takes the nearest oracle value
-    not yet taken.  When every value's nearest oracle value is a different
-    one, that is what each takes, and no loop runs.
+    The closed-form values A0 (2k - m)/2, k ascending, lie on a line through
+    0 with direction u = (lambda_m - lambda_0) / |lambda_m - lambda_0|, and
+    the coordinate of z is Re(z conj(u)).  On a line, pairing in sorted order
+    minimizes the largest distance; an oracle value within half a spacing of
+    its own closed-form value keeps its rank, so where all are, the pairing
+    is the identity.  O(n log n); a NaN in either list makes the distance
+    NaN, which fails the verdict.
     """
-    order_c = np.argsort(closed.real + 1e-12 * closed.imag)
-    order_o = np.argsort(oracle.real + 1e-12 * oracle.imag)
-    dist = np.abs(oracle[order_o] - closed[order_c, None])
-    nearest = dist.argmin(axis=1)
-    errors = dist[np.arange(len(nearest)), nearest]
-    if len(set(nearest.tolist())) < len(nearest):
-        for i, row in enumerate(dist):
-            nearest[i] = j = int(np.argmin(row))
-            errors[i] = row[j]
-            dist[:, j] = np.inf
-    pairing = sorted(zip(order_c.tolist(), order_o[nearest].tolist()))
-    return pairing, max([0.0, *errors.tolist()])
+    span = closed[-1] - closed[0]
+    axis = np.conj(span / abs(span)) if span else 1.0
+    order_c = np.argsort((closed * axis).real, kind="stable")
+    order_o = np.argsort((oracle * axis).real, kind="stable")
+    errors = np.abs(closed[order_c] - oracle[order_o])
+    return sorted(zip(order_c.tolist(), order_o.tolist())), float(errors.max(initial=0.0))
 
 
 def _split_modulus(z: complex) -> tuple[float, int]:
@@ -352,21 +325,17 @@ def _split_modulus(z: complex) -> tuple[float, int]:
     return abs(complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))), e
 
 
-def _slice_phase_bound(p: GBSParams) -> float | None:
-    """A bound on |arg(mu nu)| where the point lies on the real slice, else None.
+def _phase_bound(p: GBSParams) -> float:
+    """A bound on |arg(mu nu)|, in [0, pi] up to rounding; 0 at nu = 0.
 
-    The slice is mu nu real and >= 0 up to the rounding a gauge turn
-    (mu e^-it, nu e^it) leaves in it, nu = 0 included.  The phase comes from
-    the two factors' own, so a product that underflows keeps it; each
-    cmath.phase and the wrap mod 2 pi err by an ulp or two of pi at most.
+    The phase comes from the two factors' own, so a product that underflows
+    keeps it; each cmath.phase and the wrap mod 2 pi err by an ulp or two of
+    pi at most.
     """
     if p.nu == 0:
         return 0.0
     a, b = cmath.phase(p.mu), cmath.phase(p.nu)
-    phi = abs(math.remainder(a + b, 2.0 * math.pi))
-    if phi > _SLICE_PHASE:
-        return None
-    return phi + 4.0 * _EPS * (abs(a) + abs(b))
+    return abs(math.remainder(a + b, 2.0 * math.pi)) + 4.0 * _EPS * (abs(a) + abs(b))
 
 
 def _sturm_radius(p: GBSParams, diag: np.ndarray, closed: np.ndarray, phase: float,
@@ -379,8 +348,8 @@ def _sturm_radius(p: GBSParams, diag: np.ndarray, closed: np.ndarray, phase: flo
     symmetric.  L's characteristic polynomial reads only d and the products
     sub_n sup_n = b_n^2 e^{i phi}, phi = arg(mu nu), so it is that of T_R + E,
     E = tridiag(b (e^{i phi/2} - 1), 0, b (e^{i phi/2} - 1)), with
-    |E|_2 <= max b |phi|: by Bauer-Fike, T_R being normal, L's eigenvalues
-    lie within rho = that bound of T_R's.
+    |E|_2 <= max b |phi| at any phase: by Bauer-Fike, T_R being normal, L's
+    eigenvalues lie within rho = that bound of T_R's.
 
     The number of negative pivots q_i = (d_i - x) - b_{i-1}^2 / q_{i-1} is the
     number of T_R's eigenvalues below x (Sylvester's inertia; Barth, Martin
@@ -402,7 +371,8 @@ def _sturm_radius(p: GBSParams, diag: np.ndarray, closed: np.ndarray, phase: flo
     intervals stay 2 (beta + rho) apart, each holds one eigenvalue of T_R
     within beta, and one of L within rho: every pair error is at most
     r + beta + rho + |Im lambda_k|, plus the rounding of the shifts.  O(m)
-    per shift, O(m^2) in all, and O(m) memory.
+    per shift, O(m^2) in all, and O(m) memory; a point whose radius passes
+    pair_bound, as one far off the real slice does, returns after O(m).
     """
     m = p.m
     f_mu, e_mu = _split_modulus(complex(p.mu))
@@ -417,13 +387,14 @@ def _sturm_radius(p: GBSParams, diag: np.ndarray, closed: np.ndarray, phase: flo
     # moves b by at most sqrt(2^-1074)
     beta = _EPS * (d_peak + 6.0 * b_peak) + scale * 2.0**-500
     rho = b_peak * phase * (1.0 + 4.0 * _EPS)
-    order = np.argsort(closed.real)
-    centres = closed.real[order]
     im = float(np.abs(closed.imag).max())
-    peak = float(np.abs(centres).max())
+    peak = float(np.abs(closed.real).max())
     r = beta + rho + 4.0 * _EPS * peak
     radius = r + 0.5 * _EPS * (peak + r) + beta + rho + im
-    if not (radius <= pair_bound and np.all(centres[1:] - centres[:-1] > 2.0 * (r + beta + rho))):
+    if not radius <= pair_bound:
+        return None
+    centres = np.sort(closed.real)
+    if not np.all(centres[1:] - centres[:-1] > 2.0 * (r + beta + rho)):
         return None
     x = np.concatenate([centres - r, centres + r]) / scale
     a = (diag / scale).tolist()
@@ -453,11 +424,10 @@ def compare(p: GBSParams, solution: GBSSolution) -> SpectrumReport:
 
     Pairs the two eigenvalue lists and records the worst pair distance and
     the worst eigenstate residual |L v - lambda v|, with the bounds each must
-    meet.  On the real slice the pair error is the radius the Sturm count
-    proves, where it proves one within pair_bound; elsewhere, and where it
-    does not, it is the distance to the polished LAPACK spectrum.  A
-    defective solution is flagged as a multiplicity collapse instead of being
-    paired, and no spectrum is computed for it.
+    meet.  The pair error is the radius the Sturm count proves, where it
+    proves one within pair_bound, and elsewhere the distance to the polished
+    LAPACK spectrum.  A defective solution is flagged as a multiplicity
+    collapse instead of being paired, and no spectrum is computed for it.
     """
     if solution.params != p:
         raise ValueError("solution was produced from different parameters")
@@ -475,20 +445,24 @@ def compare(p: GBSParams, solution: GBSSolution) -> SpectrumReport:
     if solution.kind is SolutionKind.DEFECTIVE_A_ZERO_ZERO:
         report.multiplicity_collapse = True
     else:
-        phase = _slice_phase_bound(p)
-        radius = None if phase is None else _sturm_radius(p, diag.real, closed_vals, phase, report.pair_bound)
+        radius = _sturm_radius(p, diag.real, closed_vals, _phase_bound(p), report.pair_bound)
         if radius is not None:
             report.method, report.max_pair_error = "sturm", radius
             report.oracle_eigenvalues = closed_vals
             report.pairing = [(k, k) for k in range(p.m + 1)]
         else:
-            oracle_vals, report.lapack_routine, report.skipped_newton_steps = _band_spectrum(sub, diag, sup)
+            oracle_vals, report.skipped_newton_steps = _band_spectrum(sub, diag, sup)
             report.method, report.oracle_eigenvalues = "lapack", oracle_vals
-            report.pairing, report.max_pair_error = _greedy_pairing(closed_vals, oracle_vals)
-    # |L v - lambda v| from the three bands, one state per row
+            report.pairing, report.max_pair_error = _sorted_pairing(closed_vals, oracle_vals)
+    # |L v - lambda v| from the three bands, one state per row, over blocks of
+    # rows, so that no temporary holds (m+1)^2 entries
     states = np.asarray(solution.eigenstates)
-    res = (diag - (0.0 if report.multiplicity_collapse else closed_vals[:, None])) * states
-    res[:, 1:] += sub * states[:, :-1]
-    res[:, :-1] += sup * states[:, 1:]
-    report.max_residual = float(np.linalg.norm(res, axis=1).max())
+    norms = np.empty(len(states))
+    for at in _chunks(len(states), p.m + 1):
+        block = states[at]
+        res = (diag - (0.0 if report.multiplicity_collapse else closed_vals[at, None])) * block
+        res[:, 1:] += sub * block[:, :-1]
+        res[:, :-1] += sup * block[:, 1:]
+        norms[at] = np.linalg.norm(res, axis=1)
+    report.max_residual = float(norms.max())
     return report

@@ -79,16 +79,15 @@ def test_gbs_spectrum_and_roots(capsys):
     assert doc["diagnostics"]["oracle"]["max_pair_error"] <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "nu_im, method, routine", [("0", "sturm", ""), ("0.3", "lapack", "eigvals")], ids=["0-sturm", "0.3-eigvals"]
-)
-def test_gbs_reports_the_oracle_routine_and_skipped_steps(capsys, nu_im, method, routine):
+@pytest.mark.parametrize("nu_im, method", [("0", "sturm"), ("0.3", "lapack")], ids=["0-sturm", "0.3-eigvals"])
+def test_gbs_reports_the_oracle_routine_and_skipped_steps(capsys, nu_im, method):
     # mu nu > 0 lies on the real slice, where the Sturm count replaces
-    # LAPACK; mu nu = 0.3 + 0.3i gives LAPACK a non-Hermitian matrix
+    # LAPACK; at mu nu = 0.3 + 0.3i the count proves nothing and LAPACK's
+    # eigvals decides
     doc = run_json(capsys, ["gbs", "--mu-re", "1", "--nu-re", "0.3", "--nu-im", nu_im,
                             "--eta", "0.4", "--m", "12"])
     oracle = doc["diagnostics"]["oracle"]
-    assert (oracle["method"], oracle["lapack_routine"], oracle["skipped_newton_steps"]) == (method, routine, 0)
+    assert (oracle["method"], oracle["skipped_newton_steps"]) == (method, 0)
 
 
 def test_gbs_degenerate_kind(capsys):
@@ -788,3 +787,21 @@ def test_gbs_in_a_fresh_process_prints_one_json_line(mu, nu, eta, method):
     assert proc.returncode == 0, proc.stderr
     (line,) = proc.stdout.splitlines()
     assert json.loads(line)["diagnostics"]["oracle"]["method"] == method
+
+
+def test_gbs_proves_the_spectrum_next_to_the_real_slice_in_a_fresh_process():
+    # arg(mu nu) = 1e-10: the Sturm count proves every pair error there too,
+    # and the record names no LAPACK routine
+    nu = complex(0.3 * np.exp(1e-10j))
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["gbs", "--mu-re", "1", "--nu-re", repr(nu.real), "--nu-im", repr(nu.imag), "--eta", "0.4",
+            "--m", "60", "--out", "-"]
+    proc = subprocess.run([sys.executable, "-m", "gbstates.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    oracle = json.loads(line)["diagnostics"]["oracle"]
+    assert oracle["method"] == "sturm"
+    assert "lapack_routine" not in oracle
+    assert oracle["max_pair_error"] <= oracle["pair_error_bound"]
