@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import AMPLITUDE_CAP as REFERENCE_DIM_CAP, basis_state, fidelity
+from .fock import AMPLITUDE_CAP as REFERENCE_DIM_CAP, _unit_scaled, basis_state, fidelity, phase_ramp
 from .solver import GBSParams, eigenstate
 
 K_RULE_MODES = ("center", "top-offset", "bottom")
@@ -157,9 +157,13 @@ def squeezed_eigenstate(mu: complex, nu: complex, lam: complex) -> np.ndarray:
 
 
 def photon_statistics(v: np.ndarray) -> PhotonStatistics:
-    """Photon-number mean, variance and Mandel Q of a (normalized) state."""
-    v = np.asarray(v, dtype=complex)
-    p = np.abs(v) ** 2
+    """Photon-number mean, variance and Mandel Q of a state, normalized or not.
+
+    A state whose largest modulus lies outside [2^-201, 2^200) is scaled by
+    an exact power of two first (fock._unit_scaled), so its squared moduli
+    neither overflow nor all underflow.
+    """
+    p = np.abs(_unit_scaled(np.asarray(v, dtype=complex))) ** 2
     total = p.sum()
     if not 0.0 < total < math.inf:
         raise ValueError(f"state must have a finite nonzero norm, got squared norm {total}")
@@ -184,15 +188,17 @@ def embed(v: np.ndarray, dim: int) -> np.ndarray:
 def time_evolve(v: np.ndarray, omega: float, t: float) -> np.ndarray:
     """Free single-mode evolution: C_n -> e^{-i omega t (n + 1/2)} C_n (hbar = 1).
 
-    Raises ValueError when the largest phase, omega t (m + 1/2) at n = m, is
-    not finite: the evolved amplitudes would all be NaN.
+    The phases are the global e^{-i omega t / 2} times the ramp
+    e^{-i n omega t} of fock.phase_ramp.  Raises ValueError when the largest
+    phase, omega t (m + 1/2) at n = m, is not finite: the evolved amplitudes
+    would all be NaN.
     """
     v = np.asarray(v, dtype=complex)
-    top = omega * t * (len(v) - 0.5)
+    omega_t = omega * t
+    top = omega_t * (len(v) - 0.5)
     if not math.isfinite(top):
         raise ValueError(f"omega*t*(m + 1/2) must be finite, got {top!r}")
-    n = np.arange(len(v))
-    return v * np.exp(-1j * omega * t * (n + 0.5))
+    return v * (cmath.exp(-0.5j * omega_t) * phase_ramp(-omega_t, np.arange(len(v))))
 
 
 def _number_scan(mu: complex, nu: complex, m: int, k: int, eta_schedule):

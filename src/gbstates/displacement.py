@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import AMPLITUDE_CAP, check_photon_cap, hop_squares
+from .fock import AMPLITUDE_CAP, check_photon_cap, hop_squares, phase_ramp
+
+_QUARTER_TURNS = np.array([1.0, -1.0j, -1.0, 1.0j])  # (-i)^n at n mod 4
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,8 @@ def displacement(p: DisplacementParams) -> np.ndarray:
 
     H = i(zeta J+ - zeta* J-) = r Q X Q^dag with Q = diag(e^{-i n (theta + pi/2)})
     and X = J+ + J- real, symmetric, tridiagonal and a function of m alone,
-    so D = Q (cos(rX) - i sin(rX)) Q^dag.
+    so D = Q (cos(rX) - i sin(rX)) Q^dag.  Q is the ramp e^{-i n theta} of
+    fock.phase_ramp times the exact quarter turns (-i)^n.
 
     The reflection R|n> = |m-n> commutes with X.  On the basis
     (|n> +- |m-n>)/sqrt(2), n < h = (m+1)//2, X splits into an even and an odd
@@ -170,8 +173,9 @@ def displacement(p: DisplacementParams) -> np.ndarray:
         d[h, h] = 2 * g[0, h, h]
     d[m : m - h : -1] = d[:h, ::-1]
     n = np.arange(m + 1)
-    # phases reduced mod 2 pi before exp: as a power they cost a decade of unitarity
-    q = np.exp(-1j * ((n * (p.theta + math.pi / 2)) % (2 * math.pi)))
+    # Q = e^{-i n theta} (-i)^n: theta + pi/2, rounded into one angle, would
+    # err by up to 3.6e-12 at n = 8191; the quarter turns are exact
+    q = phase_ramp(-p.theta, n) * _QUARTER_TURNS[n % 4]
     d *= (0.5 * q)[:, None] * q.conj()
     return d
 
@@ -256,5 +260,5 @@ def disentangled_displacement(xi: complex, m: int) -> np.ndarray:
     t *= np.outer(w, w)
     if m % 2:
         t /= math.hypot(1.0, s)
-    phase = np.exp(1j * math.atan2(xi.imag, xi.real) * np.arange(d))
+    phase = phase_ramp(math.atan2(xi.imag, xi.real), np.arange(d))
     return t * np.outer(phase.conj(), phase)

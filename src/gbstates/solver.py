@@ -64,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .displacement import DisplacementParams, delta_to_zeta, displacement
-from .fock import AMPLITUDE_CAP, check_photon_cap, hop_squares, normalize_rows, normalize_state
+from .fock import AMPLITUDE_CAP, check_photon_cap, hop_squares, normalize_rows, normalize_state, phase_ramp
 
 # fraction of |L|_F the dropped A+ J+ term may leave in a Hermitian-branch
 # residual: a hundredth of the 1e-10 |L|_F residual contract
@@ -299,7 +299,7 @@ class _CoreTables(NamedTuple):
     falling: np.ndarray
     half_steps: np.ndarray  # log sqrt((n+1)(m-n)), n = 0..m-1
     log_x: float  # log |A0/A+|
-    phase: np.ndarray  # e^{i ((n arg x) mod 2 pi)}, n = 0..m
+    phase: np.ndarray  # e^{i n arg x}, n = 0..m, from fock.phase_ramp
 
 
 def _core_tables(triple: CoefficientTriple, m: int) -> _CoreTables:
@@ -309,13 +309,13 @@ def _core_tables(triple: CoefficientTriple, m: int) -> _CoreTables:
     np.log(n[:0:-1], out=falling[:m])
     log_int = falling[m::-1]
     half_steps = 0.5 * (log_int[1:] + log_int[m:0:-1])
-    phase = np.exp(1j * ((n * cmath.phase(x)) % (2 * math.pi)))
-    return _CoreTables(falling, half_steps, math.log(abs(x)), phase)
+    return _CoreTables(falling, half_steps, math.log(abs(x)), phase_ramp(cmath.phase(x), n))
 
 
-def _cores(triple: CoefficientTriple, ks, m: int) -> np.ndarray:
-    """Rotated-frame eigenstates, unnormalized: core k for one index k, or
-    one row per index for an ascending array ks.
+def _cores(tables: _CoreTables, ks) -> np.ndarray:
+    """Rotated-frame eigenstates of the frame whose tables are given,
+    unnormalized: core k for one index k, or one row per index for an
+    ascending array ks.
 
     Each step of the recursion c_{n+1} sqrt((n+1)(m-n)) A+ = c_n A0 (k - n)
     carries the phase of x = A0/A+, so for n <= k, in closed form,
@@ -327,7 +327,7 @@ def _cores(triple: CoefficientTriple, ks, m: int) -> np.ndarray:
     bits alone as in a batch, and _core, which runs the same steps on the
     support alone, gives its first k + 1 entries.
     """
-    tables = _core_tables(triple, m)
+    m = len(tables.phase) - 1
     ks = np.asarray(ks)
     top = int(ks.flat[-1])  # every core vanishes past n = top: only n <= top is summed
     # core k's log (k - n) at n = 0..top-1 is the window of falling from m - k
@@ -342,8 +342,8 @@ def _cores(triple: CoefficientTriple, ks, m: int) -> np.ndarray:
 
 
 def _core(tables: _CoreTables, k: int) -> np.ndarray:
-    """_cores(triple, k, m)[: k + 1], bit for bit, from the frame's tables:
-    the same steps in the same order, over the k + 1 entries of the support."""
+    """_cores(tables, k)[: k + 1], bit for bit: the same steps in the same
+    order, over the k + 1 entries of the support."""
     m = len(tables.phase) - 1
     steps = tables.falling[m - k : m] + tables.log_x
     steps -= tables.half_steps[:k]
@@ -441,12 +441,13 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
     power of two at |A0|, keeps them near 1.  Then -u_n / D+_n = v |u_n| /
     |D+_n| times the conjugate unit phase of D+_n, with
     v = -mu e^{-i phi/2} / |mu|, and above r the same holds with v* and
-    |l_{n-1}|.  So the state is v^-n times a modulus and a phase
-    product.  The modulus is summed, per state, as log |band| - log |pivot|
-    outward from r, which sits at the state's large entries, and max-shifted
-    before exp, so nothing overflows at any |nu/mu|; the phase is the
-    running product of the pivots' unit phases, the downward one below r and
-    the upward one above, joined at r.  At nu = 0 L is upper bidiagonal:
+    |l_{n-1}|.  So the state is v^-n, the ramp e^{-i n arg v} of
+    fock.phase_ramp, times a modulus and a phase product.  The modulus is
+    summed, per state, as log |band| - log |pivot| outward from r, which
+    sits at the state's large entries, and max-shifted before exp, so
+    nothing overflows at any |nu/mu|; the phase is the running product of
+    the pivots' unit phases, the downward one below r and the upward one
+    above, joined at r.  At nu = 0 L is upper bidiagonal:
     log |l| = -inf, and the part above r vanishes.  solve and eigenstate
     never come here at nu = 0, where delta = 0 makes each state its
     closed-form core (_cores); the tests keep this route as that one's
@@ -475,8 +476,7 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
     log_down[:-1, 0] = math.log(abs(mu)) + log_b
     if nu:
         log_up[1:, 0] = math.log(abs(nu)) + log_b
-    # v^-n, reduced mod 2 pi before exp
-    phase = np.exp(-1j * ((n * cmath.phase(-mu * rot)) % (2 * math.pi)))[:, None]
+    phase = phase_ramp(-cmath.phase(-mu * rot), n)[:, None]  # v^-n
     sign = np.ones((m + 1, 1))  # (-1)^(m-n)
     sign[(m + 1) % 2 :: 2] = -1.0
     diag_parts = np.empty((m + 1, 2, 1))
@@ -565,11 +565,14 @@ def _eigenstates(p: GBSParams, frame: _Frame, ks) -> np.ndarray:
     # off the generic branch, A+ = 0 leaves the diagonal -A0 J0, A0 = 0 the
     # nilpotent A+ J+ (a single Jordan chain headed by |0>); either way the
     # eigenvector is |k> and the eigenstate is column k of D
-    d = None if generic else displacement(frame.zeta)
+    if generic:
+        tables = _core_tables(frame.triple, p.m)
+    else:
+        d = displacement(frame.zeta)
     ks = np.asarray(ks)
     states = np.empty((len(ks), p.m + 1), dtype=complex)
     for at in _chunks(len(ks), p.m + 1):
-        states[at] = _cores(frame.triple, ks[at], p.m) if generic else d[:, ks[at]].T
+        states[at] = _cores(tables, ks[at]) if generic else d[:, ks[at]].T
         normalize_rows(states[at])
     return states
 
@@ -593,7 +596,7 @@ def eigenstate(p: GBSParams, k: int) -> np.ndarray:
 def undisplaced_eigenstate(p: GBSParams, k: int) -> np.ndarray:
     """Eigenstate of the rotated operator A+ J+ - A0 J0, before displacing back."""
     _check_index(p, k)
-    return normalize_state(_cores(_generic_frame(p).triple, k, p.m))
+    return normalize_state(_cores(_core_tables(_generic_frame(p).triple, p.m), k))
 
 
 class _Point(NamedTuple):

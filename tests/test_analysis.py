@@ -129,6 +129,13 @@ def test_photon_statistics_binomial_and_fock():
     assert fock.variance == pytest.approx(0.0, abs=1e-14)
     assert fock.mandel_q == pytest.approx(-1.0, abs=1e-12)
 
+    # moduli whose squares overflow or underflow
+    flat = photon_statistics([1e200, 1e200])
+    assert (flat.mean, flat.variance) == (0.5, 0.25)
+    tiny = photon_statistics([3e-170, 4e-170])
+    assert tiny.mean == pytest.approx(0.64, abs=1e-15)
+    assert tiny.variance == pytest.approx(0.2304, abs=1e-15)
+
 
 def test_photon_statistics_vacuum_mandel_undefined():
     stats = photon_statistics(basis_state(0, 5))

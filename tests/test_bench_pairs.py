@@ -64,6 +64,25 @@ def test_a_claim_is_met_by_nine_wins_in_ten_and_a_gap_past_the_spread():
         "setup_s": "no worse", "peak_rss_mib": "no worse"}
 
 
+def test_failures_give_each_sides_failed_share_and_failed_checks():
+    runs = _pairs(PARENT[:4], PARENT[:4])
+    runs[1]["change"].update(failed=6, checks_pass=False)
+    runs[3]["parent"].update(failed=2)
+    assert bench_pairs.failures(runs) == {"parent": {"failed_share": 0.005, "checks_failed": 0},
+                                          "change": {"failed_share": 0.015, "checks_failed": 1}}
+
+
+@pytest.mark.parametrize("failed, checks_pass", [(1, True), (0, False)], ids=["more-failed-ops", "failed-checks"])
+def test_a_claim_is_not_met_with_more_failed_ops_or_failed_checks(failed, checks_pass):
+    # nine wins in ten and a gap past the spread, as in the met case above
+    runs = _pairs(PARENT, [0.80] * 9 + [1.05])
+    runs[4]["change"].update(failed=failed, checks_pass=checks_pass)
+    assert bench_pairs.verdicts(runs, "run_s")["run_s"] == "not met"
+    # the parent failing as many ops keeps the claim met
+    runs[5]["parent"]["failed"] = failed
+    assert bench_pairs.verdicts(runs, "run_s")["run_s"] == ("met" if checks_pass else "not met")
+
+
 @pytest.mark.parametrize(
     "change",
     [[0.80] * 8 + [1.05, 1.05], [p - 0.004 for p in PARENT]],

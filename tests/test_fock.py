@@ -1,7 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import annihilation_operator, commutator, hp_generators
 from gbstates import fock
@@ -13,6 +16,7 @@ from gbstates.fock import (
     hop_squares,
     normalize_rows,
     normalize_state,
+    phase_ramp,
 )
 
 
@@ -98,6 +102,11 @@ def test_norm_and_fidelity_basics():
     # phase invariance
     phase = np.exp(0.7j)
     assert fidelity(e0 + e1, phase * (e0 + e1)) == pytest.approx(1.0, abs=1e-15)
+    # moduli whose squares overflow or underflow
+    assert fidelity([1e200, 0], [1e200, 0]) == 1.0
+    assert fidelity([1e-200, 0], [1e-200, 0]) == 1.0
+    assert fidelity([3e-170, 4e-170j], [3e200, 4e200j]) == 1.0
+    assert fidelity([5e-324, 0.0], [1.0, 1.0]) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_fidelity_errors():
@@ -105,6 +114,21 @@ def test_fidelity_errors():
         fidelity(np.ones(3), np.ones(4))
     with pytest.raises(ValueError):
         fidelity(np.zeros(3), np.ones(3))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-50, 1e50, 2.0**-190, 2.0**190])
+def test_fidelity_keeps_its_bits_where_the_squares_are_normal(scale):
+    # the unscaled formula, the reference while the largest moduli lie in
+    # [2^-201, 2^200), where it neither overflows nor underflows; complex,
+    # and real through a strided view
+    rng = np.random.default_rng(7)
+    for size in (1, 2, 9, 60):
+        for _ in range(20):
+            u = scale * (rng.normal(size=size) + 1j * rng.normal(size=size))
+            v = u + rng.uniform(0.0, 2.0) * scale * (rng.normal(size=size) + 1j * rng.normal(size=size))
+            for a, b in ((u, v), (u.real, v.real)):
+                na, nb = np.linalg.norm(a), np.linalg.norm(b)
+                assert fidelity(a, b) == float(min(abs(np.vdot(a, b)) ** 2 / (na * na * nb * nb), 1.0))
 
 
 def test_commutator_truncation_defect():
@@ -224,3 +248,62 @@ def test_normalize_rows_works_in_place_with_the_bits_of_normalize_state():
     assert np.concatenate([block[:2], block[5:]]).tobytes() == outside.tobytes()
     fresh = block[:2].copy()
     assert normalize_rows(fresh) is fresh
+
+
+# every index of the largest D(zeta), m = 8191, and a spread of larger ones up
+# to the last the cap allows, passed as one array: no 2^26-entry ramp is built
+_RAMP_RUN = 8192
+_RAMP_SPREAD = np.unique(np.concatenate([
+    np.geomspace(_RAMP_RUN, AMPLITUDE_CAP - 1, 24).astype(np.int64),
+    np.random.default_rng(3).integers(_RAMP_RUN, AMPLITUDE_CAP, 24),
+    [AMPLITUDE_CAP - 1],
+]))
+
+
+def _exact_ramp(theta, ns):
+    """e^{i n theta} at 200 bits, where n theta is exact, rounded to doubles."""
+    with mp.workprec(200):
+        t = mp.mpf(theta)
+        return np.array([complex(mp.expj(int(n) * t)) for n in ns])
+
+
+def _exact_run(theta, count):
+    """_exact_ramp at n = 0..count-1, as successive 200-bit products."""
+    with mp.workprec(200):
+        step, z, out = mp.expj(mp.mpf(theta)), mp.mpc(1), []
+        for _ in range(count):
+            out.append(complex(z))
+            z *= step
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "theta", [0.0, 5e-324, -5e-324, 1e-300, -1e-300, math.pi, -math.pi, math.nextafter(math.pi, 0.0), 2.1, -0.7]
+)
+def test_phase_ramp_is_the_exact_ramp(theta):
+    # exp of the rounded n theta errs by 2.3e-13 at n = 1000 near pi and by
+    # 1.8e-12 at n = 8191; reducing that rounded product mod 2 pi, by 2.8e-12
+    run = phase_ramp(theta, np.arange(_RAMP_RUN))
+    assert np.abs(run - _exact_run(theta, _RAMP_RUN)).max() <= 1e-15
+    assert np.abs(phase_ramp(theta, _RAMP_SPREAD) - _exact_ramp(theta, _RAMP_SPREAD)).max() <= 1e-15
+
+
+@given(st.one_of(st.floats(-math.pi, math.pi), st.floats(-1e3, 1e3)))
+def test_phase_ramp_is_the_exact_ramp_at_drawn_angles(theta):
+    n = np.concatenate([np.arange(64), [_RAMP_RUN - 1], _RAMP_SPREAD])
+    assert np.abs(phase_ramp(theta, n) - _exact_ramp(theta, n)).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "theta, n, bad",
+    [
+        (math.nan, [0, 1], "angle must be finite, got nan"),
+        (-math.inf, [0, 1], "angle must be finite, got -inf"),
+        (1.0, [-1, 0], "indices must be integers"),
+        (1.0, [AMPLITUDE_CAP], "indices must be integers"),
+        (1.0, [0.0, 1.0], "indices must be integers"),
+    ],
+)
+def test_phase_ramp_names_a_bad_input(theta, n, bad):
+    with pytest.raises(ValueError, match=bad):
+        phase_ramp(theta, np.array(n))

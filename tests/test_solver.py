@@ -716,7 +716,7 @@ def _fresh(p, k, form):
     """form(p, k) from a fresh frame, _cores and displacement(): the memo-free formula."""
     delta = select_root(p)
     zeta, triple = delta_to_zeta(delta, p.m), coefficient_triple(p, delta)
-    core = _cores(triple, k, p.m) if form is eigenstate_sum else _exponential_form_core(triple, k, p.m)
+    core = _cores(_core_tables(triple, p.m), k) if form is eigenstate_sum else _exponential_form_core(triple, k, p.m)
     if delta == 0:  # D(zeta) = I
         core[k + 1 :] = 0.0
         return normalize_state(core)
@@ -754,10 +754,9 @@ def test_one_k_core_is_the_cores_prefix_bit_for_bit(m, nu):
     # the forms read core k off the point's tables; solve's nu = 0 rows and
     # the tests read it off _cores
     p = GBSParams(0.7 + 0.2j, nu, 0.4, m)
-    triple = coefficient_triple(p, select_root(p))
-    tables = _core_tables(triple, m)
+    tables = _core_tables(coefficient_triple(p, select_root(p)), m)
     for k in range(m + 1):
-        assert _core(tables, k).tobytes() == _cores(triple, k, m)[: k + 1].tobytes(), k
+        assert _core(tables, k).tobytes() == _cores(tables, k)[: k + 1].tobytes(), k
 
 
 # groups of points equal under == (so one memo key), which differ only in the
@@ -852,11 +851,11 @@ def _band_residuals(p, states, values):
 def test_nu_zero_states_match_the_twisted_reference(m):
     # at nu = 0 the root is delta = 0 and each state is its closed-form core;
     # the twisted factorization, which solve no longer runs there, is the
-    # reference: the cores route must agree with it and be no less accurate.
-    # Both routes carry the phase e^{i n theta} from the rounded n theta, and
-    # with theta near pi (phi = pi for the cores, phi = 0 for the twisted
-    # route) that rounding sets both worst residuals at m = 1000, equal to 5
-    # digits (3.61797e-15 and 3.61791e-15 |L|_F), hence the 1e-3 margin
+    # reference: the cores route must agree with it.  Both carry their phase
+    # e^{i n theta} from fock.phase_ramp, and the cores stay within 1e-15 |L|_F
+    # on the whole grid.  The twisted route reads 1.05e-15 at m = 1000
+    # (eta = 0.3, |mu| = 1, k = m - 1, at every arg mu): that is its
+    # log-space moduli, whose cumulative sums err by up to 9e-13 relative
     ks = np.arange(m + 1) if m <= 50 else np.array([0, 1, m // 3, m // 2, m - 1, m])
     worst_cores = worst_twisted = 0.0
     for eta in (1e-6, 0.3, 0.999, 1.0 - 1e-6):
@@ -871,7 +870,8 @@ def test_nu_zero_states_match_the_twisted_reference(m):
                     assert fidelity(c, t) >= 1.0 - 1e-14, (eta, mod, phi, k)
                 worst_cores = max(worst_cores, _band_residuals(p, cores, values).max())
                 worst_twisted = max(worst_twisted, _band_residuals(p, twisted, values).max())
-    assert worst_cores <= worst_twisted * (1.0 + 1e-3)
+    assert worst_cores <= 1e-15
+    assert worst_twisted <= 1.1e-15
 
 
 @pytest.mark.parametrize("nu", [0.0, -0.0, complex(0.0, -0.0)], ids=["zero", "minus-zero", "minus-zero-imag"])

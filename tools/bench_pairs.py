@@ -13,7 +13,8 @@ alternates from pair to pair.  Then one traced run per side and workload, on
 the first seed, keeps every metric it reports.  The output holds each run's
 end-to-end metrics with the BLAS/OpenMP thread settings and the usable CPU
 count its worker reported, and per workload the medians, the inclusive
-quartiles and the count of pairs the change wins, and a verdict on each
+quartiles and the count of pairs the change wins, each side's share of
+failed ops and count of runs whose checks failed, and a verdict on each
 metric (see verdicts).  "blas_threads" lists the distinct settings each side
 ran with and flags the file when the two sides differ.  The benchmark itself
 is only run, never imported.  SIGTERM stops the runner like SystemExit: the
@@ -130,23 +131,40 @@ def summarize_pairs(runs: list) -> dict:
     return summary
 
 
+def _failed_share(runs: list, side: str) -> float:
+    attempted = sum(r[side]["attempted"] for r in runs)
+    return sum(r[side]["failed"] for r in runs) / attempted if attempted else 0.0
+
+
+def failures(runs: list) -> dict:
+    """Each side's share of failed ops over all its runs, and its count of
+    runs whose checks failed."""
+    return {side: {"failed_share": round(_failed_share(runs, side), 5),
+                   "checks_failed": sum(not r[side]["checks_pass"] for r in runs)} for side in SIDES}
+
+
 def verdicts(runs: list, claimed: str | None = None) -> dict:
     """Each end-to-end metric's verdict on one workload, from the raw pairs.
 
     Every metric here is better when lower.  The claimed metric, if it is
-    one of them, is "met" when the change wins at least 9 in 10 pairs and
-    its median beats the parent's by more than the parent's interquartile
-    range, and "not met" otherwise.  Any other metric is "worse" when the
-    change's median exceeds the parent's by more than BOUNDS' share of it;
-    else "unresolved" when the parent's interquartile range exceeds that
-    share, unless every change run beats every parent run; else "no worse".
+    one of them, is "met" when the change wins at least 9 in 10 pairs, its
+    median beats the parent's by more than the parent's interquartile
+    range, its share of failed ops is no larger than the parent's and every
+    change run passed its checks; it is "not met" otherwise.  Any other
+    metric is "worse" when the change's median exceeds the parent's by more
+    than BOUNDS' share of it; else "unresolved" when the parent's
+    interquartile range exceeds that share, unless every change run beats
+    every parent run; else "no worse".
     """
+    ops_hold = (_failed_share(runs, "change") <= _failed_share(runs, "parent")
+                and all(r["change"]["checks_pass"] for r in runs))
     verdict = {}
     for name, pairs, parent, change, mid_p, mid_c in _paired_metrics(runs):
         q1, q3 = _quartiles(parent)
         if name == claimed:
             wins = sum(c < p for p, c in pairs)
-            verdict[name] = "met" if wins >= 0.9 * len(pairs) and mid_p - mid_c > q3 - q1 else "not met"
+            met = ops_hold and wins >= 0.9 * len(pairs) and mid_p - mid_c > q3 - q1
+            verdict[name] = "met" if met else "not met"
         elif mid_c - mid_p > BOUNDS[name] * mid_p:
             verdict[name] = "worse"
         elif q3 - q1 > BOUNDS[name] * mid_p and max(change) >= min(parent):
@@ -209,7 +227,7 @@ def main(argv=None) -> int:
                 runs.append(run)
             claimed = out.get("claimed_metric", {})
             out["workloads"][workload] = {
-                "seeds": seeds, "median": summarize_pairs(runs),
+                "seeds": seeds, "median": summarize_pairs(runs), "failures": failures(runs),
                 "verdict": verdicts(runs, claimed["metric"] if claimed.get("workload") == workload else None),
                 "runs": runs}
         out["blas_threads"] = thread_settings(out["workloads"])
