@@ -198,7 +198,7 @@ def time_evolve(v: np.ndarray, omega: float, t: float) -> np.ndarray:
     top = omega_t * (len(v) - 0.5)
     if not math.isfinite(top):
         raise ValueError(f"omega*t*(m + 1/2) must be finite, got {top!r}")
-    return v * (cmath.exp(-0.5j * omega_t) * phase_ramp(-omega_t, np.arange(len(v))))
+    return v * (cmath.exp(-0.5j * omega_t) * phase_ramp(-omega_t, len(v)))
 
 
 def _number_scan(mu: complex, nu: complex, m: int, k: int, eta_schedule):

@@ -175,7 +175,7 @@ def displacement(p: DisplacementParams) -> np.ndarray:
     n = np.arange(m + 1)
     # Q = e^{-i n theta} (-i)^n: theta + pi/2, rounded into one angle, would
     # err by up to 3.6e-12 at n = 8191; the quarter turns are exact
-    q = phase_ramp(-p.theta, n) * _QUARTER_TURNS[n % 4]
+    q = phase_ramp(-p.theta, m + 1) * _QUARTER_TURNS[n % 4]
     d *= (0.5 * q)[:, None] * q.conj()
     return d
 
@@ -260,5 +260,5 @@ def disentangled_displacement(xi: complex, m: int) -> np.ndarray:
     t *= np.outer(w, w)
     if m % 2:
         t /= math.hypot(1.0, s)
-    phase = phase_ramp(math.atan2(xi.imag, xi.real), np.arange(d))
+    phase = phase_ramp(math.atan2(xi.imag, xi.real), d)
     return t * np.outer(phase.conj(), phase)

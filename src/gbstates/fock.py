@@ -19,8 +19,6 @@ import numpy as np
 # the most complex amplitudes one state or block of states may hold: 2^26, 1 GiB
 AMPLITUDE_CAP = 2**26
 
-_SMALLEST_NORMAL = float(np.finfo(float).tiny)
-
 # 2 pi in three parts (Cody & Waite, 1980), summing to 2 pi within 6e-33:
 # the first, a multiple of 2^-24, carries 27 significant bits and the
 # second, a multiple of 2^-51, 24, so j * part is exact for every integer
@@ -32,8 +30,8 @@ _INV_TWO_PI = 1.0 / (2.0 * math.pi)
 # with at most 27 significant bits, so n * hi is exact for n < AMPLITUDE_CAP
 _RAMP_GRID = 2.0**25
 # _unit_scaled leaves a vector as it is while its largest modulus lies in
-# [2^-(this + 1), 2^this)
-_UNSCALED_EXPONENT = 200
+# [_UNSCALED_LOW, _UNSCALED_HIGH)
+_UNSCALED_LOW, _UNSCALED_HIGH = 2.0**-201, 2.0**200
 
 
 def check_photon_cap(m) -> None:
@@ -54,48 +52,57 @@ def hop_squares(m: int) -> np.ndarray:
     return (n * (m + 1 - n)).astype(float)
 
 
-def _reduced(x):
-    """x - 2 pi j as head + tail, elementwise, j = rint(x / 2 pi): |head| is
-    at most about pi, |tail| below 2^-26 |j| / 2^26, and the pair holds
-    x - 2 pi j within 2^-78 while |j| <= 2^26.
+def _reduced(x, j):
+    """x - 2 pi j as head + tail, for j = rint(x / 2 pi), a float or an
+    array: |head| is at most about pi, |tail| below 2^-26 |j| / 2^26, and
+    the pair holds x - 2 pi j within 2^-78 while |j| <= 2^26.
 
     head takes no rounding there: both subtrahends are exact, and the
     differences, multiples of 2^-51 below 4 in modulus (x is either such a
     multiple itself or below pi, with j = 0), fit a double.
     """
-    j = np.rint(x * _INV_TWO_PI)
     return (x - j * _TWO_PI[0]) - j * _TWO_PI[1], j * -_TWO_PI[2]
 
 
 def phase_ramp(theta: float, n) -> np.ndarray:
-    """e^{i n theta} for an integer array n with 0 <= n < AMPLITUDE_CAP.
+    """e^{i n theta} for an integer array n with 0 <= n < AMPLITUDE_CAP, or
+    for n = 0..n-1 when n is an int count, at most AMPLITUDE_CAP.
 
     The one rule for every phase ramp of the package.  exp of the rounded
     n theta errs by half an ulp of n theta, 2.3e-13 at n = 1000 near
     theta = pi; this ramp stays within about 5e-16 of the exact one.  theta
     is first reduced to head + tail, head in about [-pi, pi], with 2 pi in
-    three parts (Cody & Waite, 1980).  head splits into hi, on a grid of
-    2^-25, and lo: n hi is exact for every allowed n, and is reduced the same
-    way; n (lo + tail), below 1 in modulus, is added last.  The reduction of
-    theta itself is exact while |theta| <= 2^26 2 pi (4.2e8); past that it
-    rounds, within about an ulp of theta.
+    three parts (Cody & Waite, 1980), in Python floats.  head splits into
+    hi, on a grid of 2^-25, and lo: n hi is exact for every allowed n, and
+    is reduced the same way; n (lo + tail), below 1 in modulus, is added
+    last.  The reduction of theta itself is exact while
+    |theta| <= 2^26 2 pi (4.2e8); past that it rounds, within about an ulp
+    of theta.  A count is checked as one integer, an array entry by entry.
     """
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"ramp angle must be finite, got {theta!r}")
-    n = np.asarray(n)
-    if n.dtype.kind not in "iu" or n.size and not (n.min() >= 0 and n.max() < AMPLITUDE_CAP):
-        raise ValueError(f"ramp indices must be integers in [0, {AMPLITUDE_CAP})")
-    head, tail = _reduced(theta)
-    hi = np.rint(head * _RAMP_GRID) / _RAMP_GRID
+    if isinstance(n, numbers.Integral):
+        if not 0 <= n <= AMPLITUDE_CAP:
+            raise ValueError(f"ramp length must lie in [0, {AMPLITUDE_CAP}], got {n!r}")
+        n = np.arange(n, dtype=float)
+    else:
+        n = np.asarray(n)
+        if n.dtype.kind not in "iu" or n.size and not (n.min() >= 0 and n.max() < AMPLITUDE_CAP):
+            raise ValueError(f"ramp indices must be integers in [0, {AMPLITUDE_CAP})")
+        n = n.astype(float)  # exact; the products below then take no cast
+    head, tail = _reduced(theta, round(theta * _INV_TWO_PI))
+    hi = round(head * _RAMP_GRID) / _RAMP_GRID
     lo = (head - hi) + tail
-    head, tail = _reduced(n * hi)
+    x = n * hi
+    head, tail = _reduced(x, np.rint(x * _INV_TWO_PI))
     return np.exp(1j * (head + (n * lo + tail)))
 
 
-def _unit_scaled(v) -> np.ndarray:
-    """v, with its largest modulus outside [2^-201, 2^200) taken into
-    [0.5, 1) by an exact power of two, normalize_rows' rule.
+def _unit_scaled(v, big=None) -> np.ndarray:
+    """v, with its largest modulus big (found here when not given) outside
+    [2^-201, 2^200) taken into [0.5, 1) by an exact power of two,
+    normalize_rows' rule.
 
     Inside that range the square of the largest modulus, and the product of
     four norms of vectors within AMPLITUDE_CAP, are normal doubles: v is
@@ -103,9 +110,11 @@ def _unit_scaled(v) -> np.ndarray:
     square of the scaled copy overflows and none that counts underflows.
     """
     v = np.asarray(v)
-    shift = -np.frexp(np.abs(v).max(initial=0.0))[1]
-    if abs(shift) <= _UNSCALED_EXPONENT:
+    if big is None:
+        big = np.abs(v).max(initial=0.0)
+    if _UNSCALED_LOW <= big < _UNSCALED_HIGH or big == 0.0:
         return v
+    shift = -math.frexp(big)[1]
     if not np.iscomplexobj(v):
         return np.ldexp(v, shift)
     out = np.empty_like(v)
@@ -174,10 +183,11 @@ def normalize_state(v: np.ndarray) -> np.ndarray:
     big = mags.max()
     if big == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    if big < _SMALLEST_NORMAL:
+    if not _UNSCALED_LOW <= big < _UNSCALED_HIGH:
         # numpy's complex division by big forms 1/big, which overflows for a
-        # subnormal big: lift the state by an exact power of two first
-        v = v * 2.0**600
+        # subnormal big and is itself subnormal near the top of the range:
+        # the state takes its exact power of two first
+        v = _unit_scaled(v, big)
         mags = np.abs(v)
         big = mags.max()
     # scale by the largest magnitude first: the squared norm of a vector with

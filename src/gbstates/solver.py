@@ -75,6 +75,9 @@ _EPS = float(np.finfo(float).eps)
 # stands in for an exact zero pivot of the twisted factorization; its square
 # is still a normal double
 _PIVOT_FLOOR = 2.0**-300
+# _twisted_states' floor on log |z_n / z_r|, whose -inf (nu = 0) has no
+# integer exponent: 2^-2885, where a modulus is 0
+_LOG_FLOOR = -2000.0
 # a batch of eigenstates is built and normalized in chunks of at most this
 # many (n, k) entries, which bounds the memory of a solve at large m
 _SWEEP_ENTRIES = 2**16
@@ -309,7 +312,7 @@ def _core_tables(triple: CoefficientTriple, m: int) -> _CoreTables:
     np.log(n[:0:-1], out=falling[:m])
     log_int = falling[m::-1]
     half_steps = 0.5 * (log_int[1:] + log_int[m:0:-1])
-    return _CoreTables(falling, half_steps, math.log(abs(x)), phase_ramp(cmath.phase(x), n))
+    return _CoreTables(falling, half_steps, math.log(abs(x)), phase_ramp(cmath.phase(x), m + 1))
 
 
 def _cores(tables: _CoreTables, ks) -> np.ndarray:
@@ -443,12 +446,16 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
     v = -mu e^{-i phi/2} / |mu|, and above r the same holds with v* and
     |l_{n-1}|.  So the state is v^-n, the ramp e^{-i n arg v} of
     fock.phase_ramp, times a modulus and a phase product.  The modulus is
-    summed, per state, as log |band| - log |pivot| outward from r, which
-    sits at the state's large entries, and max-shifted before exp, so
-    nothing overflows at any |nu/mu|; the phase is the running product of
-    the pivots' unit phases, the downward one below r and the upward one
-    above, joined at r.  At nu = 0 L is upper bidiagonal:
-    log |l| = -inf, and the part above r vanishes.  solve and eigenstate
+    the product, per state, of the ratios |band| / |pivot| outward from r,
+    one rounding per ratio.  Where a state's products leave the double
+    range, at large |nu/mu| or with r far from the large entries,
+    _rescaled_moduli forms the same products near 1 by exact powers of two,
+    so nothing overflows at any |nu/mu|.  A modulus read off a log sum
+    instead, exp of a sum of logs of about ten, errs by up to 1e-12
+    relative at m = 1000 and sets the residual to 1e-15 |L|_F.
+    The phase is the running product of the pivots' unit phases, the
+    downward one below r and the upward one above, joined at r.  At nu = 0
+    L is upper bidiagonal: |l| = 0, and the part above r vanishes.  solve and eigenstate
     never come here at nu = 0, where delta = 0 makes each state its
     closed-form core (_cores); the tests keep this route as that one's
     reference.
@@ -469,14 +476,13 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
     # u_n l_n, rotated and scaled; each factor scaled on its own: |rot|^2
     # alone overflows once |A0| < 1e-154
     c = (s * abs(mu) * abs(rot)) * (s * abs(nu) * abs(rot)) * prods
-    # log |u_n| at row n for the part below r, log |l_{n-1}| for the part
-    # above (-inf at nu = 0, where that part vanishes)
-    log_b = math.log(s * abs(rot)) + 0.5 * np.log(prods)
-    log_down, log_up = np.zeros((m + 1, 1)), np.full((m + 1, 1), -np.inf)
-    log_down[:-1, 0] = math.log(abs(mu)) + log_b
-    if nu:
-        log_up[1:, 0] = math.log(abs(nu)) + log_b
-    phase = phase_ramp(-cmath.phase(-mu * rot), n)[:, None]  # v^-n
+    # |u_n| at row n for the part below r, |l_{n-1}| for the part above (0
+    # at nu = 0, where that part vanishes)
+    root = np.sqrt(prods)
+    band_down, band_up = np.zeros((m + 1, 1)), np.zeros((m + 1, 1))
+    band_down[:-1, 0] = (s * abs(mu) * abs(rot)) * root
+    band_up[1:, 0] = (s * abs(nu) * abs(rot)) * root
+    phase = phase_ramp(-cmath.phase(-mu * rot), m + 1)[:, None]  # v^-n
     sign = np.ones((m + 1, 1))  # (-1)^(m-n)
     sign[(m + 1) % 2 :: 2] = -1.0
     diag_parts = np.empty((m + 1, 2, 1))
@@ -522,15 +528,19 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
         below, up = n[:, None] < r, n[:, None] > r
         mods = np.abs(piv)
         turns = np.divide(piv, mods, out=piv)  # unit phases of the pivots
-        logs = np.log(mods, out=mods)
-        del piv, mods
-        # log |z_n / z_r|, summed outward from r
-        log_z = np.where(below, log_down - logs[:, cols], 0.0)
-        np.cumsum(log_z[::-1], axis=0, out=log_z[::-1])
-        steps = np.where(up, log_up - logs[::-1, mirrors], 0.0)
-        del logs
-        log_z += np.cumsum(steps, axis=0, out=steps)
-        del steps
+        del piv
+        # |z_n / z_{n+1}| below r and |z_n / z_{n-1}| above, 1 elsewhere
+        down = np.where(below, band_down / mods[:, cols], 1.0)
+        ups = np.where(up, band_up / mods[::-1, mirrors], 1.0)
+        del mods
+        # |z_n / z_r|, the products of the ratios outward from r
+        with np.errstate(over="ignore"):
+            w = np.multiply.accumulate(down[::-1], axis=0)[::-1]
+            w *= np.multiply.accumulate(ups, axis=0)
+        far = ~np.isfinite(w).all(axis=0)
+        if far.any():
+            w[:, far] = _rescaled_moduli(down[:, far], ups[:, far], below[:, far], up[:, far])
+        del down, ups
         # running products of the unit phases away from row 0, exclusive of
         # the row itself; from row m they are the mirror's, signed
         turns[1:] = turns[:-1]
@@ -540,13 +550,31 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
         z *= turns[r, built] * z[r, np.arange(len(built))].conj()
         np.copyto(z, turns[:, cols], where=~up)
         del turns
-        log_z -= log_z.max(axis=0)
-        z *= np.exp(log_z, out=log_z)
+        z *= w
         z *= phase
-        del log_z
+        del w
         # a fresh block: normalized in place, then laid on its rows
         states[np.searchsorted(ks, k[built])] = normalize_rows(np.ascontiguousarray(z.T))
     return states
+
+
+def _rescaled_moduli(down, ups, below, up) -> np.ndarray:
+    """_twisted_states' moduli |z_n / z_r| for states whose products of the
+    ratios down (below r) and ups (above r) leave the double range: the same
+    products, each ratio turned by the exact 2^(e_{n+-1} - e_n) so that they
+    stay near 1, scaled back by 2^(e_n - max e).  e_n is log2 |z_n / z_r|
+    rounded, from the logs of the ratios summed the same way.  The ratios
+    are the caller's copies, changed in place.
+    """
+    with np.errstate(divide="ignore"):  # log 0 above r at nu = 0
+        log_z = np.cumsum(np.log(down[::-1]), axis=0)[::-1]
+        log_z += np.cumsum(np.log(ups), axis=0)
+    e = np.rint(np.maximum(log_z, _LOG_FLOOR) / math.log(2.0)).astype(int)
+    np.ldexp(down[:-1], e[1:] - e[:-1], out=down[:-1], where=below[:-1])
+    np.ldexp(ups[1:], e[:-1] - e[1:], out=ups[1:], where=up[1:])
+    w = np.multiply.accumulate(down[::-1], axis=0)[::-1]
+    w *= np.multiply.accumulate(ups, axis=0)
+    return np.ldexp(w, e - e.max(axis=0))
 
 
 def _eigenstates(p: GBSParams, frame: _Frame, ks) -> np.ndarray:

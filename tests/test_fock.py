@@ -307,3 +307,16 @@ def test_phase_ramp_is_the_exact_ramp_at_drawn_angles(theta):
 def test_phase_ramp_names_a_bad_input(theta, n, bad):
     with pytest.raises(ValueError, match=bad):
         phase_ramp(theta, np.array(n))
+
+
+@pytest.mark.parametrize("count", [0, 1, 11, 1001])
+def test_phase_ramp_of_a_count_is_the_ramp_of_its_indices(count):
+    # the package's callers pass a count: one integer to check, not an array
+    for theta in (2.1, -math.pi, 1e3):
+        assert phase_ramp(theta, count).tobytes() == phase_ramp(theta, np.arange(count)).tobytes()
+
+
+@pytest.mark.parametrize("count", [-1, AMPLITUDE_CAP + 1])
+def test_phase_ramp_names_a_bad_count(count):
+    with pytest.raises(ValueError, match="ramp length must lie in"):
+        phase_ramp(1.0, count)

@@ -29,7 +29,15 @@ from gbstates.solver import (
     spectrum,
     undisplaced_eigenstate,
 )
-from gbstates.solver import _core, _core_tables, _cores, _exponential_form_core, _point, _twisted_states
+from gbstates.solver import (
+    _core,
+    _core_tables,
+    _cores,
+    _exponential_form_core,
+    _point,
+    _rescaled_moduli,
+    _twisted_states,
+)
 from gbstates.verification import DEFAULT_SEED, random_parameter_draws
 
 
@@ -700,6 +708,29 @@ def test_twisted_states_in_the_overflow_and_edge_regimes(p):
         np.testing.assert_array_equal(eigenstate(p, k), sol.eigenstates[k])
 
 
+def test_rescaled_moduli_are_the_plain_products_up_to_one_power_of_two():
+    # the twisted route's moduli are products of the ratios outward from the
+    # twist r; where a state's products leave the double range the rescaled
+    # form takes over, so it must give the same products, to the bit, up to
+    # one exact power of two per state, and stay finite where they overflow
+    rng = np.random.default_rng(3)
+    m, count = 300, 7
+    n = np.arange(m + 1)
+    r = rng.integers(0, m + 1, count)
+    below, up = n[:, None] < r, n[:, None] > r
+    down = np.where(below, np.exp(rng.normal(0.0, 2.0, (m + 1, count))), 1.0)
+    ups = np.where(up, np.exp(rng.normal(0.0, 2.0, (m + 1, count))), 1.0)
+    plain = np.multiply.accumulate(down[::-1], axis=0)[::-1] * np.multiply.accumulate(ups, axis=0)
+    assert np.isfinite(plain).all() and plain.min() > np.finfo(float).tiny
+    scale = plain / _rescaled_moduli(down.copy(), ups.copy(), below, up)
+    assert np.all(np.frexp(scale)[0] == 0.5)
+    assert np.all(scale == scale[0])
+    # 1e30 per step below r and 1e-30 above: |z_0 / z_r| alone is 1e30^r
+    steep = _rescaled_moduli(np.where(below, 1e30, 1.0), np.where(up, 1e-30, 1.0), below, up)
+    assert np.isfinite(steep).all() and 0.5 < steep.max(axis=0).min() and steep.max() < 2.0
+    np.testing.assert_allclose(steep[0, r > 1], steep[1, r > 1] * 1e30, rtol=4 * np.finfo(float).eps)
+
+
 # generic points for the point memo; (1, 0.3, 0.4) has a real positive
 # delta, so its theta is -0.0
 MEMO_POINTS = [
@@ -852,10 +883,10 @@ def test_nu_zero_states_match_the_twisted_reference(m):
     # at nu = 0 the root is delta = 0 and each state is its closed-form core;
     # the twisted factorization, which solve no longer runs there, is the
     # reference: the cores route must agree with it.  Both carry their phase
-    # e^{i n theta} from fock.phase_ramp, and the cores stay within 1e-15 |L|_F
-    # on the whole grid.  The twisted route reads 1.05e-15 at m = 1000
-    # (eta = 0.3, |mu| = 1, k = m - 1, at every arg mu): that is its
-    # log-space moduli, whose cumulative sums err by up to 9e-13 relative
+    # e^{i n theta} from fock.phase_ramp.  The twisted moduli are products of
+    # one-rounding ratios and read below 1e-16 |L|_F from m = 50 on; the
+    # cores sum logs, and stay within one eps |L|_F up to m = 50 and within
+    # 1e-15 |L|_F at m = 400 and 1000 (4.5e-16 and 5.3e-16)
     ks = np.arange(m + 1) if m <= 50 else np.array([0, 1, m // 3, m // 2, m - 1, m])
     worst_cores = worst_twisted = 0.0
     for eta in (1e-6, 0.3, 0.999, 1.0 - 1e-6):
@@ -870,8 +901,8 @@ def test_nu_zero_states_match_the_twisted_reference(m):
                     assert fidelity(c, t) >= 1.0 - 1e-14, (eta, mod, phi, k)
                 worst_cores = max(worst_cores, _band_residuals(p, cores, values).max())
                 worst_twisted = max(worst_twisted, _band_residuals(p, twisted, values).max())
-    assert worst_cores <= 1e-15
-    assert worst_twisted <= 1.1e-15
+    assert worst_cores <= (np.finfo(float).eps if m <= 50 else 1e-15)
+    assert worst_twisted <= 1e-15
 
 
 @pytest.mark.parametrize("nu", [0.0, -0.0, complex(0.0, -0.0)], ids=["zero", "minus-zero", "minus-zero-imag"])
