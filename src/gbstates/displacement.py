@@ -172,11 +172,13 @@ def displacement(p: DisplacementParams) -> np.ndarray:
         d[h, m:h:-1] = centre
         d[h, h] = 2 * g[0, h, h]
     d[m : m - h : -1] = d[:h, ::-1]
-    n = np.arange(m + 1)
     # Q = e^{-i n theta} (-i)^n: theta + pi/2, rounded into one angle, would
     # err by up to 3.6e-12 at n = 8191; the quarter turns are exact
-    q = phase_ramp(-p.theta, m + 1) * _QUARTER_TURNS[n % 4]
-    d *= (0.5 * q)[:, None] * q.conj()
+    q = phase_ramp(-p.theta, m + 1) * _QUARTER_TURNS[np.arange(m + 1) % 4]
+    # (q_i / 2) conj(q_j) over blocks of about 2^16 entries, so no (m+1)^2 factor matrix is held
+    step = max(1, 2**16 // (m + 1))
+    for i in range(0, m + 1, step):
+        d[i : i + step] *= (0.5 * q[i : i + step, None]) * q.conj()
     return d
 
 

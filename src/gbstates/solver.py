@@ -24,21 +24,13 @@ paper's finite-sum form, so the two check each other.  Where the root is
 delta = 0 (nu = 0, the paper's central family), D(zeta) = I and every entry
 point reads the state off its closed-form core, which solve builds many
 rows at a time; the twisted factorization, which still solves that case,
-serves the tests as its reference.  The factorization
-sweeps only downward: the spectrum is symmetric under k -> m - k, and with
-(Q x)_n = (nu/mu)^n (-1)^n x_{m-n}, Q L Q^-1 = -L, so the upward pivots of
-state k are the downward pivots of state m - k, reversed and negated.  In
-floating point this holds bit for bit, except for the tiny floor that
-keeps a pivot off zero, which enters with the other sign.  The other
-branches read columns of D(zeta).
+serves the tests as its reference.  The other branches read columns of
+D(zeta).  The cores and the twisted states form their moduli by one rule,
+_moduli.
 
 eigenstate_sum and eigenstate_exponential, which are asked for one k at a
-time, share one memo of the last point either was called at (_point): its
-frame, its D(zeta), one (m+1)^2 complex matrix, 16 MB at m = 1000, and its
-O(m) core tables, so that a call forms only the k + 1 entries of core k.
-It stays alive until a different point is asked for.  At delta = 0 it
-holds no D.  solve, eigenstate and displacement() never fill it, so a
-large solve leaves nothing behind.
+time, share one memo of the last point either was called at (_point); solve,
+eigenstate and displacement() never fill it.
 
 Branches:
   * generic          -- A+ away from zero; full closed-form eigenbasis,
@@ -75,9 +67,13 @@ _EPS = float(np.finfo(float).eps)
 # stands in for an exact zero pivot of the twisted factorization; its square
 # is still a normal double
 _PIVOT_FLOOR = 2.0**-300
-# _twisted_states' floor on log |z_n / z_r|, whose -inf (nu = 0) has no
-# integer exponent: 2^-2885, where a modulus is 0
+# _rescaled_moduli's floor on a log modulus, whose -inf has no integer
+# exponent: 2^-2885, where a modulus is 0
 _LOG_FLOOR = -2000.0
+# the cores' start: a modulus that reaches 2^1010 overflows and is rescaled,
+# so eigenstate_sum's gemv of up to 8192 columns of D(zeta) cannot overflow
+_HEADROOM = 2.0**14
+_BOUND = 1023 - math.log2(_HEADROOM)  # log2 of a proven modulus bound, a bit to spare
 # a batch of eigenstates is built and normalized in chunks of at most this
 # many (n, k) entries, which bounds the memory of a solve at large m
 _SWEEP_ENTRIES = 2**16
@@ -295,65 +291,58 @@ def spectrum(p: GBSParams) -> np.ndarray:
 
 
 class _CoreTables(NamedTuple):
-    """The parts every core of a frame shares, O(m) each (see _cores)."""
+    """The parts every core of a frame shares (see _cores)."""
 
-    # log (m - i) for i < m, -inf from i = m on; read backwards from i = m it
-    # is log j at j = 0..m, whose -inf at j = 0 ends a core after n = k
-    falling: np.ndarray
-    half_steps: np.ndarray  # log sqrt((n+1)(m-n)), n = 0..m-1
-    log_x: float  # log |A0/A+|
-    phase: np.ndarray  # e^{i n arg x}, n = 0..m, from fock.phase_ramp
+    ratios: np.ndarray  # |x| / sqrt((j+1)(m-j)), j = 0..m-1, x = A0/A+
+    growth: float  # log2 sqrt(1 + |x|^2)
+    phase: np.ndarray  # e^{i n arg x} / _HEADROOM, n = 0..m, from fock.phase_ramp
 
 
 def _core_tables(triple: CoefficientTriple, m: int) -> _CoreTables:
     x = triple.a_zero / triple.a_plus
-    n = np.arange(m + 1)
-    falling = np.full(2 * m + 1, -np.inf)
-    np.log(n[:0:-1], out=falling[:m])
-    log_int = falling[m::-1]
-    half_steps = 0.5 * (log_int[1:] + log_int[m:0:-1])
-    return _CoreTables(falling, half_steps, math.log(abs(x)), phase_ramp(cmath.phase(x), m + 1))
+    return _CoreTables(abs(x) / np.sqrt(hop_squares(m)), math.log2(math.hypot(1.0, abs(x))),
+                       phase_ramp(cmath.phase(x), m + 1) / _HEADROOM)
 
 
-def _cores(tables: _CoreTables, ks) -> np.ndarray:
-    """Rotated-frame eigenstates of the frame whose tables are given,
-    unnormalized: core k for one index k, or one row per index for an
-    ascending array ks.
+def _cores(tables: _CoreTables, ks, out=None) -> np.ndarray:
+    """Rotated-frame eigenstates ks, ascending, of the frame whose tables
+    are given, unnormalized, one per row (of out, if given).
 
     Each step of the recursion c_{n+1} sqrt((n+1)(m-n)) A+ = c_n A0 (k - n)
     carries the phase of x = A0/A+, so for n <= k, in closed form,
         core_k(n) = e^{i n arg x} |x|^n C(k, n) / sqrt(C(m, n)),
-    and core_k vanishes past n = k.  The log magnitudes are one cumsum along
-    n per row (-inf past k), max-shifted before exp, so the largest entry of
-    a row has modulus exactly 1 and nothing overflows; the caller normalizes.
-    Every step is elementwise or runs along one row, so a core has the same
-    bits alone as in a batch, and _core, which runs the same steps on the
-    support alone, gives its first k + 1 entries.
+    and core_k vanishes past n = k.  Its modulus is the product, by
+    _moduli, of the ratios rho_j = |x| (k - j) / sqrt((j+1)(m-j)), j < n,
+    each rounded once off the table, from the start _HEADROOM, which the
+    phase table takes back.  rho_j falls as j rises, so overflow is the one
+    way out of the double range, and as C(k, n)^2 <= C(m, n), the moduli
+    stay below (1 + |x|^2)^(k/2) = 2^(k growth): where that proves them
+    finite, _moduli skips its test.  Every step is elementwise or runs
+    along one column, so a core has the same bits alone as in a batch, and
+    _core, the same steps on the support alone, gives its first k + 1.
     """
     m = len(tables.phase) - 1
     ks = np.asarray(ks)
-    top = int(ks.flat[-1])  # every core vanishes past n = top: only n <= top is summed
-    # core k's log (k - n) at n = 0..top-1 is the window of falling from m - k
-    windows = np.ndarray((m + 1, top), buffer=tables.falling, strides=2 * tables.falling.strides)
-    steps = windows[m - ks] + tables.log_x
-    steps -= tables.half_steps[:top]
-    log_rho = np.zeros(ks.shape + (m + 1,))
-    np.cumsum(steps, axis=-1, out=log_rho[..., 1 : top + 1])
-    log_rho[..., top + 1 :] = -np.inf
-    log_rho -= log_rho.max(axis=-1, keepdims=True)
-    return np.exp(log_rho, out=log_rho) * tables.phase
+    top = int(ks[-1])  # every core vanishes past n = top: only n <= top is formed
+    ups = np.empty((top + 1, len(ks)))  # rho_j at row j + 1, a column per core
+    ups[0] = _HEADROOM
+    np.subtract(ks, np.arange(top)[:, None], out=ups[1:])
+    np.maximum(ups[1:], 0.0, out=ups[1:])
+    ups[1:] *= tables.ratios[:top, None]
+    w = _moduli(ups, bounded=top * tables.growth < _BOUND)
+    cores = np.empty((len(ks), m + 1), dtype=complex) if out is None else out
+    np.multiply(w.T, tables.phase[: top + 1], out=cores[:, : top + 1])
+    cores[:, top + 1 :] = 0.0 * tables.phase[top + 1 :]  # as w's +0 past k: a row's bits do not depend on top
+    return cores
 
 
 def _core(tables: _CoreTables, k: int) -> np.ndarray:
-    """_cores(tables, k)[: k + 1], bit for bit: the same steps in the same
-    order, over the k + 1 entries of the support."""
-    m = len(tables.phase) - 1
-    steps = tables.falling[m - k : m] + tables.log_x
-    steps -= tables.half_steps[:k]
-    log_rho = np.zeros(k + 1)
-    np.cumsum(steps, out=log_rho[1:])
-    log_rho -= log_rho.max()
-    return np.exp(log_rho, out=log_rho) * tables.phase[: k + 1]
+    """_cores(tables, [k])[0, : k + 1], bit for bit: the same steps in the
+    same order, over the k + 1 entries of the support."""
+    ups = np.empty(k + 1)
+    ups[0] = _HEADROOM
+    np.multiply(tables.ratios[:k], np.arange(k, 0, -1), out=ups[1:])
+    return _moduli(ups, bounded=k * tables.growth < _BOUND) * tables.phase[: k + 1]
 
 
 def _chunks(count: int, width: int) -> list[slice]:
@@ -446,19 +435,13 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
     v = -mu e^{-i phi/2} / |mu|, and above r the same holds with v* and
     |l_{n-1}|.  So the state is v^-n, the ramp e^{-i n arg v} of
     fock.phase_ramp, times a modulus and a phase product.  The modulus is
-    the product, per state, of the ratios |band| / |pivot| outward from r,
-    one rounding per ratio.  Where a state's products leave the double
-    range, at large |nu/mu| or with r far from the large entries,
-    _rescaled_moduli forms the same products near 1 by exact powers of two,
-    so nothing overflows at any |nu/mu|.  A modulus read off a log sum
-    instead, exp of a sum of logs of about ten, errs by up to 1e-12
-    relative at m = 1000 and sets the residual to 1e-15 |L|_F.
-    The phase is the running product of the pivots' unit phases, the
-    downward one below r and the upward one above, joined at r.  At nu = 0
-    L is upper bidiagonal: |l| = 0, and the part above r vanishes.  solve and eigenstate
-    never come here at nu = 0, where delta = 0 makes each state its
-    closed-form core (_cores); the tests keep this route as that one's
-    reference.
+    the product of the ratios |band| / |pivot| outward from r, by _moduli,
+    the cores' rule.  The phase is the running product of the pivots' unit
+    phases, the downward one below r and the upward one above, joined at r.
+    At nu = 0 L is upper bidiagonal: |l| = 0, and the part above r
+    vanishes.  solve and eigenstate never come here at nu = 0, where
+    delta = 0 makes each state its closed-form core (_cores); the tests keep
+    this route as that one's reference.
 
     A single pair k, m - k sweeps in Python floats, a batch in numpy rows, in
     chunks of at most _SWEEP_ENTRIES (n, k) swept entries; all else is numpy
@@ -533,13 +516,7 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
         down = np.where(below, band_down / mods[:, cols], 1.0)
         ups = np.where(up, band_up / mods[::-1, mirrors], 1.0)
         del mods
-        # |z_n / z_r|, the products of the ratios outward from r
-        with np.errstate(over="ignore"):
-            w = np.multiply.accumulate(down[::-1], axis=0)[::-1]
-            w *= np.multiply.accumulate(ups, axis=0)
-        far = ~np.isfinite(w).all(axis=0)
-        if far.any():
-            w[:, far] = _rescaled_moduli(down[:, far], ups[:, far], below[:, far], up[:, far])
+        w = _moduli(ups, down, below, up)  # |z_n / z_r|
         del down, ups
         # running products of the unit phases away from row 0, exclusive of
         # the row itself; from row m they are the mirror's, signed
@@ -558,15 +535,36 @@ def _twisted_states(p: GBSParams, a_zero: complex, ks) -> np.ndarray:
     return states
 
 
-def _rescaled_moduli(down, ups, below, up) -> np.ndarray:
-    """_twisted_states' moduli |z_n / z_r| for states whose products of the
-    ratios down (below r) and ups (above r) leave the double range: the same
-    products, each ratio turned by the exact 2^(e_{n+-1} - e_n) so that they
-    stay near 1, scaled back by 2^(e_n - max e).  e_n is log2 |z_n / z_r|
-    rounded, from the logs of the ratios summed the same way.  The ratios
-    are the caller's copies, changed in place.
+def _moduli(ups, down=None, below=None, up=None, bounded=False) -> np.ndarray:
+    """Every closed-form modulus: products of non-negative ratios along axis
+    0, one rounding each, a state per column (or one, for 1-d ratios): row n
+    is ups_n times row n - 1 where up and down_n times row n + 1 where
+    below, outward from _twisted_states' twist, or, without down, from
+    _cores' row 0.  A column that leaves the double range shows an inf or
+    nan and is formed again by _rescaled_moduli; exp of summed logs instead
+    errs by 1e-12 relative at m = 1000.  Products proven finite (bounded,
+    one-sided) skip that test and its errstate, which cost more than a short
+    core, and are formed in place of ups.
     """
-    with np.errstate(divide="ignore"):  # log 0 above r at nu = 0
+    if bounded:
+        return np.multiply.accumulate(ups, axis=0, out=ups)
+    if down is None:  # one side, from row 0
+        down, below, up = np.ones_like(ups), np.zeros(ups.shape, bool), np.ones(ups.shape, bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 past a core is nan
+        w = np.multiply.accumulate(down[::-1], axis=0)[::-1]
+        w *= np.multiply.accumulate(ups, axis=0)
+    far = ~np.isfinite(w).all(axis=0)
+    if far.any():
+        w[..., far] = _rescaled_moduli(down[..., far], ups[..., far], below[..., far], up[..., far])
+    return w
+
+
+def _rescaled_moduli(down, ups, below, up) -> np.ndarray:
+    """_moduli's products for states that leave the double range, times one
+    power of two per state: each ratio turned by the exact 2^(e_{n+-1} - e_n),
+    e_n the rounded log2 of the product from summed logs, and the result by
+    2^(e_n - max e).  The ratios are the caller's copies, changed in place."""
+    with np.errstate(divide="ignore"):  # log 0: past a core, or above r at nu = 0
         log_z = np.cumsum(np.log(down[::-1]), axis=0)[::-1]
         log_z += np.cumsum(np.log(ups), axis=0)
     e = np.rint(np.maximum(log_z, _LOG_FLOOR) / math.log(2.0)).astype(int)
@@ -600,7 +598,10 @@ def _eigenstates(p: GBSParams, frame: _Frame, ks) -> np.ndarray:
     ks = np.asarray(ks)
     states = np.empty((len(ks), p.m + 1), dtype=complex)
     for at in _chunks(len(ks), p.m + 1):
-        states[at] = _cores(tables, ks[at]) if generic else d[:, ks[at]].T
+        if generic:
+            _cores(tables, ks[at], out=states[at])
+        else:
+            states[at] = d[:, ks[at]].T
         normalize_rows(states[at])
     return states
 
@@ -612,9 +613,8 @@ def eigenstate(p: GBSParams, k: int) -> np.ndarray:
     L - lambda_k, in O(m), with its mirror m - k swept for its pivots only;
     eigenstate_sum builds the same state through D(zeta) as an independent
     check.  At delta = 0 (nu = 0) D(zeta) = I and both read the state off
-    its closed-form core.  Raises ValueError for a k
-    the branch does not carry: not an integer, outside 0..m, or k > 0 on the
-    defective branch.
+    its closed-form core.  Raises ValueError for a k the branch does not
+    carry: not an integer, outside 0..m, or k > 0 on the defective branch.
     """
     frame = _frame(p)
     _check_index(p, k, frame.kind)
@@ -624,7 +624,7 @@ def eigenstate(p: GBSParams, k: int) -> np.ndarray:
 def undisplaced_eigenstate(p: GBSParams, k: int) -> np.ndarray:
     """Eigenstate of the rotated operator A+ J+ - A0 J0, before displacing back."""
     _check_index(p, k)
-    return normalize_state(_cores(_core_tables(_generic_frame(p).triple, p.m), k))
+    return normalize_state(_cores(_core_tables(_generic_frame(p).triple, p.m), [k])[0])
 
 
 class _Point(NamedTuple):
@@ -637,8 +637,8 @@ class _Point(NamedTuple):
 
 @functools.lru_cache(maxsize=1)
 def _point(p: GBSParams) -> _Point:
-    """The frame, D(zeta) and core tables of p, read-only, kept for the last
-    point asked for.
+    """The frame, D(zeta) and core tables of p, read-only, kept until a
+    different point is asked for: D is 16 MB at m = 1000, None at delta = 0.
 
     Only eigenstate_sum and eigenstate_exponential read it: they are called
     once per k at one point, and so derive the frame and build D(zeta) and
@@ -649,7 +649,7 @@ def _point(p: GBSParams) -> _Point:
     frame = _generic_frame(p)
     rotation = None if frame.delta == 0 else displacement(frame.zeta)
     tables = _core_tables(frame.triple, p.m)
-    for table in (rotation, tables.falling, tables.half_steps, tables.phase):
+    for table in (rotation, tables.ratios, tables.phase):
         if table is not None:
             table.setflags(write=False)
     return _Point(frame, rotation, tables)
@@ -668,10 +668,8 @@ def eigenstate_sum(p: GBSParams, k: int) -> np.ndarray:
     _check_index(p, k)
     point = _point(p)
     core = _core(point.tables, k)
-    if point.rotation is None:
-        state = np.zeros(p.m + 1, dtype=complex)  # +0 past the support, as from a gemv
-        state[: k + 1] = core
-        return normalize_state(state)
+    if point.rotation is None:  # +0 past the support, as from a gemv
+        return normalize_state(np.concatenate([core, np.zeros(p.m - k)]))
     return normalize_state(point.rotation[:, : k + 1] @ core)
 
 

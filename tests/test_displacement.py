@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,21 @@ def test_displacement_unitary_and_inverse():
         theta_flip = theta + math.pi if theta <= 0 else theta - math.pi
         d_inv = displacement(DisplacementParams(r, theta_flip, m))
         assert np.linalg.norm(d @ d_inv - np.eye(m + 1)) <= 1e-11
+
+
+@pytest.mark.parametrize("m", [800, 801])
+def test_displacement_peak_stays_within_twice_its_output(m):
+    # while D is assembled, the half-size parity blocks (half the output)
+    # and the factorization's arrays (at most a quarter) are alive with it;
+    # the phase factors come in blocks of rows, where all (m+1)^2 of them at
+    # once put the peak at 2.7 times the output
+    tracemalloc.start()
+    try:
+        d = displacement(DisplacementParams(0.6, 0.3, m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * d.nbytes
 
 
 @pytest.mark.parametrize("m", [800, 801])

@@ -1,6 +1,7 @@
 """Properties: every point of the drawn domain solves within the residual bound
 or is rejected with ValueError, eigenstate(p, k) is solve's k-th state, and on
-the generic branch it agrees with the finite-sum form; over |nu/mu| from 1e-3
+the generic branch it agrees with the finite-sum form, over the whole declared
+domain up to m = 400 too; over |nu/mu| from 1e-3
 to 1e3 the mirror Q maps state k onto state m - k; over the frame's domain
 the constraint roots and the coefficient triple are M's eigenvector ratios and
 Schur entries; the secondary root's frame only relabels state k as m - k;
@@ -123,15 +124,33 @@ def test_the_mirror_maps_state_k_onto_state_m_minus_k(p):
 
 
 @st.composite
-def band_points(draw):
+def band_points(draw, m_max=3000):
     """|mu| log-uniform over [1e-50, 1e50], |nu| over [1e-300, 1e50] or nu = 0,
     both phases over the whole circle, eta anywhere in (0, 1) or next to
-    either end, m up to 3000."""
+    either end, m up to m_max."""
     mu = min(max(10 ** draw(st.floats(-50.0, 50.0)), 1e-50), 1e50) * cmath.exp(1j * draw(phases))
     nu = draw(st.one_of(st.just(0.0), st.floats(-300.0, 50.0).map(lambda x: min(10**x, 1e50))))
     edges = st.sampled_from([5e-324, 1e-300, 1e-12, 1.0 - 1e-12, math.nextafter(1.0, 0.0)])
     eta = draw(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), edges))
-    return GBSParams(mu=mu, nu=nu * cmath.exp(1j * draw(phases)), eta=eta, m=draw(st.integers(0, 3000)))
+    return GBSParams(mu=mu, nu=nu * cmath.exp(1j * draw(phases)), eta=eta, m=draw(st.integers(0, m_max)))
+
+
+@settings(max_examples=40)
+@given(band_points(m_max=400))
+def test_the_declared_domain_solves_within_the_residual_bound(p):
+    # every point GBSParams accepts, up to m = 400: the states meet compare's
+    # residual bound, and on the generic branch the finite-sum form, D(zeta)
+    # times the core, is the same state.  |x| = |A0/A+| runs from below
+    # 1e-50 to above 1e50, nu = 0 included, so the cores' products underflow
+    # and overflow.  The pair verdict is left out: next to the defective
+    # branch and for non-normal draws at m >= 40 the oracle's spectrum is
+    # not yet certified (ROADMAP item 1)
+    sol = solve(p)
+    report = oracle.compare(p, sol)
+    assert report.max_residual <= report.residual_bound
+    if sol.kind is SolutionKind.GENERIC:
+        for k, v in enumerate(sol.eigenstates):
+            assert 1.0 - fidelity(v, eigenstate_sum(p, k)) <= 1e-8, k
 
 
 @settings(max_examples=300)

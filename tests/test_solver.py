@@ -5,6 +5,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from conftest import dense_reference, frame_scale, hp_generators
 from gbstates.binomial import BinomialParams, binomial_amplitudes
@@ -30,10 +31,12 @@ from gbstates.solver import (
     undisplaced_eigenstate,
 )
 from gbstates.solver import (
+    CoefficientTriple,
     _core,
     _core_tables,
     _cores,
     _exponential_form_core,
+    _moduli,
     _point,
     _rescaled_moduli,
     _twisted_states,
@@ -731,6 +734,81 @@ def test_rescaled_moduli_are_the_plain_products_up_to_one_power_of_two():
     np.testing.assert_allclose(steep[0, r > 1], steep[1, r > 1] * 1e30, rtol=4 * np.finfo(float).eps)
 
 
+def test_one_sided_moduli_take_the_rescaled_form_where_they_overflow():
+    # the cores pass _moduli one side, from a start at row 0: where the
+    # products stay finite they are the plain ones, and where they overflow
+    # the rescaled form takes over
+    rng = np.random.default_rng(5)
+    m, count = 300, 7
+    ups = np.exp(rng.normal(0.0, 2.0, (m + 1, count)))
+    ups[0] = 2.0**14
+    plain = np.multiply.accumulate(ups, axis=0)
+    assert np.isfinite(plain).all()
+    assert _moduli(ups.copy()).tobytes() == plain.tobytes()
+    # 1e30 per step, then 0 past a core's support: the plain products
+    # overflow, and inf * 0 past the support is nan
+    steep = np.full((m + 1, 2), 1e30)
+    steep[0] = 2.0**14
+    steep[200:, 0] = 0.0
+    w = _moduli(steep.copy())
+    assert np.isfinite(w).all() and not w[200:, 0].any()
+    assert 1.0 <= w[199, 0] < 2.0**16 and 1.0 <= w[-1, 1] < 2.0**16
+    np.testing.assert_allclose(w[191:200, 0] / w[190:199, 0], 1e30, rtol=4 * np.finfo(float).eps)
+    np.testing.assert_allclose(w[-9:, 1] / w[-10:-1, 1], 1e30, rtol=4 * np.finfo(float).eps)
+    # a 1-d state goes the same way as a column
+    assert _moduli(steep[:, 0].copy()).tobytes() == w[:, 0].tobytes()
+
+
+def _log_core_moduli(x: float, k: int, m: int) -> np.ndarray:
+    """log |core_k(n)| = n log x + log C(k, n) - log C(m, n) / 2, n = 0..k."""
+    n = np.arange(k + 1)
+    return (n * math.log(x) + gammaln(k + 1) - gammaln(n + 1) - gammaln(k - n + 1)
+            - 0.5 * (gammaln(m + 1) - gammaln(n + 1) - gammaln(m - n + 1)))
+
+
+def test_cores_stay_below_the_headroom_of_the_rotation():
+    # _cores hand back moduli below 2^1010, so that eigenstate_sum's gemv of
+    # up to 8192 columns of the unitary D(zeta) cannot overflow: a core that
+    # peaks in [2^1010, 2^1024) is rescaled like one that overflows.  The top
+    # cores of m = 300 peak near 2^(150 log2(1 + |x|^2)), so this grid of
+    # |x| moves their peaks across that band
+    m = 300
+    crossed = 0
+    for mod in np.linspace(10.2, 10.7, 11):
+        tables = _core_tables(CoefficientTriple(1.0, 0.0, mod), m)
+        cores = _cores(tables, np.arange(m + 1))
+        assert np.isfinite(cores).all()
+        assert np.abs(cores).max() < 2.0**1010
+        for k in range(m - 40, m + 1):
+            exact = _log_core_moduli(mod, k, m)
+            crossed += 1010 <= exact.max() / math.log(2.0) < 1024
+            assert _core(tables, k).tobytes() == cores[k, : k + 1].tobytes()
+            # the same state as the closed form, up to the scale
+            logs = np.log(np.abs(cores[k, : k + 1]))
+            np.testing.assert_allclose(logs - logs.max(), exact - exact.max(), atol=1e-11)
+    assert crossed >= 10
+
+
+@pytest.mark.parametrize(
+    "mod, eta, m",
+    [(1e50, 0.5, 300), (1.0, 5e-324, 200), (1.0, math.nextafter(1.0, 0.0), 200), (3.0, 1e-300, 500),
+     (1e-3, 0.999, 400), (0.096, 0.5, 300)],
+)
+def test_nu_zero_states_stay_finite_at_the_ends_of_the_ratio_range(mod, eta, m):
+    # |x| = sqrt(eta / (1 - eta)) / |mu| runs from 1e-212 to 1e58 here: the
+    # cores' products underflow or overflow, and the rescaled form takes over
+    p = GBSParams(mod, 0.0, eta, m)
+    sol = solve(p)
+    assert sol.kind is SolutionKind.GENERIC
+    assert np.isfinite(sol.eigenstates).all()
+    report = compare(p, sol)
+    assert report.max_residual <= report.residual_bound
+    for k in (0, 1, m // 2, m - 1, m):
+        for state in (eigenstate_sum(p, k), undisplaced_eigenstate(p, k)):
+            assert np.isfinite(state).all()
+            assert 1.0 - fidelity(state, sol.eigenstates[k]) <= 1e-14, k
+
+
 # generic points for the point memo; (1, 0.3, 0.4) has a real positive
 # delta, so its theta is -0.0
 MEMO_POINTS = [
@@ -747,7 +825,7 @@ def _fresh(p, k, form):
     """form(p, k) from a fresh frame, _cores and displacement(): the memo-free formula."""
     delta = select_root(p)
     zeta, triple = delta_to_zeta(delta, p.m), coefficient_triple(p, delta)
-    core = _cores(_core_tables(triple, p.m), k) if form is eigenstate_sum else _exponential_form_core(triple, k, p.m)
+    core = _cores(_core_tables(triple, p.m), [k])[0] if form is eigenstate_sum else _exponential_form_core(triple, k, p.m)
     if delta == 0:  # D(zeta) = I
         core[k + 1 :] = 0.0
         return normalize_state(core)
@@ -787,7 +865,7 @@ def test_one_k_core_is_the_cores_prefix_bit_for_bit(m, nu):
     p = GBSParams(0.7 + 0.2j, nu, 0.4, m)
     tables = _core_tables(coefficient_triple(p, select_root(p)), m)
     for k in range(m + 1):
-        assert _core(tables, k).tobytes() == _cores(tables, k)[: k + 1].tobytes(), k
+        assert _core(tables, k).tobytes() == _cores(tables, [k])[0, : k + 1].tobytes(), k
 
 
 # groups of points equal under == (so one memo key), which differ only in the
@@ -824,7 +902,7 @@ def test_the_memo_is_read_only():
     eigenstate_sum(p, 3)
     point = _point(p)
     assert _point.cache_info().currsize == 1
-    for table in (point.rotation, point.tables.falling, point.tables.half_steps, point.tables.phase):
+    for table in (point.rotation, point.tables.ratios, point.tables.phase):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1.0
 
@@ -883,10 +961,10 @@ def test_nu_zero_states_match_the_twisted_reference(m):
     # at nu = 0 the root is delta = 0 and each state is its closed-form core;
     # the twisted factorization, which solve no longer runs there, is the
     # reference: the cores route must agree with it.  Both carry their phase
-    # e^{i n theta} from fock.phase_ramp.  The twisted moduli are products of
-    # one-rounding ratios and read below 1e-16 |L|_F from m = 50 on; the
-    # cores sum logs, and stay within one eps |L|_F up to m = 50 and within
-    # 1e-15 |L|_F at m = 400 and 1000 (4.5e-16 and 5.3e-16)
+    # e^{i n theta} from fock.phase_ramp and their moduli from one rule,
+    # _moduli's products of one-rounding ratios, which read below
+    # 1e-16 |L|_F from m = 50 on and within one eps |L|_F at m <= 2, where a
+    # state has only two or three entries to round
     ks = np.arange(m + 1) if m <= 50 else np.array([0, 1, m // 3, m // 2, m - 1, m])
     worst_cores = worst_twisted = 0.0
     for eta in (1e-6, 0.3, 0.999, 1.0 - 1e-6):
@@ -901,8 +979,13 @@ def test_nu_zero_states_match_the_twisted_reference(m):
                     assert fidelity(c, t) >= 1.0 - 1e-14, (eta, mod, phi, k)
                 worst_cores = max(worst_cores, _band_residuals(p, cores, values).max())
                 worst_twisted = max(worst_twisted, _band_residuals(p, twisted, values).max())
-    assert worst_cores <= (np.finfo(float).eps if m <= 50 else 1e-15)
-    assert worst_twisted <= 1e-15
+    assert worst_cores <= (np.finfo(float).eps if m <= 2 else 1e-16)
+    assert worst_twisted <= (1e-15 if m <= 2 else 1e-16)
+    # the two routes round each ratio a few times (the cores: a sqrt, a
+    # division and the factor k - n; the twisted route: the band, the pivot's
+    # sweep and a division) and then multiply the same way, so neither should
+    # come out more than twice as far from L's kernel as the other
+    assert worst_cores <= 2.0 * worst_twisted
 
 
 @pytest.mark.parametrize("nu", [0.0, -0.0, complex(0.0, -0.0)], ids=["zero", "minus-zero", "minus-zero-imag"])
